@@ -8,9 +8,9 @@ cross-checked against brute-force oracles.
 """
 
 from .core import (
-    NumSG, DomainError, ParseError, EmptyGenerators, InvalidGenerator,
-    GcdNotOne, NotMember, NotMinimalGenerator, AlreadyMember, NotClosed,
-    NotContained, EqualSemigroups, CapacityExceeded, NATURALS,
+    NumSG, DomainError, ParseError, InvariantError, EmptyGenerators,
+    InvalidGenerator, GcdNotOne, NotMember, NotMinimalGenerator, AlreadyMember,
+    NotClosed, NotContained, EqualSemigroups, CapacityExceeded, NATURALS,
     from_generators, contains, frobenius, genus, multiplicity, elements,
     msg, intersect, intersect_all, is_subset, remove_element, add_element,
     union_with_tail, restricted_frobenius, parse_semigroup, format_semigroup,
@@ -27,7 +27,7 @@ from .closures import (
 )
 from .engine import (
     DEFAULT_GENUS_BOUND, InfiniteVariety, RTreeNode, member, build_tree,
-    tree_vertices, members_of, genus_level, is_pseudo_variety, descendants,
+    tree_of, tree_vertices, members_of, genus_level, is_pseudo_variety, descendants,
     restrict_variety, check_rvariety_axioms, children,
 )
 from .oracle import (

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from . import core
 from .core import (
-    NumSG, DomainError, NotContained, add_element, contains, elements,
+    NumSG, DomainError, InvariantError, NotContained, add_element, contains,
     format_semigroup, from_generators, intersect_all, is_subset, msg,
     restricted_frobenius, union_with_tail,
 )
@@ -79,11 +78,11 @@ def _chain_members(desc: Generated) -> tuple:
 
 def _first_missing(m: NumSG, s: NumSG) -> int:
     """Smallest element of m outside s; requires m ⊄ s."""
-    for e in elements(m, max(m.conductor, s.conductor)):
-        if not contains(s, e):
-            return e
-    raise AssertionError("no missing element: %s ⊆ %s"
-                         % (format_semigroup(m), format_semigroup(s)))
+    missing = s.gaps & ~m.gaps
+    if not missing:
+        raise InvariantError("no missing element: %s ⊆ %s"
+                             % (format_semigroup(m), format_semigroup(s)))
+    return (missing & -missing).bit_length() - 1
 
 
 def is_member(desc, s: NumSG) -> bool:
@@ -181,9 +180,11 @@ def minimal_system_from_members(members, m: NumSG) -> frozenset:
     m as the intersection of all containing members.  The outcome is the
     unique minimal system, so the scan order does not matter.
     """
+    gaps = [(c, c.gaps) for c in members]
 
     def generated(b):
-        parts = [c for c in members if all(contains(c, x) for x in b)]
+        need = sum(1 << x for x in b)
+        parts = [c for c, g in gaps if not need & g]
         if not parts:
             raise NoContainingElement("no member contains %s" % sorted(b))
         return intersect_all(parts)

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage or parse problem, 2 domain error (invalid
-semigroup arithmetic, non-member arguments, undecidable-within-bound).
+semigroup arithmetic, non-member arguments, undecidable-within-bound),
+3 internal error (a failed invariant check: a fault of the program).
 Output is deterministic: members sort by (genus, small elements), JSON keys
 are sorted, trees list children by increasing removed element.
 """
@@ -12,16 +13,16 @@ import random
 import sys
 
 from .core import (
-    DomainError, ParseError, format_semigroup, from_generators, frobenius,
-    genus, intersect, intersect_all, msg, multiplicity, parse_semigroup,
-    restricted_frobenius,
+    DomainError, InvariantError, ParseError, format_semigroup, from_generators,
+    frobenius, genus, intersect, intersect_all, msg, multiplicity,
+    parse_semigroup, restricted_frobenius,
 )
 from .descriptors import Interval, Restricted, Generated, delta_of
 from .chains import chain_to, chain_family, minimal_rsystem
 from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
 from .engine import (
-    DEFAULT_GENUS_BOUND, build_tree, check_rvariety_axioms, descendants,
-    genus_level, members_of,
+    DEFAULT_GENUS_BOUND, check_rvariety_axioms, descendants, fdelta,
+    genus_level, members_of, tree_of,
 )
 from .oracle import oracle_members, random_interval, random_restricted
 
@@ -66,17 +67,12 @@ def _variety_from(args):
     return Generated(tuple(parse_semigroup(p) for p in parts), outer)
 
 
-def _fdelta(s, delta):
-    return -1 if s == delta else restricted_frobenius(s, delta)
-
-
 def _record(desc, s):
-    delta = delta_of(desc)
     return {
         "sg": format_semigroup(s),
         "msg": list(msg(s)),
         "genus": genus(s),
-        "fdelta": _fdelta(s, delta),
+        "fdelta": fdelta(s, delta_of(desc)),
         "minsys": sorted(minimal_rsystem(desc, s)),
     }
 
@@ -131,8 +127,7 @@ def _tree_obj(n):
 
 
 def _cmd_any_tree(desc, args):
-    root = build_tree(desc, args.genus_bound)
-    complete = members_of(desc, args.genus_bound)[1]
+    root, complete = tree_of(desc, args.genus_bound)
     if args.format == "text":
         _render_tree_text(root, complete, args.genus_bound)
     elif args.format == "dot":
@@ -291,11 +286,12 @@ def _cmd_restrict(args):
     else:
         print("note: truncated at genus %d" % args.genus_bound, file=sys.stderr)
     top = intersect(delta_of(desc), u)
-    assert top in image
+    if top not in image:
+        raise InvariantError("the restricted maximum is not in the image")
     for s in sorted(image, key=lambda s: s.sort_key()):
         if args.format == "structured":
             _emit_json({"sg": format_semigroup(s), "msg": list(msg(s)),
-                        "genus": genus(s), "fdelta": _fdelta(s, top)})
+                        "genus": genus(s), "fdelta": fdelta(s, top)})
         else:
             print(format_semigroup(s))
     return 0
@@ -468,6 +464,9 @@ def main(argv=None) -> int:
     except DomainError as e:
         print("rvar: error: %s" % e, file=sys.stderr)
         return 2
+    except InvariantError as e:
+        print("rvar: internal error: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ integers has a smallest family member containing it: its closure.
 
 from .core import (
     NumSG, DomainError, EmptyGenerators, InvalidGenerator, CapacityExceeded,
-    NotClosed, NotContained, MAX_SIEVE, NATURALS, _canon, contains, elements,
-    format_semigroup, intersect, msg,
+    InvariantError, NotClosed, NotContained, MAX_SIEVE, NATURALS, _canon,
+    contains, elements, format_semigroup, intersect, msg,
 )
 
 LD = "ld"
@@ -78,7 +78,7 @@ def variety_closure(kind, gens) -> NumSG:
         while c > 0 and present[c - 1]:
             c -= 1
         if 2 * c <= bound:
-            out = _canon({i for i in range(c + 1) if present[i]}, c)
+            out = _canon(sum(1 << i for i in range(c) if present[i]), c)
             _assert_kind_closed(kind, out)
             return out
         bound *= 2
@@ -93,23 +93,22 @@ def _kind_defect(kind, s: NumSG):
     past the conductor.
     """
     off = _offset(kind)
-    for a in s.small:
-        if a == 0:
-            continue
-        for b in s.small:
-            if b == 0:
-                continue
-            if b > a:
-                break
-            if not contains(s, a + b + off):
-                return (a, b)
+    gaps = s.gaps
+    nonzero = s.mask & ~1
+    for a in elements(s, s.conductor):
+        if a:
+            # a + b + offset over the members b in (0, a], on the gaps of s
+            hit = ((nonzero & ((2 << a) - 1)) << (a + off)) & gaps
+            if hit:
+                return (a, (hit & -hit).bit_length() - 1 - a - off)
     return None
 
 
 def _assert_kind_closed(kind, s: NumSG):
     bad = _kind_defect(kind, s)
-    assert bad is None, "closure %s escapes its own kind at %s" % (
-        format_semigroup(s), bad)
+    if bad is not None:
+        raise InvariantError("closure %s escapes its own kind at %s"
+                             % (format_semigroup(s), bad))
 
 
 def restricted_closure(kind, a, t: NumSG) -> NumSG:

@@ -1,14 +1,15 @@
 """Exact arithmetic on numerical semigroups.
 
 A numerical semigroup is a subset of the nonnegative integers that contains 0,
-is closed under addition, and has finite complement.  Values are kept in
-canonical small-elements form: the sorted tuple of all members up to and
-including the conductor (the point from which every integer is a member).
+is closed under addition, and has finite complement.  A value is stored as a
+bitset: its conductor (the point from which every integer is a member) and an
+int whose bit x is set exactly when x is a member below the conductor.  Set
+operations are bit operations on these masks, and every result is trimmed to
+its least conductor, so equal semigroups have equal (mask, conductor) pairs.
 All operations are pure; NumSG values are immutable and hashable.
 """
 
-from bisect import bisect_left
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd
 
 
@@ -60,53 +61,81 @@ class ParseError(ValueError):
     """Malformed semigroup text; a usage error, not a domain error."""
 
 
+class InvariantError(AssertionError):
+    """A failed internal check: a fault of the program, raised even under -O."""
+
+
 # Dense sieves refuse to grow past this many entries, so hostile generator
 # sets fail loudly instead of exhausting memory.
 MAX_SIEVE = 4_000_000
 
 
 class NumSG:
-    """A numerical semigroup in canonical small-elements form.
+    """A numerical semigroup as a bitset.
 
-    small: strictly increasing tuple of all members <= conductor.
+    mask: int whose bit x is set iff x is a member and x < conductor.
     conductor: frobenius + 1; 0 exactly when the semigroup is all of N.
     Construct via from_generators or the module helpers, not directly.
     """
 
-    __slots__ = ("small", "conductor", "_msg")
+    __slots__ = ("mask", "conductor", "_msg")
 
-    def __init__(self, small, conductor):
-        self.small = small
+    def __init__(self, mask, conductor):
+        self.mask = mask
         self.conductor = conductor
         self._msg = None
 
     def __eq__(self, other):
-        return isinstance(other, NumSG) and self.small == other.small
+        return (isinstance(other, NumSG) and self.mask == other.mask
+                and self.conductor == other.conductor)
 
     def __hash__(self):
-        return hash(self.small)
+        return hash((self.mask, self.conductor))
 
     def __repr__(self):
         return "NumSG(%s)" % format_semigroup(self)
 
+    @property
+    def gaps(self):
+        """int whose bit x is set iff x is a gap: a nonnegative integer outside."""
+        return ~self.mask & ((1 << self.conductor) - 1)
+
+    @property
+    def small(self):
+        """Strictly increasing tuple of all members <= conductor."""
+        return tuple(_bits(self.mask)) + (self.conductor,) if self.conductor else (0,)
+
     # total order used only for deterministic output
     def sort_key(self):
-        return (genus(self), self.small)
+        """A key that orders exactly like (genus, small).
+
+        Within a genus, the least element where two semigroups differ is a
+        gap of the larger one, so gap sets compare with 0 read as their top
+        bit; every gap lies below 2 * genus.
+        """
+        g = genus(self)
+        return (g, int(format(self.gaps, "0%db" % (2 * g))[::-1], 2))
 
 
-def _canon(members, top):
-    """Build a NumSG from an explicit member set.
+def _bits(m):
+    """Positions of the set bits of m >= 0, increasing."""
+    return [i for i, b in enumerate(bin(m)[:1:-1]) if b == "1"]
 
-    members must be exactly S ∩ [0, top] for a semigroup S known to contain
-    every integer >= top.  Finds the minimal conductor and trims.
+
+def _below(s: NumSG, top) -> int:
+    """Mask of the members of s below top."""
+    if top <= s.conductor:
+        return s.mask & ((1 << top) - 1)
+    return s.mask | ((1 << top) - (1 << s.conductor))
+
+
+def _canon(mask, top) -> NumSG:
+    """Build a NumSG from mask = S ∩ [0, top) of a semigroup S ⊇ [top, ∞).
+
+    The least conductor is the bit length of the gaps below top.
     """
-    c = top
-    while c > 0 and (c - 1) in members:
-        c -= 1
-    small = tuple(sorted(x for x in members if x <= c))
-    # 0 is a member of every semigroup; conductor is a member unless 0
-    assert small and small[0] == 0 and (c == 0 or small[-1] == c)
-    return NumSG(small, c)
+    c = (~mask & ((1 << top) - 1)).bit_length()
+    return NumSG(mask & ((1 << c) - 1), c)
 
 
 def from_generators(gens) -> NumSG:
@@ -119,7 +148,7 @@ def from_generators(gens) -> NumSG:
             raise InvalidGenerator("generator %r is not a positive integer" % (g,))
     gens = sorted(set(gens))
     if 1 in gens:
-        return NumSG((0,), 0)
+        return NATURALS
     d = reduce(gcd, gens)
     if d != 1:
         raise GcdNotOne("gcd(%s) = %d, not 1" % (",".join(map(str, gens)), d))
@@ -129,37 +158,23 @@ def from_generators(gens) -> NumSG:
         if bound > MAX_SIEVE:
             raise CapacityExceeded("sieve for <%s> exceeds %d entries"
                                    % (",".join(map(str, gens)), MAX_SIEVE))
-        # reachable[i] <=> i is a nonnegative integer combination of gens
-        reachable = bytearray(bound + 1)
-        reachable[0] = 1
-        for i in range(lo, bound + 1):
-            for g in gens:
-                if g > i:
-                    break
-                if reachable[i - g]:
-                    reachable[i] = 1
-                    break
+        # bit i of reachable <=> i <= bound is a nonnegative combination of gens;
+        # closing under +g, then +2g, +4g, ... closes under every multiple of g
+        window = (1 << (bound + 1)) - 1
+        reachable = 1
+        for g in gens:
+            step = g
+            while step <= bound:
+                reachable |= (reachable << step) & window
+                step <<= 1
         # a run of lo consecutive members proves the tail is complete
-        run = 0
-        tail = -1
-        for i in range(bound + 1):
-            run = run + 1 if reachable[i] else 0
-            if run == lo:
-                tail = i - lo + 1
-                break
-        if tail >= 0:
-            members = {i for i in range(tail + 1) if reachable[i]}
-            return _canon(members, tail)
+        if bound + 1 - (~reachable & window).bit_length() >= lo:
+            return _canon(reachable, bound + 1)
         bound *= 2
 
 
 def contains(s: NumSG, x) -> bool:
-    if x < 0:
-        return False
-    if x >= s.conductor:
-        return True
-    i = bisect_left(s.small, x)
-    return i < len(s.small) and s.small[i] == x
+    return x >= s.conductor or (x >= 0 and s.mask >> x & 1 == 1)
 
 
 def frobenius(s: NumSG) -> int:
@@ -169,65 +184,63 @@ def frobenius(s: NumSG) -> int:
 
 def genus(s: NumSG) -> int:
     """Number of gaps (nonnegative integers outside s)."""
-    if s.conductor == 0:
-        return 0
-    # small contains the conductor plus every member below it
-    return s.conductor - (len(s.small) - 1)
+    return s.conductor - s.mask.bit_count()
 
 
 def multiplicity(s: NumSG) -> int:
-    return s.small[1] if len(s.small) > 1 else 1
+    nonzero = s.mask & ~1
+    return (nonzero & -nonzero).bit_length() - 1 if nonzero else s.conductor or 1
 
 
 def elements(s: NumSG, limit):
     """Yield the members of s that are <= limit, in increasing order."""
-    for x in s.small:
-        if x > limit:
-            return
-        yield x
-    yield from range(s.conductor + 1, limit + 1)
+    if limit < 0:
+        return
+    yield from _bits(s.mask & ((1 << (limit + 1)) - 1))
+    yield from range(s.conductor, limit + 1)
 
 
 def msg(s: NumSG) -> tuple:
     """The unique minimal generating set, strictly increasing.
 
-    An element is a minimal generator iff it is not a sum of two nonzero
-    members; all candidates lie in (0, conductor + multiplicity].
+    An element is a minimal generator iff it is not the sum of a smaller
+    minimal generator and a nonzero member; all candidates lie in
+    (0, conductor + multiplicity], and are taken least first.
     """
     if s._msg is None:
         if s.conductor == 0:
             s._msg = (1,)
         else:
-            m = multiplicity(s)
-            out = []
-            for x in elements(s, s.conductor + m):
-                if x == 0:
-                    continue
-                if any(a and contains(s, x - a) for a in elements(s, x // 2)):
-                    continue
-                out.append(x)
-            s._msg = tuple(out)
+            nonzero = _below(s, s.conductor + multiplicity(s) + 1) & ~1
+            gens, sums, cand = [], 0, nonzero
+            while cand:
+                g = (cand & -cand).bit_length() - 1
+                gens.append(g)
+                sums |= nonzero << g
+                cand = (cand & ~sums) >> (g + 1) << (g + 1)
+            s._msg = tuple(gens)
     return s._msg
 
 
-@lru_cache(maxsize=65536)
 def intersect(s: NumSG, t: NumSG) -> NumSG:
     """Set intersection; always a numerical semigroup."""
-    top = max(s.conductor, t.conductor)
-    members = set(elements(s, top)) & set(elements(t, top))
-    members.add(top)
-    return _canon(members, top)
+    if s.conductor < t.conductor:
+        s, t = t, s
+    return _canon(s.mask & _below(t, s.conductor), s.conductor)
 
 
 def intersect_all(sgs) -> NumSG:
-    return reduce(intersect, sgs)
+    """Intersection of a nonempty collection of semigroups."""
+    sgs = list(sgs)
+    top = max(s.conductor for s in sgs)
+    return _canon(reduce(int.__and__, (_below(s, top) for s in sgs)), top)
 
 
 def is_subset(s: NumSG, t: NumSG) -> bool:
     # the tail [conductor(s), inf) fits in t only if it starts past t's
     if s.conductor < t.conductor:
         return False
-    return all(contains(t, x) for x in s.small)
+    return s.mask & ~t.mask & ((1 << t.conductor) - 1) == 0
 
 
 def remove_element(s: NumSG, x: int) -> NumSG:
@@ -238,9 +251,7 @@ def remove_element(s: NumSG, x: int) -> NumSG:
         raise NotMinimalGenerator("%d is not a minimal generator of %s"
                                   % (x, format_semigroup(s)))
     top = max(s.conductor, x + 1)
-    members = set(elements(s, top))
-    members.discard(x)
-    return _canon(members, top)
+    return _canon(_below(s, top) & ~(1 << x), top)
 
 
 def add_element(s: NumSG, x: int) -> NumSG:
@@ -249,32 +260,22 @@ def add_element(s: NumSG, x: int) -> NumSG:
         raise NotMember("%d is negative" % x)
     if contains(s, x):
         raise AlreadyMember("%d is already in %s" % (x, format_semigroup(s)))
-    # s is closed, so only sums involving x can fail
-    for a in s.small:
-        if a == 0:
-            continue
-        v = a + x
-        if v < s.conductor and not contains(s, v) and v != x:
-            raise NotClosed("%d + %d = %d escapes %s ∪ {%d}"
-                            % (a, x, v, format_semigroup(s), x))
-    v = x + x
-    if v < s.conductor and not contains(s, v):
+    # s is closed, so only sums involving x can fail: report the least a + x
+    # with a a nonzero member, else x + x
+    gaps = s.gaps
+    escaped = ((s.mask & ~1) << x) & gaps or (1 << (x + x)) & gaps
+    if escaped:
+        v = (escaped & -escaped).bit_length() - 1
         raise NotClosed("%d + %d = %d escapes %s ∪ {%d}"
-                        % (x, x, v, format_semigroup(s), x))
+                        % (v - x, x, v, format_semigroup(s), x))
     top = max(s.conductor, x + 1)
-    members = set(elements(s, top))
-    members.add(x)
-    return _canon(members, top)
+    return _canon(_below(s, top) | (1 << x), top)
 
 
-@lru_cache(maxsize=65536)
 def union_with_tail(s: NumSG, delta: NumSG, n: int) -> NumSG:
     """s ∪ {x in delta | x >= n} for s ⊆ delta; closed by construction."""
     top = max(s.conductor, delta.conductor, n)
-    members = set(elements(s, top))
-    members.update(x for x in elements(delta, top) if x >= n)
-    members.add(top)
-    return _canon(members, top)
+    return _canon(_below(s, top) | (_below(delta, top) >> n << n), top)
 
 
 def restricted_frobenius(s: NumSG, t: NumSG) -> int:
@@ -284,16 +285,11 @@ def restricted_frobenius(s: NumSG, t: NumSG) -> int:
                            % (format_semigroup(s), format_semigroup(t)))
     if s == t:
         raise EqualSemigroups("restricted Frobenius of a semigroup in itself")
-    # every member of t from conductor(s) up is in s, so scan below it
-    best = -1
-    for y in elements(t, s.conductor - 1):
-        if not contains(s, y):
-            best = y
-    assert best >= 0
-    return best
+    # every member of t from conductor(s) up is in s, so look below it
+    return (_below(t, s.conductor) & ~s.mask).bit_length() - 1
 
 
-NATURALS = NumSG((0,), 0)
+NATURALS = NumSG(0, 0)
 
 
 def parse_semigroup(text: str) -> NumSG:

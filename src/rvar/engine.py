@@ -8,12 +8,13 @@ genus-by-genus enumeration possible without revisiting vertices.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import chains
 from .core import (
-    NumSG, DomainError, NATURALS, contains, format_semigroup, frobenius,
-    genus, intersect, is_subset, msg, remove_element, restricted_frobenius,
-    union_with_tail,
+    NumSG, DomainError, InvariantError, NATURALS, contains, format_semigroup,
+    frobenius, genus, intersect, is_subset, msg, remove_element,
+    restricted_frobenius, union_with_tail,
 )
 from .descriptors import Descendants, delta_of
 from .chains import NotInVariety, minimal_rsystem, minimal_system_from_members
@@ -53,10 +54,9 @@ def member(desc, s: NumSG) -> bool:
     return chains.is_member(desc, s)
 
 
-def _base_fd(desc, sg: NumSG) -> int:
-    """Restricted Frobenius of sg in the base maximum; -1 at the base root."""
-    delta = delta_of(_base_of(desc))
-    return -1 if sg == delta else restricted_frobenius(sg, delta)
+def fdelta(s: NumSG, top: NumSG) -> int:
+    """Restricted Frobenius number of s in top; -1 for top itself."""
+    return -1 if s == top else restricted_frobenius(s, top)
 
 
 def _expansion(desc, sg: NumSG) -> list:
@@ -67,7 +67,7 @@ def _expansion(desc, sg: NumSG) -> list:
     the expansion in every case.
     """
     base = _base_of(desc)
-    fd = _base_fd(desc, sg)
+    fd = fdelta(sg, delta_of(base))
     return sorted(x for x in minimal_rsystem(base, sg) if x > fd)
 
 
@@ -99,7 +99,7 @@ def _walk(desc, genus_bound):
     if genus_bound < genus(top):
         raise DomainError("genus bound %d is below the genus %d of the maximum"
                           % (genus_bound, genus(top)))
-    rows = [(top, -1, _base_fd(desc, top))]
+    rows = [(top, -1, fdelta(top, delta_of(_base_of(desc))))]
     complete = True
     frontier = [0]
     while frontier:
@@ -126,8 +126,8 @@ def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     return [r[0] for r in rows], complete
 
 
-def build_tree(desc, genus_bound=DEFAULT_GENUS_BOUND) -> RTreeNode:
-    """The family tree rooted at the maximum, truncated at the genus bound.
+def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
+    """(root, complete): the family tree rooted at the maximum, cut at the genus bound.
 
     Under a descendants view the displayed restricted Frobenius is taken in
     the view's own maximum, and minimal systems are exact only when the view
@@ -140,9 +140,7 @@ def build_tree(desc, genus_bound=DEFAULT_GENUS_BOUND) -> RTreeNode:
             systems = [minimal_system_from_members(mem, sg) for sg in mem]
         else:
             systems = [None] * len(rows)
-        top = desc.top
-        fds = [-1 if sg == top else restricted_frobenius(sg, top)
-               for sg, _, _ in rows]
+        fds = [fdelta(sg, desc.top) for sg, _, _ in rows]
     else:
         systems = [minimal_rsystem(desc, sg) for sg, _, _ in rows]
         fds = [fd for _, _, fd in rows]
@@ -153,7 +151,12 @@ def build_tree(desc, genus_bound=DEFAULT_GENUS_BOUND) -> RTreeNode:
             nodes[parent].children.append(nodes[i])
     for n in nodes:
         n.children.sort(key=lambda c: c.restricted_frob)
-    return nodes[0]
+    return nodes[0], complete
+
+
+def build_tree(desc, genus_bound=DEFAULT_GENUS_BOUND) -> RTreeNode:
+    """The root of tree_of(desc, genus_bound)."""
+    return tree_of(desc, genus_bound)[0]
 
 
 def tree_vertices(root: RTreeNode) -> list:
@@ -205,11 +208,11 @@ def is_pseudo_variety(desc, genus_bound=DEFAULT_GENUS_BOUND) -> bool:
     return True
 
 
-def descendants(desc, t: NumSG, genus_bound=None) -> Descendants:
+def descendants(desc, t: NumSG) -> Descendants:
     """View of desc keeping only t and the members below it in the tree.
 
-    The view is itself a valid descriptor with maximum t; genus_bound is
-    accepted for signature compatibility but enumeration takes its own bound.
+    The view is itself a valid descriptor with maximum t; enumerating it
+    takes its own genus bound.
     """
     if not member(desc, t):
         raise NotInVariety("%s is not a member" % format_semigroup(t))
@@ -232,19 +235,21 @@ def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:
 
 
 def check_rvariety_axioms(members):
-    """Assert the three family axioms on an explicit finite member set."""
+    """Check the three family axioms on an explicit finite member set."""
     members = set(members)
-    assert members, "empty family"
-    tops = [m for m in members if all(is_subset(s, m) for s in members)]
-    assert tops, "no maximum element"
-    top = tops[0]
-    for a in members:
-        for b in members:
-            assert intersect(a, b) in members, \
-                "intersection escapes: %s ∩ %s" % (format_semigroup(a), format_semigroup(b))
+    if not members:
+        raise InvariantError("empty family")
+    # a maximum contains every other member, so it alone has the least genus
+    top = min(members, key=genus)
+    if not all(is_subset(s, top) for s in members):
+        raise InvariantError("no maximum element")
+    for a, b in combinations(members, 2):
+        if intersect(a, b) not in members:
+            raise InvariantError("intersection escapes: %s ∩ %s"
+                                 % (format_semigroup(a), format_semigroup(b)))
     for s in members:
         if s != top:
             f = restricted_frobenius(s, top)
-            grown = union_with_tail(s, top, f)
-            assert grown in members, \
-                "adjoining %d to %s escapes" % (f, format_semigroup(s))
+            if union_with_tail(s, top, f) not in members:
+                raise InvariantError("adjoining %d to %s escapes"
+                                     % (f, format_semigroup(s)))

@@ -1,0 +1,205 @@
+"""The bitset core against plain set-of-int arithmetic.
+
+Every semigroup here is also built by brute force, as the Python set of its
+members below a window W, with no help from rvar; each core operation must
+agree with the matching set operation.  Generators stay at most 13, so every
+conductor lies below 13 * 13 and every minimal generator below W / 2.
+"""
+
+from functools import reduce
+from itertools import combinations
+from math import gcd
+
+import pytest
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    pytest.skip("hypothesis not installed", allow_module_level=True)
+
+settings.register_profile("rvar", deadline=None)
+settings.load_profile("rvar")
+
+from rvar import (
+    AlreadyMember, NotClosed, add_element, from_generators, genus, intersect,
+    is_subset, msg, multiplicity, remove_element, restricted_frobenius,
+    union_with_tail,
+)
+
+W = 400
+MAX_GEN = 12
+
+
+# ------------------------------------------------------------- brute force
+
+def closure(gens):
+    """Members below W of the monoid generated by gens."""
+    out = {0}
+    for x in range(1, W):
+        if any(g <= x and x - g in out for g in gens):
+            out.add(x)
+    return out
+
+
+def conductor(s):
+    c = W
+    while c > 0 and c - 1 in s:
+        c -= 1
+    return c
+
+
+def small(s):
+    c = conductor(s)
+    return tuple(sorted(x for x in s if x <= c))
+
+
+def gaps(s):
+    return [x for x in range(W) if x not in s]
+
+
+def minimal_generators(s):
+    nonzero = [x for x in s if x]
+    return tuple(sorted(x for x in nonzero if x < W // 2
+                        and not any(x - a in s for a in nonzero if 0 < x - a)))
+
+
+def is_closed(s):
+    c = conductor(s)
+    below = [x for x in s if 0 < x < c]
+    return all(a + b in s for a in below for b in below if a + b < c)
+
+
+def brute_key(s):
+    return (len(gaps(s)), small(s))
+
+
+def agrees(sg, s):
+    """The NumSG sg and the brute-force member set s are the same semigroup."""
+    return sg.conductor == conductor(s) and sg.small == small(s)
+
+
+# ------------------------------------------------------------- strategies
+
+def coprime(gens):
+    """gens, with one generator added when their gcd is not 1."""
+    if reduce(gcd, gens) != 1:
+        gens = gens + [gens[0] + 1]
+    return gens
+
+
+GENS = st.lists(st.integers(2, MAX_GEN), min_size=1, max_size=4).map(coprime)
+
+
+@st.composite
+def nested(draw):
+    """(gens of s, gens of t) with s inside t: s is generated by members of t."""
+    tg = draw(GENS)
+    t = closure(tg)
+    pool = sorted(x for x in t if 2 <= x <= MAX_GEN)
+    sg = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    for g in sorted(tg):
+        # the generators of t have gcd 1; add them until s's have too
+        if reduce(gcd, sg) == 1:
+            break
+        sg = sg + [g]
+    return sg, tg
+
+
+class TestAgainstSets:
+    @given(GENS)
+    def test_construction_and_invariants(self, gens):
+        s, sg = closure(gens), from_generators(gens)
+        assert agrees(sg, s)
+        assert genus(sg) == len(gaps(s))
+        assert multiplicity(sg) == min(x for x in s if x)
+        assert msg(sg) == minimal_generators(s)
+
+    @given(GENS, GENS)
+    def test_intersect_and_is_subset(self, ga, gb):
+        a, b = closure(ga), closure(gb)
+        sa, sb = from_generators(ga), from_generators(gb)
+        assert agrees(intersect(sa, sb), a & b)
+        assert is_subset(sa, sb) == (a <= b)
+        assert is_subset(sb, sa) == (b <= a)
+
+    @given(nested(), st.integers(0, W // 2))
+    def test_union_with_tail(self, pair, n):
+        s, t = closure(pair[0]), closure(pair[1])
+        got = union_with_tail(from_generators(pair[0]), from_generators(pair[1]), n)
+        assert agrees(got, s | {x for x in t if x >= n})
+
+    @given(nested())
+    def test_restricted_frobenius(self, pair):
+        s, t = closure(pair[0]), closure(pair[1])
+        if s != t:
+            got = restricted_frobenius(from_generators(pair[0]), from_generators(pair[1]))
+            assert got == max(t - s)
+
+    @given(GENS, st.data())
+    def test_remove_element(self, gens, data):
+        s, sg = closure(gens), from_generators(gens)
+        x = data.draw(st.sampled_from(minimal_generators(s)))
+        assert agrees(remove_element(sg, x), s - {x})
+
+    @given(GENS, st.data())
+    def test_add_element(self, gens, data):
+        s, sg = closure(gens), from_generators(gens)
+        x = data.draw(st.integers(0, conductor(s)))
+        if x in s:
+            with pytest.raises(AlreadyMember):
+                add_element(sg, x)
+        elif is_closed(s | {x}):
+            assert agrees(add_element(sg, x), s | {x})
+        else:
+            with pytest.raises(NotClosed):
+                add_element(sg, x)
+
+    @given(st.lists(GENS, min_size=2, max_size=6))
+    def test_sort_key_orders_like_genus_then_small(self, gens_list):
+        pairs = [(from_generators(g), closure(g)) for g in gens_list]
+        by_key = [s for _, s in sorted(pairs, key=lambda p: p[0].sort_key())]
+        by_brute = [s for _, s in sorted(pairs, key=lambda p: brute_key(p[1]))]
+        assert by_key == by_brute
+
+
+def semigroups_of_genus(g):
+    """Every numerical semigroup of genus g, as member sets, by brute force.
+
+    Its gaps lie in [1, 2g - 1], so try every g-subset of that range.
+    """
+    out = []
+    for gap_set in combinations(range(1, 2 * g), g):
+        s = set(range(W)) - set(gap_set)
+        if is_closed(s):
+            out.append(s)
+    return out
+
+
+def test_sort_key_orders_every_small_genus_like_genus_then_small():
+    # equal genus is where the key's second part decides; A007323 up to genus 7
+    counts, pairs = [], []
+    for g in range(8):
+        level = semigroups_of_genus(g)
+        counts.append(len(level))
+        pairs += [(from_generators(list(minimal_generators(s))), s) for s in level]
+    assert counts == [1, 1, 2, 4, 7, 12, 23, 39]
+    for sg, s in pairs:
+        assert agrees(sg, s)
+    by_key = [small(s) for _, s in sorted(pairs, key=lambda p: p[0].sort_key())]
+    by_brute = [small(s) for _, s in sorted(pairs, key=lambda p: brute_key(p[1]))]
+    assert by_key == by_brute
+
+
+def test_add_and_remove_on_every_small_genus():
+    for g in range(7):
+        for s in semigroups_of_genus(g):
+            sg = from_generators(list(minimal_generators(s)))
+            for x in minimal_generators(s):
+                assert agrees(remove_element(sg, x), s - {x})
+            for x in gaps(s):
+                if is_closed(s | {x}):
+                    assert agrees(add_element(sg, x), s | {x})
+                else:
+                    with pytest.raises(NotClosed):
+                        add_element(sg, x)

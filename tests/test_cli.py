@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rvar import cli
+from rvar import InvariantError, cli
 
 INTERVAL = "<5,6>:<5,6,7>"
 GENERATED = "<5,7,9,11,13>;<4,10,11,13>:<4,5,7>"
@@ -300,6 +300,15 @@ class TestErrorPaths:
                          "--inside", "<5,6,7>")
         assert rc == 2
         assert "in itself" in err
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def broken(members):
+            raise InvariantError("no maximum element")
+        monkeypatch.setattr(cli, "check_rvariety_axioms", broken)
+        rc, out, err = run(capsys, "restrict", "--interval", INTERVAL, "--by", "<5,6,7>")
+        assert rc == 3
+        assert out == ""
+        assert err == "rvar: internal error: no maximum element\n"
 
     def test_unknown_subcommand(self, capsys):
         rc, _, err = run(capsys, "bogus")

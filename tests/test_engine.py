@@ -1,7 +1,12 @@
 """Family trees, genus levels, classification, and derived views."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import rvar
 from rvar import (
     NATURALS, Descendants, DomainError, InfiniteVariety, Interval, NotInVariety,
     Restricted, build_tree, check_rvariety_axioms, children, delta_of,
@@ -254,3 +259,19 @@ class TestAxiomChecker:
     def test_rejects_missing_maximum(self):
         with pytest.raises(AssertionError):
             check_rvariety_axioms({sg(5, 6), sg(5, 7)})
+
+    def test_rejects_missing_maximum_under_optimize(self):
+        # python -O strips assert statements; the checker must still raise
+        code = ("from rvar import InvariantError, check_rvariety_axioms\n"
+                "from rvar import from_generators as sg\n"
+                "try:\n"
+                "    check_rvariety_axioms({sg([5, 6]), sg([5, 7])})\n"
+                "except InvariantError as e:\n"
+                "    print('InvariantError:', e)\n")
+        # the child imports the same rvar package as this test
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rvar.__file__)))
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "InvariantError: no maximum element\n"
