@@ -19,11 +19,11 @@ from .descriptors import Interval, Restricted, Generated, Descendants, delta_of
 from .chains import (
     ChainRec, NotInDelta, NotInVariety, NotNumerical, NoContainingElement,
     chain_to, chain_family, is_member, rmonoid_generated, minimal_rsystem,
-    rrange, minimal_system_from_members,
+    rrange,
 )
 from .closures import (
     LD, PL, KINDS, NotCofinite, variety_closure, restricted_closure,
-    minimal_vsystem, minimal_system_via,
+    minimal_vsystem,
 )
 from .engine import (
     DEFAULT_GENUS_BOUND, InfiniteVariety, RTreeNode, member, build_tree,
@@ -32,6 +32,7 @@ from .engine import (
 )
 from .oracle import (
     enumerate_between, smallest_containing, oracle_members,
+    minimal_system_from_members,
     random_semigroup, random_subsemigroup, random_interval, random_restricted,
 )
 

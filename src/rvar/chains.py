@@ -52,8 +52,6 @@ def chain_to(s: NumSG, t: NumSG) -> ChainRec:
     cur = s
     while cur != t:
         f = restricted_frobenius(cur, t)
-        # fills strictly decrease: each is the current maximum of t \ cur
-        assert not fills or f < fills[-1]
         cur = add_element(cur, f)
         links.append(cur)
         fills.append(f)
@@ -147,52 +145,30 @@ def rmonoid_generated(desc, a) -> NumSG:
 def minimal_rsystem(desc, m: NumSG) -> frozenset:
     """The unique minimal set B with rmonoid_generated(desc, B) == m.
 
-    m must be a member.  Interval and Restricted families reduce to the
-    minimal generators outside the forced part; Generated families take the
-    first element of m missing from each family member not containing m,
-    then verify minimality by dropping each candidate in turn.
+    m must be a member; it is checked here, because m may come from outside
+    the program.  The system itself is computed by _rsystem.
     """
     if not is_member(desc, m):
         raise NotInVariety("%s is not a member" % format_semigroup(m))
+    return _rsystem(desc, m)
+
+
+def _rsystem(desc, m: NumSG) -> frozenset:
+    """minimal_rsystem of a member m, unchecked; for callers that walk members.
+
+    Interval and Restricted families reduce to the minimal generators outside
+    the forced part.  In a Generated family each family member s not
+    containing m contributes x_s, the least element of m missing from s: the
+    part that s gives to an intersection generated by B ⊆ m contains m only
+    if its adjoined tail starts at x_s, so every system of m holds x_s, and
+    these elements alone already generate m.
+    """
     if isinstance(desc, Interval):
         return frozenset(x for x in msg(m) if not contains(desc.lo, x))
     if isinstance(desc, Restricted):
         return frozenset(x for x in msg(m) if x not in desc.a)
-    b = set()
-    for s in desc.f:
-        if not is_subset(m, s):
-            b.add(_first_missing(m, s))
-    b = frozenset(b)
-    assert rmonoid_generated(desc, b) == m
-    for x in b:
-        assert rmonoid_generated(desc, b - {x}) != m
-    return b
+    return frozenset(_first_missing(m, s) for s in desc.f if not is_subset(m, s))
 
 
 def rrange(desc, m: NumSG) -> int:
     return len(minimal_rsystem(desc, m))
-
-
-def minimal_system_from_members(members, m: NumSG) -> frozenset:
-    """Minimal generating system of member m relative to an explicit finite family.
-
-    Greedy reduction of msg(m): drop x whenever the remaining set still pins
-    m as the intersection of all containing members.  The outcome is the
-    unique minimal system, so the scan order does not matter.
-    """
-    gaps = [(c, c.gaps) for c in members]
-
-    def generated(b):
-        need = sum(1 << x for x in b)
-        parts = [c for c, g in gaps if not need & g]
-        if not parts:
-            raise NoContainingElement("no member contains %s" % sorted(b))
-        return intersect_all(parts)
-
-    keep = set(msg(m))
-    assert generated(keep) == m
-    for x in sorted(keep, reverse=True):
-        trial = keep - {x}
-        if generated(trial) == m:
-            keep = trial
-    return frozenset(keep)

@@ -21,8 +21,8 @@ from .descriptors import Interval, Restricted, Generated, delta_of
 from .chains import chain_to, chain_family, minimal_rsystem
 from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
 from .engine import (
-    DEFAULT_GENUS_BOUND, check_rvariety_axioms, descendants, fdelta,
-    genus_level, members_of, tree_of,
+    DEFAULT_GENUS_BOUND, descendants, fdelta, genus_level, members_of,
+    restriction_of, tree_of,
 )
 from .oracle import oracle_members, random_interval, random_restricted
 
@@ -85,9 +85,9 @@ def _emit_json(obj):
 
 def _render_tree_text(root, complete, bound):
     def walk(n, depth):
-        ms = "?" if n.min_system is None else ",".join(map(str, sorted(n.min_system)))
         print("%s%s  [%s]  fdelta=%d"
-              % ("  " * depth, format_semigroup(n.sg), ms, n.restricted_frob))
+              % ("  " * depth, format_semigroup(n.sg),
+                 ",".join(map(str, sorted(n.min_system))), n.restricted_frob))
         for c in n.children:
             walk(c, depth + 1)
     walk(root, 0)
@@ -121,7 +121,7 @@ def _tree_obj(n):
         "msg": list(msg(n.sg)),
         "genus": genus(n.sg),
         "fdelta": n.restricted_frob,
-        "minsys": None if n.min_system is None else sorted(n.min_system),
+        "minsys": sorted(n.min_system),
         "children": [_tree_obj(c) for c in n.children],
     }
 
@@ -279,15 +279,10 @@ def _cmd_closure(args):
 def _cmd_restrict(args):
     desc = _variety_from(args)
     u = parse_semigroup(args.by)
-    mem, complete = members_of(desc, args.genus_bound)
-    image = {intersect(s, u) for s in mem}
-    if complete:
-        check_rvariety_axioms(image)
-    else:
+    image, complete = restriction_of(desc, u, args.genus_bound)
+    if not complete:
         print("note: truncated at genus %d" % args.genus_bound, file=sys.stderr)
     top = intersect(delta_of(desc), u)
-    if top not in image:
-        raise InvariantError("the restricted maximum is not in the image")
     for s in sorted(image, key=lambda s: s.sort_key()):
         if args.format == "structured":
             _emit_json({"sg": format_semigroup(s), "msg": list(msg(s)),

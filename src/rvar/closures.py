@@ -8,8 +8,8 @@ integers has a smallest family member containing it: its closure.
 
 from .core import (
     NumSG, DomainError, EmptyGenerators, InvalidGenerator, CapacityExceeded,
-    InvariantError, NotClosed, NotContained, MAX_SIEVE, NATURALS, _canon,
-    contains, elements, format_semigroup, intersect, msg,
+    InvariantError, NotClosed, NotContained, MAX_SIEVE, NATURALS, _below,
+    _bits, _canon, contains, elements, format_semigroup, intersect, msg,
 )
 
 LD = "ld"
@@ -123,33 +123,27 @@ def restricted_closure(kind, a, t: NumSG) -> NumSG:
     return intersect(variety_closure(kind, a), t)
 
 
-def minimal_system_via(closure_fn, m: NumSG) -> frozenset:
-    """Least generating set of m under an arbitrary closure operator.
-
-    Walks candidates upward; x is needed exactly when the closure of the
-    strictly smaller nonzero members of m misses it.  Candidates beyond the
-    largest minimal generator are always reachable, so the scan stops there.
-    """
-    top = max(msg(m))
-    out = []
-    prefix = []
-    for x in elements(m, top):
-        if x == 0:
-            continue
-        if not prefix or not contains(closure_fn(prefix), x):
-            out.append(x)
-        prefix.append(x)
-    return frozenset(out)
-
-
 def minimal_vsystem(kind, m: NumSG) -> frozenset:
-    """Least set of positive integers whose closure of the kind is m."""
+    """Least set of positive integers whose closure of the kind is m.
+
+    m must be closed under the kind.  Then the closure of the nonzero
+    members of m below x agrees with m below x, so a member x is needed
+    exactly when it is neither a + b nor a + b + offset for nonzero members
+    a, b < x.  Members past max(msg(m)) are sums of two nonzero members, so
+    the candidates stop there; they are taken least first, as in msg.
+    """
     bad = _kind_defect(kind, m)
+    off = _offset(kind)
     if bad is not None:
-        off = _offset(kind)
         raise NotClosed("%d + %d %s 1 = %d escapes %s"
                         % (bad[0], bad[1], "-" if off < 0 else "+",
                            bad[0] + bad[1] + off, format_semigroup(m)))
-    out = minimal_system_via(lambda gens: variety_closure(kind, gens), m)
-    assert variety_closure(kind, out) == m
-    return out
+    nonzero = _below(m, max(msg(m)) + 1) & ~1
+    out, sums = [], 0
+    for x in _bits(nonzero):
+        if not sums >> x & 1:
+            out.append(x)
+        # sums with x as the larger summand; the next candidates exceed x
+        upto = nonzero & ((2 << x) - 1)
+        sums |= upto << x | upto << (x + off)
+    return frozenset(out)

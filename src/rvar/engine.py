@@ -13,11 +13,11 @@ from itertools import combinations
 from . import chains
 from .core import (
     NumSG, DomainError, InvariantError, NATURALS, contains, format_semigroup,
-    frobenius, genus, intersect, is_subset, msg, remove_element,
+    frobenius, genus, intersect, is_subset, remove_element,
     restricted_frobenius, union_with_tail,
 )
 from .descriptors import Descendants, delta_of
-from .chains import NotInVariety, minimal_rsystem, minimal_system_from_members
+from .chains import NotInVariety
 
 DEFAULT_GENUS_BOUND = 40
 
@@ -30,7 +30,7 @@ class InfiniteVariety(DomainError):
 class RTreeNode:
     sg: NumSG
     restricted_frob: int
-    min_system: frozenset  # None on descendants views left incomplete
+    min_system: frozenset
     children: list = field(default_factory=list)
 
 
@@ -59,63 +59,66 @@ def fdelta(s: NumSG, top: NumSG) -> int:
     return -1 if s == top else restricted_frobenius(s, top)
 
 
-def _expansion(desc, sg: NumSG) -> list:
-    """Removal candidates producing the children of sg, increasing.
+def _expansion(desc, sg: NumSG):
+    """(system, xs): the base minimal system of the member sg, and the
+    removal candidates producing its children, increasing.
 
     Children under a descendants view coincide with children in the base
     tree, so the base minimal system and base restricted Frobenius drive
     the expansion in every case.
     """
     base = _base_of(desc)
+    system = chains._rsystem(base, sg)
     fd = fdelta(sg, delta_of(base))
-    return sorted(x for x in minimal_rsystem(base, sg) if x > fd)
+    return system, sorted(x for x in system if x > fd)
 
 
-def children(desc, node: RTreeNode, cross_check=False) -> list:
-    """One child per minimal-system element above node's restricted Frobenius.
+def _system_in(desc, base_system: frozenset) -> frozenset:
+    """The minimal system in desc of a member with this base system; see tree_of."""
+    if not isinstance(desc, Descendants):
+        return base_system
+    cut = fdelta(desc.top, delta_of(desc.base))
+    return frozenset(x for x in base_system if x > cut)
 
-    With cross_check, re-derives the set the slow way: minimal generators
-    above the bound whose removal stays in the family.
-    """
+
+def children(desc, node: RTreeNode) -> list:
+    """One child per minimal-system element above node's restricted Frobenius."""
     out = []
-    for x in _expansion(desc, node.sg):
+    for x in _expansion(desc, node.sg)[1]:
         child = remove_element(node.sg, x)
-        out.append(RTreeNode(child, x, minimal_rsystem(_base_of(desc), child)))
-    if cross_check:
-        alt = [remove_element(node.sg, x)
-               for x in sorted(msg(node.sg))
-               if x > node.restricted_frob and member(desc, remove_element(node.sg, x))]
-        assert [n.sg for n in out] == alt
+        system = chains._rsystem(_base_of(desc), child)
+        out.append(RTreeNode(child, x, _system_in(desc, system)))
     return out
 
 
 def _walk(desc, genus_bound):
     """Expand the tree to the bound.
 
-    Returns (rows, complete) where rows are (sg, parent_index, base_fd) in
-    breadth-first order and complete says no expansion was cut off.
+    Returns (rows, complete) where rows are (sg, parent_index, fd,
+    base_system) in breadth-first order and complete says no expansion was
+    cut off.  fd is the restricted Frobenius number in the family's own
+    maximum: -1 for the maximum, and for any other member the value x
+    removed from its parent, because every value the parent lacks is below x.
     """
     top = delta_of(desc)
     if genus_bound < genus(top):
         raise DomainError("genus bound %d is below the genus %d of the maximum"
                           % (genus_bound, genus(top)))
-    rows = [(top, -1, fdelta(top, delta_of(_base_of(desc))))]
+    rows = []
     complete = True
-    frontier = [0]
+    frontier = [(top, -1, -1)]
     while frontier:
         nxt = []
-        for idx in frontier:
-            sg = rows[idx][0]
-            xs = _expansion(desc, sg)
+        for sg, parent, fd in frontier:
+            idx = len(rows)
+            system, xs = _expansion(desc, sg)
+            rows.append((sg, parent, fd, system))
             if not xs:
                 continue
             if genus(sg) >= genus_bound:
                 complete = False
                 continue
-            for x in xs:
-                child = remove_element(sg, x)
-                nxt.append(len(rows))
-                rows.append((child, idx, x))
+            nxt.extend((remove_element(sg, x), idx, x) for x in xs)
         frontier = nxt
     return rows, complete
 
@@ -129,24 +132,19 @@ def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     """(root, complete): the family tree rooted at the maximum, cut at the genus bound.
 
-    Under a descendants view the displayed restricted Frobenius is taken in
-    the view's own maximum, and minimal systems are exact only when the view
-    is finite within the bound (None otherwise).
+    Every node carries its exact minimal system, also when the walk is cut
+    off.  Under a descendants view of top T the restricted Frobenius is
+    taken in T, and the system of a member S is
+    {x in the base system of S : x > F}, where F = fdelta(T, Δ) for the
+    base maximum Δ.  Each descendant of T is T with elements above F
+    removed, so it keeps T ∩ [0, F]: in the view those elements are forced,
+    like the forced set of a restricted family, and only the base system
+    elements above F are left to generate S.
     """
     rows, complete = _walk(desc, genus_bound)
-    if isinstance(desc, Descendants):
-        if complete:
-            mem = [r[0] for r in rows]
-            systems = [minimal_system_from_members(mem, sg) for sg in mem]
-        else:
-            systems = [None] * len(rows)
-        fds = [fdelta(sg, desc.top) for sg, _, _ in rows]
-    else:
-        systems = [minimal_rsystem(desc, sg) for sg, _, _ in rows]
-        fds = [fd for _, _, fd in rows]
-    nodes = [RTreeNode(sg, fd, ms)
-             for (sg, _, _), fd, ms in zip(rows, fds, systems)]
-    for i, (sg, parent, _) in enumerate(rows):
+    nodes = [RTreeNode(sg, fd, _system_in(desc, system))
+             for sg, _, fd, system in rows]
+    for i, (_, parent, _, _) in enumerate(rows):
         if parent >= 0:
             nodes[parent].children.append(nodes[i])
     for n in nodes:
@@ -182,7 +180,8 @@ def genus_level(desc, g: int) -> set:
         return set()
     level = {top}
     for _ in range(g0, g):
-        level = {remove_element(sg, x) for sg in level for x in _expansion(desc, sg)}
+        level = {remove_element(sg, x) for sg in level
+                 for x in _expansion(desc, sg)[1]}
         if not level:
             return set()
     return level
@@ -199,7 +198,7 @@ def is_pseudo_variety(desc, genus_bound=DEFAULT_GENUS_BOUND) -> bool:
     if top == NATURALS:
         return True
     rows, complete = _walk(desc, genus_bound)
-    for sg, _, _ in rows[1:]:
+    for sg, _, _, _ in rows[1:]:
         if not contains(top, frobenius(sg)):
             return False
     if not complete:
@@ -220,18 +219,23 @@ def descendants(desc, t: NumSG) -> Descendants:
     return Descendants(base, t)
 
 
-def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:
-    """{S ∩ u | S a member with genus(S) <= bound}, deduplicated.
+def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
+    """(image, complete): {S ∩ u | S a member with genus(S) <= bound},
+    deduplicated, and whether the member walk was complete.
 
-    When the member walk is complete the result is checked against the three
-    family axioms; truncated walks skip the check since boundary members are
-    missing.
+    A complete image is checked against the three family axioms; a
+    truncated one skips the check, since boundary members are missing.
     """
     mem, complete = members_of(desc, genus_bound)
-    out = {intersect(s, u) for s in mem}
+    image = {intersect(s, u) for s in mem}
     if complete:
-        check_rvariety_axioms(out)
-    return out
+        check_rvariety_axioms(image)
+    return image, complete
+
+
+def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:
+    """The image of restriction_of(desc, u, genus_bound)."""
+    return restriction_of(desc, u, genus_bound)[0]
 
 
 def check_rvariety_axioms(members):

@@ -6,10 +6,10 @@ the structural algorithms.
 """
 
 from .core import (
-    NumSG, NATURALS, NotContained, contains, format_semigroup, genus,
-    intersect_all, is_subset, msg, remove_element,
+    NumSG, DomainError, NATURALS, NotContained, contains, format_semigroup,
+    genus, intersect_all, is_subset, msg, remove_element,
 )
-from .chains import NoContainingElement
+from .chains import NoContainingElement, NotInVariety
 from .descriptors import Interval, Restricted
 
 
@@ -19,8 +19,8 @@ def enumerate_between(lo, hi: NumSG, genus_bound=None):
     lo is a NumSG or a plain collection of required elements.  Descends from
     hi by removing minimal generators outside lo; any intermediate semigroup
     is reachable this way because its generators cannot all lie in a smaller
-    one.  Without a genus bound lo must be a NumSG, else the descent is
-    endless.
+    one.  Without a genus bound lo must be a NumSG, since the descent from a
+    bare element set can be endless; DomainError is raised instead.
     """
     if isinstance(lo, NumSG):
         if not is_subset(lo, hi):
@@ -33,7 +33,8 @@ def enumerate_between(lo, hi: NumSG, genus_bound=None):
             if not contains(hi, x):
                 raise NotContained("%d is not in %s" % (x, format_semigroup(hi)))
         required = req.__contains__
-        assert genus_bound is not None, "unbounded descent from a bare element set"
+        if genus_bound is None:
+            raise DomainError("unbounded descent from a bare element set")
     out = set()
     stack = [hi]
     seen = {hi}
@@ -62,6 +63,34 @@ def smallest_containing(members, a) -> NumSG:
     # the intersection of a finite intersection-closed family is a member,
     # but members here can be any list, so only minimality is guaranteed
     return out
+
+
+def minimal_system_from_members(members, m: NumSG) -> frozenset:
+    """Minimal generating system of member m relative to an explicit finite family.
+
+    Greedy reduction of msg(m): drop x whenever the remaining set still pins
+    m as the intersection of all containing members.  The outcome is the
+    unique minimal system, so the scan order does not matter.  Tests check
+    the closed forms of chains and engine.tree_of against it.
+    """
+    gaps = [(c, c.gaps) for c in members]
+
+    def generated(b):
+        need = sum(1 << x for x in b)
+        parts = [c for c, g in gaps if not need & g]
+        if not parts:
+            raise NoContainingElement("no member contains %s" % sorted(b))
+        return intersect_all(parts)
+
+    keep = set(msg(m))
+    if generated(keep) != m:
+        raise NotInVariety("%s is not an intersection of the members"
+                           % format_semigroup(m))
+    for x in sorted(keep, reverse=True):
+        trial = keep - {x}
+        if generated(trial) == m:
+            keep = trial
+    return frozenset(keep)
 
 
 def random_semigroup(rng, genus_max=10) -> NumSG:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rvar import InvariantError, cli
+from rvar import InvariantError, cli, engine
 
 INTERVAL = "<5,6>:<5,6,7>"
 GENERATED = "<5,7,9,11,13>;<4,10,11,13>:<4,5,7>"
@@ -191,15 +191,15 @@ class TestDescendants:
                        "      <5,6>  []  fdelta=19\n"
                        "  <5,6,13>  [13]  fdelta=14\n")
 
-    def test_truncated_view_shows_open_systems(self, capsys):
+    def test_truncated_view_shows_exact_systems(self, capsys):
         rc, out, _ = run(capsys, "descendants", "<4,6,11,13>",
                          "--restricted", RESTRICTED, "--genus-bound", "8")
         assert rc == 0
-        assert out == ("<4,6,11,13>  [?]  fdelta=-1\n"
-                       "  <4,6,13,15>  [?]  fdelta=11\n"
-                       "    <4,6,15,17>  [?]  fdelta=13\n"
-                       "    <4,6,13>  [?]  fdelta=15\n"
-                       "  <4,6,11>  [?]  fdelta=13\n"
+        assert out == ("<4,6,11,13>  [11,13]  fdelta=-1\n"
+                       "  <4,6,13,15>  [13,15]  fdelta=11\n"
+                       "    <4,6,15,17>  [15,17]  fdelta=13\n"
+                       "    <4,6,13>  [13]  fdelta=15\n"
+                       "  <4,6,11>  [11]  fdelta=13\n"
                        "# truncated at genus 8\n")
 
     def test_leaf_view_structured(self, capsys):
@@ -304,7 +304,7 @@ class TestErrorPaths:
     def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
         def broken(members):
             raise InvariantError("no maximum element")
-        monkeypatch.setattr(cli, "check_rvariety_axioms", broken)
+        monkeypatch.setattr(engine, "check_rvariety_axioms", broken)
         rc, out, err = run(capsys, "restrict", "--interval", INTERVAL, "--by", "<5,6,7>")
         assert rc == 3
         assert out == ""

@@ -11,7 +11,8 @@ from rvar import (
     NATURALS, Descendants, DomainError, InfiniteVariety, Interval, NotInVariety,
     Restricted, build_tree, check_rvariety_axioms, children, delta_of,
     descendants, genus, genus_level, is_pseudo_variety, member, members_of,
-    restrict_variety, tree_vertices, union_with_tail,
+    minimal_system_from_members, msg, remove_element, restrict_variety,
+    tree_of, tree_vertices, union_with_tail,
 )
 from support import (
     sg, DELTA_567, FINITE_FIXTURES, GENERATED_FIXTURE, GENERATED_MEMBERS,
@@ -102,24 +103,47 @@ class TestBuildTree:
                     stack.append(c)
 
 
+def cross_checked_children(desc, node):
+    """children(desc, node), re-derived the slow way as well: the minimal
+    generators above node's bound whose removal stays in the family."""
+    got = children(desc, node)
+    alt = [remove_element(node.sg, x)
+           for x in sorted(msg(node.sg))
+           if x > node.restricted_frob and member(desc, remove_element(node.sg, x))]
+    assert [c.sg for c in got] == alt
+    return got
+
+
 class TestChildren:
     def test_cross_check_on_every_fixture_node(self):
         for desc, _ in FINITE_FIXTURES:
             for node in tree_vertices(build_tree(desc)):
-                got = children(desc, node, cross_check=True)
+                got = cross_checked_children(desc, node)
                 assert [c.sg for c in got] == [c.sg for c in node.children]
+
+    def test_view_children_match_the_view_tree(self):
+        # below <3,5,7> the base systems of the full tree hold 3, which the
+        # view forces; children() must drop it just as tree_of() does
+        view = descendants(Restricted(frozenset(), NATURALS), sg(3, 5, 7))
+        root, _ = tree_of(view, genus_bound=6)
+        for node in tree_vertices(root):
+            if genus(node.sg) < 6:
+                got = [(c.sg, c.restricted_frob, c.min_system)
+                       for c in children(view, node)]
+                assert got == [(c.sg, c.restricted_frob, c.min_system)
+                               for c in node.children]
 
     def test_generated_anchor(self):
         root = build_tree(GENERATED_FIXTURE)
         (node,) = [n for n in tree_vertices(root) if n.sg == sg(4, 7, 9, 10)]
-        got = children(GENERATED_FIXTURE, node, cross_check=True)
+        got = cross_checked_children(GENERATED_FIXTURE, node)
         assert [c.sg for c in got] == [sg(4, 9, 10, 11)]
         assert got[0].restricted_frob == 7
 
     def test_cross_check_on_view_nodes(self):
         view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))
         for node in tree_vertices(build_tree(view)):
-            children(view, node, cross_check=True)
+            cross_checked_children(view, node)
 
 
 class TestGenusLevel:
@@ -219,14 +243,37 @@ class TestDescendants:
         assert inner.base == INTERVAL_FIXTURE
         assert inner.top == sg(5, 6, 14)
 
-    def test_truncated_view_leaves_min_systems_open(self):
+    def test_truncated_view_has_exact_min_systems(self):
         view = descendants(RESTRICTED_FIXTURE, sg(4, 6, 11, 13))
         root = build_tree(view, genus_bound=8)
         mem, complete = members_of(view, genus_bound=8)
         assert not complete
-        for node in tree_vertices(root):
-            assert node.min_system is None
+        got = {n.sg: n.min_system for n in tree_vertices(root)}
+        assert got == {sg(4, 6, 11, 13): frozenset({11, 13}),
+                       sg(4, 6, 13, 15): frozenset({13, 15}),
+                       sg(4, 6, 15, 17): frozenset({15, 17}),
+                       sg(4, 6, 13): frozenset({13}),
+                       sg(4, 6, 11): frozenset({11})}
         assert root.restricted_frob == -1
+
+    def test_view_systems_match_the_oracle(self):
+        for desc, members in FINITE_FIXTURES:
+            for top in members:
+                full = tree_vertices(build_tree(descendants(desc, top)))
+                mem = [n.sg for n in full]
+                for n in full:
+                    assert n.min_system == minimal_system_from_members(mem, n.sg)
+
+    def test_cut_view_shows_the_systems_of_the_complete_walk(self):
+        view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))
+        full = tree_vertices(build_tree(view))
+        cut, complete = tree_of(view, genus_bound=genus(sg(5, 6, 13, 14)) + 1)
+        assert not complete
+        systems = {n.sg: n.min_system for n in full}
+        shown = tree_vertices(cut)
+        assert len(shown) == 3
+        for n in shown:
+            assert n.min_system == systems[n.sg]
 
 
 class TestRestrictVariety:

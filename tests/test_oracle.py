@@ -5,8 +5,8 @@ import random
 import pytest
 
 from rvar import (
-    NATURALS, Interval, NoContainingElement, NotContained, Restricted,
-    enumerate_between, genus, genus_level, members_of, oracle_members,
+    NATURALS, DomainError, Interval, NoContainingElement, NotContained,
+    Restricted, enumerate_between, genus, genus_level, members_of, oracle_members,
     random_interval, random_restricted, random_semigroup, random_subsemigroup,
     smallest_containing,
 )
@@ -43,6 +43,12 @@ class TestEnumerateBetween:
             enumerate_between(sg(5, 7), sg(5, 6))
         with pytest.raises(NotContained):
             enumerate_between({5}, sg(4, 6, 7), 8)
+
+    def test_bare_element_set_needs_a_bound(self):
+        # {4, 6} inside <4,6,7> has members of every genus; without a bound
+        # the descent would never end, so it is refused before it starts
+        with pytest.raises(DomainError):
+            enumerate_between({4, 6}, sg(4, 6, 7))
 
 
 class TestSmallestContaining:
