@@ -5,6 +5,15 @@ semigroup arithmetic, non-member arguments, undecidable-within-bound),
 3 internal error (a failed invariant check: a fault of the program).
 Output is deterministic: members sort by (genus, small elements), JSON keys
 are sorted, trees list children by increasing removed element.
+
+Every subcommand but verify has one output path.  Its handler does the
+work and returns (items, text, record): an iterable of items and two
+functions of one item.  main prints text(item) for --format text or dot,
+and json.dumps(record(item), sort_keys=True) for --format structured,
+once per item.  Only the function of the chosen format runs, so text
+output computes no field it does not print.  A tree is a single item,
+rendered as one block of lines or one nested document.  verify prints its
+checks as they run and returns its exit code instead.
 """
 
 import argparse
@@ -13,16 +22,16 @@ import random
 import sys
 
 from .core import (
-    DomainError, InvariantError, ParseError, format_semigroup, from_generators,
-    frobenius, genus, intersect, intersect_all, msg, multiplicity,
-    parse_semigroup, restricted_frobenius,
+    NumSG, DomainError, InvariantError, ParseError, format_semigroup,
+    from_generators, frobenius, genus, intersect, intersect_all, msg,
+    multiplicity, parse_semigroup, restricted_frobenius,
 )
 from .descriptors import Interval, Restricted, Generated, delta_of
-from .chains import chain_to, chain_family, minimal_rsystem
+from .chains import _rsystem, chain_to, minimal_rsystem
 from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
 from .engine import (
     DEFAULT_GENUS_BOUND, descendants, fdelta, genus_level, members_of,
-    restriction_of, tree_of,
+    restriction_of, tree_of, tree_vertices,
 )
 from .oracle import oracle_members, random_interval, random_restricted
 
@@ -67,185 +76,133 @@ def _variety_from(args):
     return Generated(tuple(parse_semigroup(p) for p in parts), outer)
 
 
-def _record(desc, s):
-    return {
-        "sg": format_semigroup(s),
-        "msg": list(msg(s)),
-        "genus": genus(s),
-        "fdelta": fdelta(s, delta_of(desc)),
-        "minsys": sorted(minimal_rsystem(desc, s)),
-    }
+def _csv(xs):
+    return ",".join(map(str, xs))
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, sort_keys=True))
+def _record(s, fdelta, **more):
+    """The structured form of a member: sg, msg, genus, fdelta, plus more."""
+    return {"sg": format_semigroup(s), "msg": list(msg(s)), "genus": genus(s),
+            "fdelta": fdelta, **more}
 
 
-# ---------------------------------------------------------------- rendering
+# ---------------------------------------------------------------- trees
 
-def _render_tree_text(root, complete, bound):
-    def walk(n, depth):
-        print("%s%s  [%s]  fdelta=%d"
-              % ("  " * depth, format_semigroup(n.sg),
-                 ",".join(map(str, sorted(n.min_system))), n.restricted_frob))
-        for c in n.children:
-            walk(c, depth + 1)
-    walk(root, 0)
+def _node_record(n):
+    return _record(n.sg, n.restricted_frob, minsys=sorted(n.min_system),
+                   children=[_node_record(c) for c in n.children])
+
+
+def _tree_text(root, complete, bound):
+    # a child has one gap more than its parent, so depth is a genus difference
+    g0 = genus(root.sg)
+    lines = ["%s%s  [%s]  fdelta=%d"
+             % ("  " * (genus(n.sg) - g0), format_semigroup(n.sg),
+                _csv(sorted(n.min_system)), n.restricted_frob)
+             for n in tree_vertices(root)]
     if not complete:
-        print("# truncated at genus %d" % bound)
+        lines.append("# truncated at genus %d" % bound)
+    return "\n".join(lines)
 
 
-def _render_tree_dot(root, complete, bound):
-    order = []
-    def walk(n):
-        order.append(n)
-        for c in n.children:
-            walk(c)
-    walk(root)
+def _tree_dot(root, complete, bound):
+    order = tree_vertices(root)
     ids = {id(n): "n%d" % i for i, n in enumerate(order)}
-    print("digraph rvariety {")
-    print("  rankdir=BT;")
-    for n in order:
-        print('  %s [label="%s"];' % (ids[id(n)], format_semigroup(n.sg)))
-    for n in order:
-        for c in n.children:
-            print("  %s -> %s;" % (ids[id(c)], ids[id(n)]))
+    lines = ["digraph rvariety {", "  rankdir=BT;"]
+    lines += ['  %s [label="%s"];' % (ids[id(n)], format_semigroup(n.sg))
+              for n in order]
+    lines += ["  %s -> %s;" % (ids[id(c)], ids[id(n)])
+              for n in order for c in n.children]
     if not complete:
-        print("  // truncated at genus %d" % bound)
-    print("}")
+        lines.append("  // truncated at genus %d" % bound)
+    lines.append("}")
+    return "\n".join(lines)
 
 
-def _tree_obj(n):
-    return {
-        "sg": format_semigroup(n.sg),
-        "msg": list(msg(n.sg)),
-        "genus": genus(n.sg),
-        "fdelta": n.restricted_frob,
-        "minsys": sorted(n.min_system),
-        "children": [_tree_obj(c) for c in n.children],
-    }
-
-
-def _cmd_any_tree(desc, args):
-    root, complete = tree_of(desc, args.genus_bound)
-    if args.format == "text":
-        _render_tree_text(root, complete, args.genus_bound)
-    elif args.format == "dot":
-        _render_tree_dot(root, complete, args.genus_bound)
-    else:
-        _emit_json({"complete": complete, "genus_bound": args.genus_bound,
-                    "tree": _tree_obj(root)})
-    return 0
+def _any_tree(desc, args):
+    bound = args.genus_bound
+    render = _tree_dot if args.format == "dot" else _tree_text
+    return ([tree_of(desc, bound)],
+            lambda tree: render(*tree, bound),
+            lambda tree: {"complete": tree[1], "genus_bound": bound,
+                          "tree": _node_record(tree[0])})
 
 
 # ------------------------------------------------------------- subcommands
 
 def _cmd_info(args):
-    s = parse_semigroup(args.sg)
-    if args.format == "structured":
-        _emit_json({"sg": format_semigroup(s), "msg": list(msg(s)),
-                    "multiplicity": multiplicity(s), "frobenius": frobenius(s),
-                    "genus": genus(s), "small": list(s.small)})
-        return 0
-    print("sg: %s" % format_semigroup(s))
-    print("multiplicity: %d" % multiplicity(s))
-    print("frobenius: %d" % frobenius(s))
-    print("genus: %d" % genus(s))
-    print("small: %s" % ",".join(map(str, s.small)))
-    return 0
+    def text(s):
+        return ("sg: %s\nmultiplicity: %d\nfrobenius: %d\ngenus: %d\nsmall: %s"
+                % (format_semigroup(s), multiplicity(s), frobenius(s), genus(s),
+                   _csv(s.small)))
+    return [parse_semigroup(args.sg)], text, lambda s: {
+        "sg": format_semigroup(s), "msg": list(msg(s)),
+        "multiplicity": multiplicity(s), "frobenius": frobenius(s),
+        "genus": genus(s), "small": list(s.small)}
 
 
 def _cmd_msg(args):
-    s = parse_semigroup(args.sg)
-    if args.format == "structured":
-        _emit_json({"sg": format_semigroup(s), "msg": list(msg(s))})
-    else:
-        print(",".join(map(str, msg(s))))
-    return 0
+    return [parse_semigroup(args.sg)], lambda s: _csv(msg(s)), lambda s: {
+        "sg": format_semigroup(s), "msg": list(msg(s))}
 
 
 def _cmd_frobenius(args):
     s = parse_semigroup(args.sg)
-    if args.inside is not None:
-        t = parse_semigroup(args.inside)
-        val = restricted_frobenius(s, t)
-        if args.format == "structured":
-            _emit_json({"sg": format_semigroup(s), "inside": format_semigroup(t),
-                        "fdelta": val})
-        else:
-            print(val)
-        return 0
-    if args.format == "structured":
-        _emit_json({"sg": format_semigroup(s), "frobenius": frobenius(s)})
-    else:
-        print(frobenius(s))
-    return 0
+    if args.inside is None:
+        return [s], lambda s: str(frobenius(s)), lambda s: {
+            "sg": format_semigroup(s), "frobenius": frobenius(s)}
+    t = parse_semigroup(args.inside)
+    return [restricted_frobenius(s, t)], str, lambda val: {
+        "sg": format_semigroup(s), "inside": format_semigroup(t), "fdelta": val}
 
 
 def _cmd_genus(args):
-    s = parse_semigroup(args.sg)
-    if args.format == "structured":
-        _emit_json({"sg": format_semigroup(s), "genus": genus(s)})
-    else:
-        print(genus(s))
-    return 0
+    return [parse_semigroup(args.sg)], lambda s: str(genus(s)), lambda s: {
+        "sg": format_semigroup(s), "genus": genus(s)}
 
 
 def _cmd_intersect(args):
     out = intersect_all([parse_semigroup(t) for t in args.sgs])
-    if args.format == "structured":
-        _emit_json({"sg": format_semigroup(out), "msg": list(msg(out)),
-                    "frobenius": frobenius(out), "genus": genus(out)})
-    else:
-        print(format_semigroup(out))
-    return 0
+    return [out], format_semigroup, lambda s: {
+        "sg": format_semigroup(s), "msg": list(msg(s)),
+        "frobenius": frobenius(s), "genus": genus(s)}
 
 
 def _cmd_chain(args):
-    s = parse_semigroup(args.sg)
-    t = parse_semigroup(args.inside)
-    rec = chain_to(s, t)
-    fills = (None,) + rec.fill_values
-    for link, fill in zip(rec.links, fills):
-        if args.format == "structured":
-            _emit_json({"sg": format_semigroup(link), "msg": list(msg(link)),
-                        "genus": genus(link), "fdelta": fill})
-        elif fill is None:
-            print(format_semigroup(link))
-        else:
-            print("%s  adjoin=%d" % (format_semigroup(link), fill))
-    return 0
+    rec = chain_to(parse_semigroup(args.sg), parse_semigroup(args.inside))
+
+    def text(link):
+        s, fill = link
+        if fill is None:
+            return format_semigroup(s)
+        return "%s  adjoin=%d" % (format_semigroup(s), fill)
+    return zip(rec.links, (None,) + rec.fill_values), text, lambda link: _record(*link)
 
 
 def _cmd_minsys(args):
     desc = _variety_from(args)
     s = parse_semigroup(args.sg)
-    if args.format == "structured":
-        _emit_json(_record(desc, s))
-    else:
-        print(",".join(map(str, sorted(minimal_rsystem(desc, s)))))
-    return 0
+    system = sorted(minimal_rsystem(desc, s))
+    return [s], lambda s: _csv(system), lambda s: _record(
+        s, fdelta(s, delta_of(desc)), minsys=system)
 
 
 def _cmd_tree(args):
-    return _cmd_any_tree(_variety_from(args), args)
+    return _any_tree(_variety_from(args), args)
 
 
 def _cmd_genus_level(args):
     desc = _variety_from(args)
-    level = sorted(genus_level(desc, args.genus), key=lambda s: s.sort_key())
-    for s in level:
-        if args.format == "structured":
-            _emit_json(_record(desc, s))
-        else:
-            print(format_semigroup(s))
-    return 0
+    top = delta_of(desc)
+    # members come from the walk, so their systems need no membership check
+    return (sorted(genus_level(desc, args.genus), key=NumSG.sort_key),
+            format_semigroup,
+            lambda s: _record(s, fdelta(s, top), minsys=sorted(_rsystem(desc, s))))
 
 
 def _cmd_descendants(args):
     desc = _variety_from(args)
-    view = descendants(desc, parse_semigroup(args.sg))
-    return _cmd_any_tree(view, args)
+    return _any_tree(descendants(desc, parse_semigroup(args.sg)), args)
 
 
 def _cmd_closure(args):
@@ -256,24 +213,16 @@ def _cmd_closure(args):
             raise ParseError("--inside only applies to a generator list")
         m = parse_semigroup(args.vsystem)
         system = sorted(minimal_vsystem(args.kind, m))
-        if args.format == "structured":
-            _emit_json({"sg": format_semigroup(m), "kind": args.kind,
-                        "vsystem": system})
-        else:
-            print(",".join(map(str, system)))
-        return 0
+        return [m], lambda m: _csv(system), lambda m: {
+            "sg": format_semigroup(m), "kind": args.kind, "vsystem": system}
     gens = _parse_ints(args.gens)
     if args.inside is not None:
         out = restricted_closure(args.kind, gens, parse_semigroup(args.inside))
     else:
         out = variety_closure(args.kind, gens)
-    if args.format == "structured":
-        _emit_json({"sg": format_semigroup(out), "msg": list(msg(out)),
-                    "kind": args.kind, "frobenius": frobenius(out),
-                    "genus": genus(out)})
-    else:
-        print(format_semigroup(out))
-    return 0
+    return [out], format_semigroup, lambda s: {
+        "sg": format_semigroup(s), "msg": list(msg(s)), "kind": args.kind,
+        "frobenius": frobenius(s), "genus": genus(s)}
 
 
 def _cmd_restrict(args):
@@ -283,54 +232,34 @@ def _cmd_restrict(args):
     if not complete:
         print("note: truncated at genus %d" % args.genus_bound, file=sys.stderr)
     top = intersect(delta_of(desc), u)
-    for s in sorted(image, key=lambda s: s.sort_key()):
-        if args.format == "structured":
-            _emit_json({"sg": format_semigroup(s), "msg": list(msg(s)),
-                        "genus": genus(s), "fdelta": fdelta(s, top)})
-        else:
-            print(format_semigroup(s))
-    return 0
+    return (sorted(image, key=NumSG.sort_key), format_semigroup,
+            lambda s: _record(s, fdelta(s, top)))
 
 
 def _cmd_verify(args):
     rng = random.Random(args.seed)
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(("ok " if ok else "FAIL ") + name)
-        if not ok:
-            failures += 1
-
-    ex_interval = Interval(from_generators([5, 6]), from_generators([5, 6, 7]))
-    fast = set(members_of(ex_interval, 20)[0])
-    slow = oracle_members(ex_interval, 20)
-    check("interval fixture (%d members)" % len(slow), fast == slow)
-
-    ex_restricted = Restricted(frozenset({4, 6}), from_generators([4, 6, 7]))
-    fast = set(members_of(ex_restricted, args.genus_bound)[0])
-    slow = oracle_members(ex_restricted, args.genus_bound)
-    check("restricted fixture (%d members)" % len(slow), fast == slow)
-
-    ex_generated = Generated(
-        (from_generators([5, 7, 9, 11, 13]), from_generators([4, 10, 11, 13])),
-        from_generators([4, 5, 7]))
-    fast = set(members_of(ex_generated, 20)[0])
-    fam = sorted(chain_family(ex_generated.f, ex_generated.delta),
-                 key=lambda s: s.sort_key())
-    slow = set()
-    for mask in range(1, 1 << len(fam)):
-        slow.add(intersect_all([fam[i] for i in range(len(fam))
-                                if mask >> i & 1]))
-    check("generated fixture closure (%d members)" % len(slow), fast == slow)
-
+    checks = [
+        ("interval fixture",
+         Interval(from_generators([5, 6]), from_generators([5, 6, 7])), 20),
+        ("restricted fixture",
+         Restricted(frozenset({4, 6}), from_generators([4, 6, 7])),
+         args.genus_bound),
+        ("generated fixture closure",
+         Generated((from_generators([5, 7, 9, 11, 13]),
+                    from_generators([4, 10, 11, 13])),
+                   from_generators([4, 5, 7])), 20),
+    ]
     for i in range(args.count):
         desc = random_interval(rng) if i % 2 == 0 else random_restricted(rng)
-        fast = set(members_of(desc, args.genus_bound)[0])
-        slow = oracle_members(desc, args.genus_bound)
-        check("random %s #%d (%d members)"
-              % (type(desc).__name__.lower(), i, len(slow)), fast == slow)
-
+        checks.append(("random %s #%d" % (type(desc).__name__.lower(), i),
+                       desc, args.genus_bound))
+    failures = 0
+    for label, desc, bound in checks:
+        fast = set(members_of(desc, bound)[0])
+        slow = oracle_members(desc, bound)
+        print("%s %s (%d members)" % ("ok" if fast == slow else "FAIL", label,
+                                      len(slow)))
+        failures += fast != slow
     if failures:
         print("%d check(s) failed" % failures, file=sys.stderr)
         return 2
@@ -452,7 +381,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        if isinstance(result, int):  # verify prints its checks as they run
+            return result
+        items, text, record = result
+        for item in items:
+            print(json.dumps(record(item), sort_keys=True)
+                  if args.format == "structured" else text(item))
+        return 0
     except ParseError as e:
         print("rvar: error: %s" % e, file=sys.stderr)
         return 1

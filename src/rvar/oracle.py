@@ -7,10 +7,10 @@ the structural algorithms.
 
 from .core import (
     NumSG, DomainError, NATURALS, NotContained, contains, format_semigroup,
-    genus, intersect_all, is_subset, msg, remove_element,
+    genus, intersect, intersect_all, is_subset, msg, remove_element,
 )
-from .chains import NoContainingElement, NotInVariety
-from .descriptors import Interval, Restricted
+from .chains import NoContainingElement, NotInVariety, chain_family
+from .descriptors import Interval, Restricted, Generated
 
 
 def enumerate_between(lo, hi: NumSG, genus_bound=None):
@@ -123,10 +123,21 @@ def random_restricted(rng, genus_max=8, picks_max=3) -> Restricted:
 
 
 def oracle_members(desc, genus_bound):
-    """Member list of an interval or restricted family by raw enumeration."""
+    """Member set of a base family by raw enumeration, cut at the genus bound.
+
+    Interval and restricted families descend from the maximum; a generated
+    family is its chain family closed under pairwise intersection.
+    """
     if isinstance(desc, Interval):
         return {s for s in enumerate_between(desc.lo, desc.hi, genus_bound)
                 if genus(s) <= genus_bound}
     if isinstance(desc, Restricted):
         return enumerate_between(desc.a, desc.t, genus_bound)
+    if isinstance(desc, Generated):
+        family = chain_family(desc.f, desc.delta)
+        while True:
+            grown = family | {intersect(a, b) for a in family for b in family}
+            if grown == family:
+                return {s for s in family if genus(s) <= genus_bound}
+            family = grown
     raise TypeError("no oracle for %r" % (desc,))

@@ -1,5 +1,6 @@
 """Command-line surface: frozen output, exit codes, structured forms."""
 
+import argparse
 import json
 
 import pytest
@@ -56,6 +57,32 @@ class TestScalarCommands:
     def test_intersect(self, capsys):
         rc, out, _ = run(capsys, "intersect", "<5,7,9>", "<5,9,13,17,21>")
         assert (rc, out) == (0, "<5,9,17,21>\n")
+
+    def test_msg_structured(self, capsys):
+        rc, out, _ = run(capsys, "msg", "4,6,11,5", "--format", "structured")
+        assert (rc, out) == (0, '{"msg": [4, 5, 6], "sg": "<4,5,6>"}\n')
+
+    def test_frobenius_structured(self, capsys):
+        rc, out, _ = run(capsys, "frobenius", "<5,6,13,14>",
+                         "--format", "structured")
+        assert (rc, out) == (0, '{"frobenius": 9, "sg": "<5,6,13,14>"}\n')
+
+    def test_frobenius_inside_structured(self, capsys):
+        rc, out, _ = run(capsys, "frobenius", "<5,6,13,14>",
+                         "--inside", "<5,6,7>", "--format", "structured")
+        assert (rc, out) == (
+            0, '{"fdelta": 7, "inside": "<5,6,7>", "sg": "<5,6,13,14>"}\n')
+
+    def test_genus_structured(self, capsys):
+        rc, out, _ = run(capsys, "genus", "<4,10,11,13>",
+                         "--format", "structured")
+        assert (rc, out) == (0, '{"genus": 7, "sg": "<4,10,11,13>"}\n')
+
+    def test_intersect_structured(self, capsys):
+        rc, out, _ = run(capsys, "intersect", "<5,7,9>", "<5,9,13,17,21>",
+                         "--format", "structured")
+        assert (rc, out) == (0, '{"frobenius": 16, "genus": 11, '
+                                '"msg": [5, 9, 17, 21], "sg": "<5,9,17,21>"}\n')
 
 
 class TestChain:
@@ -121,6 +148,26 @@ class TestTree:
                        "  n2 -> n1;\n"
                        "}\n")
 
+    def test_dot_truncated(self, capsys):
+        rc, out, _ = run(capsys, "tree", "--restricted", RESTRICTED,
+                         "--genus-bound", "8", "--format", "dot")
+        assert rc == 0
+        assert out == ("digraph rvariety {\n"
+                       "  rankdir=BT;\n"
+                       "  n0 [label=\"<4,6,7>\"];\n"
+                       "  n1 [label=\"<4,6,11,13>\"];\n"
+                       "  n2 [label=\"<4,6,13,15>\"];\n"
+                       "  n3 [label=\"<4,6,15,17>\"];\n"
+                       "  n4 [label=\"<4,6,13>\"];\n"
+                       "  n5 [label=\"<4,6,11>\"];\n"
+                       "  n1 -> n0;\n"
+                       "  n2 -> n1;\n"
+                       "  n5 -> n1;\n"
+                       "  n3 -> n2;\n"
+                       "  n4 -> n2;\n"
+                       "  // truncated at genus 8\n"
+                       "}\n")
+
     def test_structured_round_trip(self, capsys):
         rc, out, _ = run(capsys, "tree", "--interval", INTERVAL,
                          "--format", "structured")
@@ -179,6 +226,19 @@ class TestMinsys:
         assert rc == 2
         assert "error" in err
 
+    def test_non_member_message_is_the_same_in_both_formats(self, capsys):
+        for fmt in ("text", "structured"):
+            rc, out, err = run(capsys, "minsys", "<5,6,8>", "--interval",
+                               INTERVAL, "--format", fmt)
+            assert (rc, out) == (2, "")
+            assert err == "rvar: error: <5,6,8> is not a member\n"
+
+    def test_structured(self, capsys):
+        rc, out, _ = run(capsys, "minsys", "<5,6,13,14>", "--interval",
+                         INTERVAL, "--format", "structured")
+        assert (rc, out) == (0, '{"fdelta": 7, "genus": 7, "minsys": [13, 14], '
+                                '"msg": [5, 6, 13, 14], "sg": "<5,6,13,14>"}\n')
+
 
 class TestDescendants:
     def test_view_text(self, capsys):
@@ -190,6 +250,23 @@ class TestDescendants:
                        "    <5,6,19>  [19]  fdelta=14\n"
                        "      <5,6>  []  fdelta=19\n"
                        "  <5,6,13>  [13]  fdelta=14\n")
+
+    def test_view_dot(self, capsys):
+        rc, out, _ = run(capsys, "descendants", "<5,6,13,14>",
+                         "--interval", INTERVAL, "--format", "dot")
+        assert rc == 0
+        assert out == ("digraph rvariety {\n"
+                       "  rankdir=BT;\n"
+                       "  n0 [label=\"<5,6,13,14>\"];\n"
+                       "  n1 [label=\"<5,6,14>\"];\n"
+                       "  n2 [label=\"<5,6,19>\"];\n"
+                       "  n3 [label=\"<5,6>\"];\n"
+                       "  n4 [label=\"<5,6,13>\"];\n"
+                       "  n1 -> n0;\n"
+                       "  n4 -> n0;\n"
+                       "  n2 -> n1;\n"
+                       "  n3 -> n2;\n"
+                       "}\n")
 
     def test_truncated_view_shows_exact_systems(self, capsys):
         rc, out, _ = run(capsys, "descendants", "<4,6,11,13>",
@@ -236,6 +313,24 @@ class TestClosure:
                          "--vsystem", "<3,5,7>")
         assert (rc, out) == (0, "3,5\n")
 
+    def test_structured(self, capsys):
+        rc, out, _ = run(capsys, "closure", "--kind", "ld", "5",
+                         "--format", "structured")
+        assert (rc, out) == (0, '{"frobenius": 16, "genus": 10, "kind": "ld", '
+                                '"msg": [5, 9, 13, 17, 21], "sg": "<5,9,13,17,21>"}\n')
+
+    def test_inside_structured(self, capsys):
+        rc, out, _ = run(capsys, "closure", "--kind", "ld", "4,7",
+                         "--inside", "<4,7,9>", "--format", "structured")
+        assert (rc, out) == (0, '{"frobenius": 10, "genus": 7, "kind": "ld", '
+                                '"msg": [4, 7, 13], "sg": "<4,7,13>"}\n')
+
+    def test_vsystem_structured(self, capsys):
+        rc, out, _ = run(capsys, "closure", "--kind", "pl",
+                         "--vsystem", "<3,5,7>", "--format", "structured")
+        assert (rc, out) == (
+            0, '{"kind": "pl", "sg": "<3,5,7>", "vsystem": [3, 5]}\n')
+
     def test_gens_and_vsystem_conflict(self, capsys):
         rc, _, err = run(capsys, "closure", "--kind", "ld", "5",
                          "--vsystem", "<5,9>")
@@ -260,6 +355,19 @@ class TestRestrict:
                        "<5,12,16,18,19>\n"
                        "<5,12,16,18>\n")
 
+    def test_structured(self, capsys):
+        rc, out, err = run(capsys, "restrict", "--interval", INTERVAL,
+                           "--by", "<5,7,9>", "--format", "structured")
+        assert (rc, err) == (0, "")
+        assert out == (
+            '{"fdelta": -1, "genus": 9, "msg": [5, 7, 16, 18], "sg": "<5,7,16,18>"}\n'
+            '{"fdelta": 7, "genus": 10, "msg": [5, 12, 14, 16, 18], '
+            '"sg": "<5,12,14,16,18>"}\n'
+            '{"fdelta": 14, "genus": 11, "msg": [5, 12, 16, 18, 19], '
+            '"sg": "<5,12,16,18,19>"}\n'
+            '{"fdelta": 19, "genus": 12, "msg": [5, 12, 16, 18], '
+            '"sg": "<5,12,16,18>"}\n')
+
     def test_truncation_note_goes_to_stderr(self, capsys):
         rc, out, err = run(capsys, "restrict", "--restricted", RESTRICTED,
                            "--by", "<2,3>", "--genus-bound", "7")
@@ -277,6 +385,41 @@ class TestVerify:
         lines = out.splitlines()
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1] == "all checks passed (seed=0, count=4)"
+
+
+# one small valid input per subcommand with a structured form
+SAMPLES = {
+    "info": ["<5,6,7>"],
+    "msg": ["<5,6,7>"],
+    "frobenius": ["<5,6,13,14>", "--inside", "<5,6,7>"],
+    "genus": ["<5,6,7>"],
+    "intersect": ["<5,7,9>", "<5,9,13,17,21>"],
+    "chain": ["<5,6>", "--inside", "<5,6,7>"],
+    "minsys": ["<5,6,13,14>", "--interval", INTERVAL],
+    "tree": ["--interval", INTERVAL],
+    "genus-level": ["--restricted", RESTRICTED, "--genus", "8"],
+    "descendants": ["<5,6,13,14>", "--interval", INTERVAL],
+    "closure": ["--kind", "ld", "5"],
+    "restrict": ["--interval", INTERVAL, "--by", "<5,7,9>"],
+}
+
+
+def test_every_structured_subcommand_goes_through_the_emitter(capsys):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    structured = sorted(
+        name for name, sub in subparsers.choices.items()
+        if any("--format" in a.option_strings and "structured" in a.choices
+               for a in sub._actions))
+    assert structured == sorted(SAMPLES)
+    for name in structured:
+        rc, out, _ = run(capsys, name, *SAMPLES[name])
+        assert rc == 0 and out.strip(), name
+        rc, out, _ = run(capsys, name, *SAMPLES[name], "--format", "structured")
+        assert rc == 0 and out, name
+        for line in out.splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True), name
 
 
 class TestErrorPaths:

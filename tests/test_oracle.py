@@ -6,13 +6,13 @@ import pytest
 
 from rvar import (
     NATURALS, DomainError, Interval, NoContainingElement, NotContained,
-    Restricted, enumerate_between, genus, genus_level, members_of, oracle_members,
-    random_interval, random_restricted, random_semigroup, random_subsemigroup,
-    smallest_containing,
+    Restricted, descendants, enumerate_between, genus, genus_level, members_of,
+    oracle_members, random_interval, random_restricted, random_semigroup,
+    random_subsemigroup, smallest_containing,
 )
 from support import (
-    sg, DELTA_567, GENERATED_MEMBERS, INTERVAL_FIXTURE, INTERVAL_MEMBERS,
-    RESTRICTED_FIXTURE,
+    sg, DELTA_567, GENERATED_FIXTURE, GENERATED_MEMBERS, INTERVAL_FIXTURE,
+    INTERVAL_MEMBERS, RESTRICTED_FIXTURE,
 )
 
 
@@ -104,7 +104,17 @@ class TestOracleAgainstEngine:
             assert genus_level(RESTRICTED_FIXTURE, g) == \
                 {s for s in raw if genus(s) == g}
 
-    def test_no_oracle_for_generated(self):
-        from support import GENERATED_FIXTURE
+    def test_generated_fixture(self):
+        assert oracle_members(GENERATED_FIXTURE, 20) == set(GENERATED_MEMBERS)
+
+    def test_generated_fixture_at_a_cutoff(self):
+        # the fixture's members have genus 5..10
+        assert oracle_members(GENERATED_FIXTURE, 7) == \
+            {s for s in GENERATED_MEMBERS if genus(s) <= 7}
+        assert oracle_members(GENERATED_FIXTURE, 7) == \
+            set(members_of(GENERATED_FIXTURE, 7)[0])
+
+    def test_no_oracle_for_a_view(self):
+        view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))
         with pytest.raises(TypeError):
-            oracle_members(GENERATED_FIXTURE, 10)
+            oracle_members(view, 10)
