@@ -32,7 +32,7 @@ from .engine import (
 )
 from .oracle import (
     enumerate_between, smallest_containing, oracle_members,
-    minimal_system_from_members,
+    oracle_check_rvariety_axioms, minimal_system_from_members,
     random_semigroup, random_subsemigroup, random_interval, random_restricted,
 )
 

@@ -8,12 +8,14 @@ are sorted, trees list children by increasing removed element.
 
 Every subcommand but verify has one output path.  Its handler does the
 work and returns (items, text, record): an iterable of items and two
-functions of one item.  main prints text(item) for --format text or dot,
-and json.dumps(record(item), sort_keys=True) for --format structured,
-once per item.  Only the function of the chosen format runs, so text
-output computes no field it does not print.  A tree is a single item,
-rendered as one block of lines or one nested document.  verify prints its
-checks as they run and returns its exit code instead.
+functions of one item.  For --format text or dot main writes text(item),
+a string or, for a tree, an iterable of lines, so no tree is held as one
+string.  For --format structured it writes json.dumps(record(item),
+sort_keys=True), one line per item.  Only the function of the chosen
+format runs, so text output computes no field it does not print.  Lines
+go out in writes of about _CHUNK characters, not one per line: with
+unbuffered stdout each write is a system call.  verify prints its checks
+as they run and returns its exit code instead.
 """
 
 import argparse
@@ -33,7 +35,8 @@ from .engine import (
     DEFAULT_GENUS_BOUND, descendants, fdelta, genus_level, members_of,
     restriction_of, tree_of, tree_vertices,
 )
-from .oracle import oracle_members, random_interval, random_restricted
+
+_CHUNK = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,27 +99,27 @@ def _node_record(n):
 def _tree_text(root, complete, bound):
     # a child has one gap more than its parent, so depth is a genus difference
     g0 = genus(root.sg)
-    lines = ["%s%s  [%s]  fdelta=%d"
-             % ("  " * (genus(n.sg) - g0), format_semigroup(n.sg),
-                _csv(sorted(n.min_system)), n.restricted_frob)
-             for n in tree_vertices(root)]
+    for n in tree_vertices(root):
+        yield ("%s%s  [%s]  fdelta=%d"
+               % ("  " * (genus(n.sg) - g0), format_semigroup(n.sg),
+                  _csv(sorted(n.min_system)), n.restricted_frob))
     if not complete:
-        lines.append("# truncated at genus %d" % bound)
-    return "\n".join(lines)
+        yield "# truncated at genus %d" % bound
 
 
 def _tree_dot(root, complete, bound):
     order = tree_vertices(root)
     ids = {id(n): "n%d" % i for i, n in enumerate(order)}
-    lines = ["digraph rvariety {", "  rankdir=BT;"]
-    lines += ['  %s [label="%s"];' % (ids[id(n)], format_semigroup(n.sg))
-              for n in order]
-    lines += ["  %s -> %s;" % (ids[id(c)], ids[id(n)])
-              for n in order for c in n.children]
+    yield "digraph rvariety {"
+    yield "  rankdir=BT;"
+    for n in order:
+        yield '  %s [label="%s"];' % (ids[id(n)], format_semigroup(n.sg))
+    for n in order:
+        for c in n.children:
+            yield "  %s -> %s;" % (ids[id(c)], ids[id(n)])
     if not complete:
-        lines.append("  // truncated at genus %d" % bound)
-    lines.append("}")
-    return "\n".join(lines)
+        yield "  // truncated at genus %d" % bound
+    yield "}"
 
 
 def _any_tree(desc, args):
@@ -237,6 +240,7 @@ def _cmd_restrict(args):
 
 
 def _cmd_verify(args):
+    from .oracle import oracle_members, random_interval, random_restricted
     rng = random.Random(args.seed)
     checks = [
         ("interval fixture",
@@ -374,6 +378,23 @@ def build_parser():
     return parser
 
 
+def _write(items, text):
+    """Write the lines of every item to stdout, about _CHUNK characters per write."""
+    buf, size = [], 0
+    try:
+        for item in items:
+            out = text(item)
+            for line in [out] if isinstance(out, str) else out:
+                buf.append(line)
+                size += len(line) + 1
+                if size >= _CHUNK:
+                    sys.stdout.write("\n".join(buf) + "\n")
+                    buf, size = [], 0
+    finally:  # lines made before a failure are still written
+        if buf:
+            sys.stdout.write("\n".join(buf) + "\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -385,9 +406,9 @@ def main(argv=None) -> int:
         if isinstance(result, int):  # verify prints its checks as they run
             return result
         items, text, record = result
-        for item in items:
-            print(json.dumps(record(item), sort_keys=True)
-                  if args.format == "structured" else text(item))
+        if args.format == "structured":
+            text = lambda item: json.dumps(record(item), sort_keys=True)
+        _write(items, text)
         return 0
     except ParseError as e:
         print("rvar: error: %s" % e, file=sys.stderr)

@@ -8,12 +8,11 @@ genus-by-genus enumeration possible without revisiting vertices.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import chains
 from .core import (
-    NumSG, DomainError, InvariantError, NATURALS, contains, format_semigroup,
-    frobenius, genus, intersect, is_subset, remove_element,
+    NumSG, DomainError, InvariantError, NATURALS, _below, _canon, contains,
+    format_semigroup, frobenius, genus, is_subset, remove_element,
     restricted_frobenius, union_with_tail,
 )
 from .descriptors import Descendants, delta_of
@@ -59,17 +58,22 @@ def fdelta(s: NumSG, top: NumSG) -> int:
     return -1 if s == top else restricted_frobenius(s, top)
 
 
-def _expansion(desc, sg: NumSG):
+def _base_fdelta(desc, s: NumSG) -> int:
+    """Restricted Frobenius number of s in the maximum of desc's base family."""
+    return fdelta(s, delta_of(_base_of(desc)))
+
+
+def _expansion(desc, sg: NumSG, fd: int):
     """(system, xs): the base minimal system of the member sg, and the
     removal candidates producing its children, increasing.
 
+    fd is the restricted Frobenius number of sg in the base maximum.
     Children under a descendants view coincide with children in the base
     tree, so the base minimal system and base restricted Frobenius drive
-    the expansion in every case.
+    the expansion in every case.  Below the root of a walk, fd is the value
+    removed from the parent, both in a view and in its base family.
     """
-    base = _base_of(desc)
-    system = chains._rsystem(base, sg)
-    fd = fdelta(sg, delta_of(base))
+    system = chains._rsystem(_base_of(desc), sg)
     return system, sorted(x for x in system if x > fd)
 
 
@@ -84,7 +88,7 @@ def _system_in(desc, base_system: frozenset) -> frozenset:
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
     out = []
-    for x in _expansion(desc, node.sg)[1]:
+    for x in _expansion(desc, node.sg, _base_fdelta(desc, node.sg))[1]:
         child = remove_element(node.sg, x)
         system = chains._rsystem(_base_of(desc), child)
         out.append(RTreeNode(child, x, _system_in(desc, system)))
@@ -104,6 +108,8 @@ def _walk(desc, genus_bound):
     if genus_bound < genus(top):
         raise DomainError("genus bound %d is below the genus %d of the maximum"
                           % (genus_bound, genus(top)))
+    # the maximum of a view has a base fd of its own; below it fd is x
+    root_fd = _base_fdelta(desc, top)
     rows = []
     complete = True
     frontier = [(top, -1, -1)]
@@ -111,7 +117,7 @@ def _walk(desc, genus_bound):
         nxt = []
         for sg, parent, fd in frontier:
             idx = len(rows)
-            system, xs = _expansion(desc, sg)
+            system, xs = _expansion(desc, sg, fd if parent >= 0 else root_fd)
             rows.append((sg, parent, fd, system))
             if not xs:
                 continue
@@ -173,18 +179,20 @@ def genus_level(desc, g: int) -> set:
     Level sets are iterated from the maximum: each member of a level is
     expanded through its minimal-system elements above its restricted
     Frobenius number, and iteration stops early once a level comes up empty.
+    A level is a list of (member, restricted Frobenius number) pairs: tree
+    children of distinct parents are distinct, so no member repeats.
     """
     top = delta_of(desc)
     g0 = genus(top)
     if g < g0:
         return set()
-    level = {top}
+    level = [(top, _base_fdelta(desc, top))]
     for _ in range(g0, g):
-        level = {remove_element(sg, x) for sg in level
-                 for x in _expansion(desc, sg)[1]}
+        level = [(remove_element(sg, x), x) for sg, fd in level
+                 for x in _expansion(desc, sg, fd)[1]]
         if not level:
             return set()
-    return level
+    return {sg for sg, _ in level}
 
 
 def is_pseudo_variety(desc, genus_bound=DEFAULT_GENUS_BOUND) -> bool:
@@ -227,7 +235,9 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     truncated one skips the check, since boundary members are missing.
     """
     mem, complete = members_of(desc, genus_bound)
-    image = {intersect(s, u) for s in mem}
+    w = max(u.conductor, *(s.conductor for s in mem))
+    um = _below(u, w)
+    image = {_canon(m, w) for m in {_below(s, w) & um for s in mem}}
     if complete:
         check_rvariety_axioms(image)
     return image, complete
@@ -239,21 +249,37 @@ def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:
 
 
 def check_rvariety_axioms(members):
-    """Check the three family axioms on an explicit finite member set."""
-    members = set(members)
-    if not members:
+    """Check the three family axioms on an explicit finite member set.
+
+    The axioms are tested on masks below one window W, the largest
+    conductor: every member, and every intersection or adjunction of
+    members, contains [W, ∞), so two of them are equal exactly when their
+    masks below W are.  A NumSG is built only to word a failure.
+    Members are visited in the order of list(set(members)), and a failure
+    names the same member or pair as oracle.oracle_check_rvariety_axioms,
+    the pairwise reference the tests compare against.
+    """
+    order = list(set(members))
+    if not order:
         raise InvariantError("empty family")
-    # a maximum contains every other member, so it alone has the least genus
-    top = min(members, key=genus)
-    if not all(is_subset(s, top) for s in members):
+    w = max(s.conductor for s in order)
+    masks = [_below(s, w) for s in order]
+    known = set(masks)
+    # a maximum contains every other member, so it alone has the least
+    # genus: the most members below W
+    t = max(masks, key=int.bit_count)
+    if any(m & ~t for m in masks):
         raise InvariantError("no maximum element")
-    for a, b in combinations(members, 2):
-        if intersect(a, b) not in members:
+    for i, a in enumerate(masks):
+        if not known.issuperset(map(a.__and__, masks[i + 1:])):
+            j = next(j for j in range(i + 1, len(masks))
+                     if a & masks[j] not in known)
             raise InvariantError("intersection escapes: %s ∩ %s"
-                                 % (format_semigroup(a), format_semigroup(b)))
-    for s in members:
-        if s != top:
-            f = restricted_frobenius(s, top)
-            if union_with_tail(s, top, f) not in members:
+                                 % (format_semigroup(order[i]),
+                                    format_semigroup(order[j])))
+    for s, m in zip(order, masks):
+        if m != t:
+            f = (t & ~m).bit_length() - 1
+            if m | (t >> f << f) not in known:
                 raise InvariantError("adjoining %d to %s escapes"
                                      % (f, format_semigroup(s)))

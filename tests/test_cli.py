@@ -1,7 +1,9 @@
 """Command-line surface: frozen output, exit codes, structured forms."""
 
 import argparse
+import io
 import json
+import sys
 
 import pytest
 
@@ -420,6 +422,39 @@ def test_every_structured_subcommand_goes_through_the_emitter(capsys):
         assert rc == 0 and out, name
         for line in out.splitlines():
             assert line == json.dumps(json.loads(line), sort_keys=True), name
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--restricted", ":<1>", "--genus-bound", "9"],
+    ["tree", "--restricted", ":<1>", "--genus-bound", "9", "--format", "dot"],
+    ["genus-level", "--restricted", ":<1>", "--genus", "10"],
+])
+def test_output_is_written_in_bounded_chunks(argv, monkeypatch):
+    whole = _Writes()
+    monkeypatch.setattr(sys, "stdout", whole)
+    assert cli.main(argv) == 0
+    # one write for the whole output, not one per line or per member
+    assert len(whole.sizes) == 1 and whole.getvalue().count("\n") > 200
+    monkeypatch.setattr(cli, "_CHUNK", 500)
+    chunked = _Writes()
+    monkeypatch.setattr(sys, "stdout", chunked)
+    assert cli.main(argv) == 0
+    assert chunked.getvalue() == whole.getvalue()
+    longest = max(map(len, whole.getvalue().splitlines()))
+    assert len(chunked.sizes) > 1
+    assert max(chunked.sizes) <= 500 + longest + 1
 
 
 class TestErrorPaths:

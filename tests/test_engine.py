@@ -307,18 +307,28 @@ class TestAxiomChecker:
         with pytest.raises(AssertionError):
             check_rvariety_axioms({sg(5, 6), sg(5, 7)})
 
+    def test_rejects_missing_intersection(self):
+        # <2,5> ∩ <3,4,5> = <4,5,6,7>; every adjunction stays inside
+        with pytest.raises(AssertionError,
+                           match=r"^intersection escapes: <2,5> ∩ <3,4,5>$"):
+            check_rvariety_axioms({NATURALS, sg(2, 3), sg(2, 5), sg(3, 4, 5)})
+
     def test_rejects_missing_maximum_under_optimize(self):
         # python -O strips assert statements; the checker must still raise
-        code = ("from rvar import InvariantError, check_rvariety_axioms\n"
+        code = ("from rvar import InvariantError, NATURALS, check_rvariety_axioms\n"
                 "from rvar import from_generators as sg\n"
-                "try:\n"
-                "    check_rvariety_axioms({sg([5, 6]), sg([5, 7])})\n"
-                "except InvariantError as e:\n"
-                "    print('InvariantError:', e)\n")
+                "for family in ({sg([5, 6]), sg([5, 7])},\n"
+                "               {NATURALS, sg([2, 3]), sg([2, 5]), sg([3, 4, 5])}):\n"
+                "    try:\n"
+                "        check_rvariety_axioms(family)\n"
+                "    except InvariantError as e:\n"
+                "        print('InvariantError:', e)\n")
         # the child imports the same rvar package as this test
         src = os.path.dirname(os.path.dirname(os.path.abspath(rvar.__file__)))
         done = subprocess.run([sys.executable, "-O", "-c", code],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "InvariantError: no maximum element\n"
+        assert done.stdout == ("InvariantError: no maximum element\n"
+                               "InvariantError: intersection escapes: "
+                               "<2,5> ∩ <3,4,5>\n")

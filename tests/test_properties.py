@@ -20,16 +20,18 @@ settings.register_profile("rvar", deadline=None)
 settings.load_profile("rvar")
 
 from rvar import (
-    LD, PL, EmptyGenerators, GcdNotOne, Generated, Interval, NATURALS,
-    Restricted, add_element, build_tree, chain_family, chain_to,
-    check_rvariety_axioms, contains, delta_of, elements, enumerate_between,
-    format_semigroup, from_generators, frobenius, genus, genus_level,
-    intersect, intersect_all, is_member, is_subset, member, members_of,
-    minimal_rsystem, minimal_vsystem, msg, oracle_members, parse_semigroup,
-    random_subsemigroup, remove_element, restricted_closure,
+    LD, PL, EmptyGenerators, GcdNotOne, Generated, Interval, InvariantError,
+    NATURALS, NumSG, Restricted, add_element, build_tree, chain_family,
+    chain_to, check_rvariety_axioms, contains, delta_of, elements,
+    enumerate_between, format_semigroup, from_generators, frobenius, genus,
+    genus_level, intersect, intersect_all, is_member, is_subset, member,
+    members_of, minimal_rsystem, minimal_vsystem, msg,
+    oracle_check_rvariety_axioms, oracle_members, parse_semigroup,
+    random_subsemigroup, remove_element, restrict_variety, restricted_closure,
     restricted_frobenius, rmonoid_generated, tree_vertices, union_with_tail,
     variety_closure,
 )
+from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE
 
 
 @st.composite
@@ -331,3 +333,47 @@ class TestEngineLaws:
         crossing = intersect_all(subs)
         assert restricted_frobenius(crossing, delta) == \
             max(restricted_frobenius(s, delta) for s in subs)
+
+
+# every semigroup of genus <= 5, 27 in all
+SMALL_SEMIGROUPS = sorted(enumerate_between(frozenset(), NATURALS, 5),
+                          key=NumSG.sort_key)
+
+# families that pass the check: the fixtures and some of their restrictions
+AXIOM_FAMILIES = [tuple(members) for _, members in FINITE_FIXTURES] + [
+    tuple(sorted(restrict_variety(desc, u), key=NumSG.sort_key))
+    for desc, u in [(INTERVAL_FIXTURE, sg(5, 7, 9)),
+                    (GENERATED_FIXTURE, sg(4, 6, 7)),
+                    (GENERATED_FIXTURE, sg(3, 5, 7)),
+                    (Interval(sg(7, 8), sg(7, 8, 9, 10)), sg(5, 7, 8))]]
+
+
+@st.composite
+def thinned_families(draw):
+    """A passing family with up to two members dropped."""
+    family = draw(st.sampled_from(AXIOM_FAMILIES))
+    drop = draw(st.sets(st.sampled_from(range(len(family))), max_size=2))
+    return [s for i, s in enumerate(family) if i not in drop]
+
+
+def _verdict(check, family):
+    try:
+        check(family)
+    except InvariantError as e:
+        return str(e)
+    return None
+
+
+class TestAxiomCheckLaws:
+    @given(st.one_of(st.lists(st.sampled_from(SMALL_SEMIGROUPS), max_size=8),
+                     thinned_families()))
+    @settings(max_examples=300)
+    def test_fast_check_agrees_with_the_reference(self, family):
+        assert (_verdict(check_rvariety_axioms, family)
+                == _verdict(oracle_check_rvariety_axioms, family))
+
+    def test_every_family_of_the_pool_passes(self):
+        assert len(SMALL_SEMIGROUPS) == 27
+        for family in AXIOM_FAMILIES:
+            check_rvariety_axioms(family)
+            oracle_check_rvariety_axioms(family)

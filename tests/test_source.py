@@ -18,3 +18,46 @@ def test_no_assert_statements():
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) >= 8
     assert found == []
+
+
+def _imports(node, scope=None):
+    """(enclosing function name or None, node) for every import under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield scope, child
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else scope)
+        yield from _imports(child, inner)
+
+
+def _reaches_oracle(node, oracle_names):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["rvar", "oracle"] for a in node.names)
+    module = node.module or ""
+    if node.level:
+        module = "rvar." + module if module else "rvar"
+    if module == "rvar.oracle":
+        return True
+    # names taken from the package root may be the oracle's re-exports
+    return module == "rvar" and any(
+        a.name == "oracle" or a.name in oracle_names for a in node.names)
+
+
+def test_oracle_stays_off_the_hot_paths():
+    # the brute-force references serve the tests and `rvar verify`; the
+    # package root re-exports them, and no other module may reach them
+    oracle = ast.parse((SRC / "oracle.py").read_text())
+    oracle_names = {n.name for n in oracle.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    found, allowed = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, node in _imports(tree):
+            if _reaches_oracle(node, oracle_names):
+                where = "%s:%d" % (path.name, node.lineno)
+                ok = (path.name, scope) == ("cli.py", "_cmd_verify")
+                (allowed if ok else found).append(where)
+    assert found == []
+    assert len(allowed) == 1  # the guard sees the one import it permits
