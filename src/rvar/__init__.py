@@ -30,10 +30,26 @@ from .engine import (
     tree_of, tree_vertices, members_of, genus_level, is_pseudo_variety, descendants,
     restrict_variety, check_rvariety_axioms, children,
 )
-from .oracle import (
-    enumerate_between, smallest_containing, oracle_members,
-    oracle_check_rvariety_axioms, minimal_system_from_members,
-    random_semigroup, random_subsemigroup, random_interval, random_restricted,
-)
 
 __version__ = "0.1.0"
+
+# The brute-force oracle and its names load on first use (PEP 562), so
+# importing the package, or the CLI, does not load them.
+_ORACLE_NAMES = frozenset({
+    "oracle", "enumerate_between", "smallest_containing", "oracle_members",
+    "oracle_check_rvariety_axioms", "minimal_system_from_members",
+    "random_semigroup", "random_subsemigroup", "random_interval",
+    "random_restricted",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from importlib import import_module
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -6,7 +6,6 @@ members admits a unique minimal generating system; this module computes it
 for the three base descriptor families.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -15,7 +14,7 @@ from .core import (
     format_semigroup, from_generators, intersect_all, is_subset, msg,
     restricted_frobenius, union_with_tail,
 )
-from .descriptors import Interval, Restricted, Generated, delta_of
+from .descriptors import Interval, Restricted, Generated, _Frozen, _set, delta_of
 
 
 class NotInDelta(DomainError):
@@ -34,12 +33,17 @@ class NoContainingElement(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class ChainRec:
+class ChainRec(_Frozen):
     """links[0] ⊊ links[1] ⊊ ... ⊊ links[-1]; fill_values[i] joins links[i] to links[i+1]."""
 
-    links: tuple
-    fill_values: tuple
+    __slots__ = ("links", "fill_values")
+
+    def __init__(self, links: tuple, fill_values: tuple):
+        _set(self, "links", links)
+        _set(self, "fill_values", fill_values)
+
+    def __hash__(self):
+        return hash((self.links, self.fill_values))
 
 
 def chain_to(s: NumSG, t: NumSG) -> ChainRec:

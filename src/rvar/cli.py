@@ -16,11 +16,12 @@ format runs, so text output computes no field it does not print.  Lines
 go out in writes of about _CHUNK characters, not one per line: with
 unbuffered stdout each write is a system call.  verify prints its checks
 as they run and returns its exit code instead.
+
+json and random are imported only where they are used, so a text request
+starts without them.
 """
 
 import argparse
-import json
-import random
 import sys
 
 from .core import (
@@ -32,7 +33,7 @@ from .descriptors import Interval, Restricted, Generated, delta_of
 from .chains import _rsystem, chain_to, minimal_rsystem
 from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
 from .engine import (
-    DEFAULT_GENUS_BOUND, descendants, fdelta, genus_level, members_of,
+    DEFAULT_GENUS_BOUND, _level_pairs, descendants, fdelta, members_of,
     restriction_of, tree_of, tree_vertices,
 )
 
@@ -196,11 +197,11 @@ def _cmd_tree(args):
 
 def _cmd_genus_level(args):
     desc = _variety_from(args)
-    top = delta_of(desc)
-    # members come from the walk, so their systems need no membership check
-    return (sorted(genus_level(desc, args.genus), key=NumSG.sort_key),
-            format_semigroup,
-            lambda s: _record(s, fdelta(s, top), minsys=sorted(_rsystem(desc, s))))
+    # members come from the walk, so their systems need no membership check;
+    # the walk also carried each member's fdelta in the family's maximum
+    level = sorted(_level_pairs(desc, args.genus), key=lambda pair: pair[0].sort_key())
+    return (level, lambda pair: format_semigroup(pair[0]),
+            lambda pair: _record(*pair, minsys=sorted(_rsystem(desc, pair[0]))))
 
 
 def _cmd_descendants(args):
@@ -240,6 +241,8 @@ def _cmd_restrict(args):
 
 
 def _cmd_verify(args):
+    import random
+
     from .oracle import oracle_members, random_interval, random_restricted
     rng = random.Random(args.seed)
     checks = [
@@ -407,6 +410,7 @@ def main(argv=None) -> int:
             return result
         items, text, record = result
         if args.format == "structured":
+            import json
             text = lambda item: json.dumps(record(item), sort_keys=True)
         _write(items, text)
         return 0

@@ -4,69 +4,122 @@ A descriptor is a finite, hashable recipe for a (possibly infinite) family of
 numerical semigroups that has a maximum element, is closed under intersection,
 and is closed under adjoining the Frobenius number restricted to the maximum.
 Three base families are supported, plus a descendants view rooted at a member.
-"""
 
-from dataclasses import dataclass, field
+Descriptors are small value classes rather than dataclasses: the
+dataclasses module pulls inspect, ast and dis into every process that
+imports the package, which costs more than most requests compute.
+"""
 
 from .core import NumSG, NotContained, format_semigroup, is_subset, contains
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Interval:
+
+class _Record:
+    """Equality and repr over the fields named in __slots__, as a dataclass
+    has them: equal only to an instance of the same class with equal fields."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+class _Frozen(_Record):
+    """An immutable _Record.  __init__ sets the fields with _set; each
+    subclass hashes its fields as one tuple, like a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Interval(_Frozen):
     """All semigroups between lo and hi inclusive."""
 
-    lo: NumSG
-    hi: NumSG
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not is_subset(self.lo, self.hi):
+    def __init__(self, lo: NumSG, hi: NumSG):
+        if not is_subset(lo, hi):
             raise NotContained("%s is not contained in %s"
-                               % (format_semigroup(self.lo), format_semigroup(self.hi)))
+                               % (format_semigroup(lo), format_semigroup(hi)))
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
 
-@dataclass(frozen=True)
-class Restricted:
+class Restricted(_Frozen):
     """All semigroups S with a ⊆ S ⊆ t."""
 
-    a: frozenset
-    t: NumSG
+    __slots__ = ("a", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", frozenset(self.a))
-        for x in self.a:
-            if not contains(self.t, x):
+    def __init__(self, a, t: NumSG):
+        a = frozenset(a)
+        for x in a:
+            if not contains(t, x):
                 raise NotContained("forced element %d is not in %s"
-                                   % (x, format_semigroup(self.t)))
+                                   % (x, format_semigroup(t)))
+        _set(self, "a", a)
+        _set(self, "t", t)
+
+    def __hash__(self):
+        return hash((self.a, self.t))
 
 
-@dataclass(frozen=True)
-class Generated:
+class Generated(_Frozen):
     """The smallest such family with maximum delta containing every member of f.
 
     Equals all finite intersections of the chains of f's members restricted
     to delta.
     """
 
-    f: tuple = field()
-    delta: NumSG = field()
+    __slots__ = ("f", "delta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", tuple(self.f))
-        for s in self.f:
-            if not is_subset(s, self.delta):
+    def __init__(self, f, delta: NumSG):
+        f = tuple(f)
+        for s in f:
+            if not is_subset(s, delta):
                 raise NotContained("family member %s is not contained in %s"
-                                   % (format_semigroup(s), format_semigroup(self.delta)))
+                                   % (format_semigroup(s), format_semigroup(delta)))
+        _set(self, "f", f)
+        _set(self, "delta", delta)
+
+    def __hash__(self):
+        return hash((self.f, self.delta))
 
 
-@dataclass(frozen=True)
-class Descendants:
+class Descendants(_Frozen):
     """View of another descriptor, keeping only the descendants of top in its tree.
 
     Construct through engine.descendants, which validates membership of top.
     """
 
-    base: object
-    top: NumSG
+    __slots__ = ("base", "top")
+
+    def __init__(self, base, top: NumSG):
+        _set(self, "base", base)
+        _set(self, "top", top)
+
+    def __hash__(self):
+        return hash((self.base, self.top))
 
 
 def delta_of(desc) -> NumSG:

@@ -7,15 +7,13 @@ elements of its minimal system that exceed that number, which is what makes
 genus-by-genus enumeration possible without revisiting vertices.
 """
 
-from dataclasses import dataclass, field
-
 from . import chains
 from .core import (
     NumSG, DomainError, InvariantError, NATURALS, _below, _canon, contains,
     format_semigroup, frobenius, genus, is_subset, remove_element,
     restricted_frobenius, union_with_tail,
 )
-from .descriptors import Descendants, delta_of
+from .descriptors import Descendants, _Record, delta_of
 from .chains import NotInVariety
 
 DEFAULT_GENUS_BOUND = 40
@@ -25,12 +23,15 @@ class InfiniteVariety(DomainError):
     """Enumeration hit the genus bound with members still unexplored."""
 
 
-@dataclass
-class RTreeNode:
-    sg: NumSG
-    restricted_frob: int
-    min_system: frozenset
-    children: list = field(default_factory=list)
+class RTreeNode(_Record):
+    __slots__ = ("sg", "restricted_frob", "min_system", "children")
+
+    def __init__(self, sg: NumSG, restricted_frob: int, min_system: frozenset,
+                 children=None):
+        self.sg = sg
+        self.restricted_frob = restricted_frob
+        self.min_system = min_system
+        self.children = [] if children is None else children
 
 
 def _base_of(desc):
@@ -77,21 +78,25 @@ def _expansion(desc, sg: NumSG, fd: int):
     return system, sorted(x for x in system if x > fd)
 
 
-def _system_in(desc, base_system: frozenset) -> frozenset:
-    """The minimal system in desc of a member with this base system; see tree_of."""
-    if not isinstance(desc, Descendants):
+def _system_in(base_system: frozenset, cut: int) -> frozenset:
+    """The minimal system of a member with this base system in a family
+    whose maximum has base restricted Frobenius number cut; see tree_of.
+
+    cut is -1 for a base family, whose systems are the base systems.
+    """
+    if cut < 0:
         return base_system
-    cut = fdelta(desc.top, delta_of(desc.base))
     return frozenset(x for x in base_system if x > cut)
 
 
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
+    cut = _base_fdelta(desc, delta_of(desc))
     out = []
     for x in _expansion(desc, node.sg, _base_fdelta(desc, node.sg))[1]:
         child = remove_element(node.sg, x)
         system = chains._rsystem(_base_of(desc), child)
-        out.append(RTreeNode(child, x, _system_in(desc, system)))
+        out.append(RTreeNode(child, x, _system_in(system, cut)))
     return out
 
 
@@ -148,7 +153,8 @@ def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     elements above F are left to generate S.
     """
     rows, complete = _walk(desc, genus_bound)
-    nodes = [RTreeNode(sg, fd, _system_in(desc, system))
+    cut = _base_fdelta(desc, delta_of(desc))
+    nodes = [RTreeNode(sg, fd, _system_in(system, cut))
              for sg, _, fd, system in rows]
     for i, (_, parent, _, _) in enumerate(rows):
         if parent >= 0:
@@ -174,25 +180,30 @@ def tree_vertices(root: RTreeNode) -> list:
 
 
 def genus_level(desc, g: int) -> set:
-    """All members with genus exactly g.
+    """All members with genus exactly g."""
+    return {sg for sg, _ in _level_pairs(desc, g)}
+
+
+def _level_pairs(desc, g: int) -> list:
+    """(member, fd) for every member with genus exactly g, unordered, where
+    fd is the member's restricted Frobenius number in the base maximum.
 
     Level sets are iterated from the maximum: each member of a level is
     expanded through its minimal-system elements above its restricted
     Frobenius number, and iteration stops early once a level comes up empty.
-    A level is a list of (member, restricted Frobenius number) pairs: tree
-    children of distinct parents are distinct, so no member repeats.
+    Tree children of distinct parents are distinct, so no member repeats.
     """
     top = delta_of(desc)
     g0 = genus(top)
     if g < g0:
-        return set()
+        return []
     level = [(top, _base_fdelta(desc, top))]
     for _ in range(g0, g):
         level = [(remove_element(sg, x), x) for sg, fd in level
                  for x in _expansion(desc, sg, fd)[1]]
         if not level:
-            return set()
-    return {sg for sg, _ in level}
+            return []
+    return level
 
 
 def is_pseudo_variety(desc, genus_bound=DEFAULT_GENUS_BOUND) -> bool:

@@ -1,0 +1,104 @@
+"""Descriptor values and the package root's lazily loaded oracle names."""
+
+import pickle
+
+import pytest
+
+import rvar
+from rvar import (
+    NATURALS, Descendants, Generated, Interval, NotContained, Restricted,
+    chain_to, is_member,
+)
+from rvar.chains import _chain_members
+from support import GENERATED_FIXTURE, sg
+
+
+def _four_kinds():
+    # an interval and a view hold the same two fields, and so do a
+    # restricted and a generated family with nothing forced or generating
+    lo, hi = sg(5, 6), sg(5, 6, 7)
+    return [Interval(lo, hi), Descendants(lo, hi),
+            Restricted((), hi), Generated((), hi)]
+
+
+FIELDS = {Interval: ("lo", "hi"), Descendants: ("base", "top"),
+          Restricted: ("a", "t"), Generated: ("f", "delta")}
+
+
+class TestDescriptorValues:
+    def test_types_built_from_the_same_values_are_unequal(self):
+        kinds = _four_kinds()
+        for i, a in enumerate(kinds):
+            for j, b in enumerate(kinds):
+                assert (a == b) == (i == j)
+                assert (a != b) == (i != j)
+            # nor does any equal the bare tuple of its fields
+            assert a != tuple(getattr(a, f) for f in FIELDS[type(a)])
+
+    def test_equal_values_hash_alike(self):
+        for a, b in zip(_four_kinds(), _four_kinds()):
+            assert a is not b and a == b and hash(a) == hash(b)
+        assert len(set(_four_kinds() + _four_kinds())) == 4
+        for desc in _four_kinds():
+            assert pickle.loads(pickle.dumps(desc)) == desc
+        assert chain_to(sg(5, 7), sg(5, 6, 7)) == chain_to(sg(5, 7), sg(5, 6, 7))
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for desc in _four_kinds():
+            name = FIELDS[type(desc)][0]
+            with pytest.raises(AttributeError):
+                setattr(desc, name, NATURALS)
+            with pytest.raises(AttributeError):
+                desc.extra = 1
+            with pytest.raises(AttributeError):
+                delattr(desc, name)
+        rec = chain_to(sg(5, 7), sg(5, 6, 7))
+        with pytest.raises(AttributeError):
+            rec.links = ()
+
+    def test_fields_are_normalised_and_checked(self):
+        r = Restricted([4, 6, 4], sg(4, 6, 7))
+        assert r.a == frozenset({4, 6}) and type(r.a) is frozenset
+        g = Generated([sg(5, 7)], sg(5, 6, 7))
+        assert g.f == (sg(5, 7),)
+        assert Generated(iter([sg(5, 7)]), sg(5, 6, 7)) == g
+        with pytest.raises(NotContained):
+            Interval(sg(5, 6, 7), sg(5, 6))
+        with pytest.raises(NotContained):
+            Restricted({5}, sg(4, 6, 7))
+        with pytest.raises(NotContained):
+            Generated((sg(2, 3),), sg(5, 6, 7))
+
+    def test_repr_names_the_fields(self):
+        assert repr(Interval(sg(5, 6), sg(5, 6, 7))) == (
+            "Interval(lo=NumSG(<5,6>), hi=NumSG(<5,6,7>))")
+        assert repr(chain_to(sg(5, 6), sg(5, 6))) == (
+            "ChainRec(links=(NumSG(<5,6>),), fill_values=())")
+
+    def test_a_repeated_generated_query_hits_the_chain_cache(self):
+        # an equal descriptor built anew must find the cached chain members
+        again = Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)
+        is_member(GENERATED_FIXTURE, sg(4, 9, 10, 11))
+        hits = _chain_members.cache_info().hits
+        assert is_member(again, sg(4, 9, 10, 11))
+        assert _chain_members.cache_info().hits == hits + 1
+
+
+class TestLazyOracleNames:
+    def test_oracle_names_resolve(self):
+        from rvar import oracle_members
+        from rvar.oracle import minimal_system_from_members
+        assert oracle_members is rvar.oracle.oracle_members
+        assert rvar.minimal_system_from_members is minimal_system_from_members
+
+    def test_dir_lists_them(self):
+        names = dir(rvar)
+        for name in ("oracle_members", "minimal_system_from_members", "random_interval",
+                     "Interval", "build_tree"):
+            assert name in names
+
+    def test_an_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            rvar.no_such_name
+        with pytest.raises(ImportError):
+            from rvar import no_such_name  # noqa: F401

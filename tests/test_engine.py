@@ -14,6 +14,7 @@ from rvar import (
     minimal_system_from_members, msg, remove_element, restrict_variety,
     tree_of, tree_vertices, union_with_tail,
 )
+from rvar.engine import _level_pairs, fdelta
 from support import (
     sg, DELTA_567, FINITE_FIXTURES, GENERATED_FIXTURE, GENERATED_MEMBERS,
     INTERVAL_FIXTURE, INTERVAL_MEMBERS, PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
@@ -172,6 +173,17 @@ class TestGenusLevel:
                 by_genus.setdefault(genus(s), set()).add(s)
             for g, expected in by_genus.items():
                 assert genus_level(desc, g) == expected
+
+    def test_level_pairs_carry_each_members_fdelta(self):
+        # the CLI's structured genus-level reads fdelta off these pairs
+        for desc in (RESTRICTED_FIXTURE, GENERATED_FIXTURE, INTERVAL_FIXTURE,
+                     Restricted(frozenset(), NATURALS)):
+            top = delta_of(desc)
+            for g in range(genus(top), genus(top) + 7):
+                pairs = _level_pairs(desc, g)
+                assert len({s for s, _ in pairs}) == len(pairs)
+                assert {s for s, _ in pairs} == genus_level(desc, g)
+                assert [x for _, x in pairs] == [fdelta(s, top) for s, _ in pairs]
 
 
 class TestIsPseudoVariety:

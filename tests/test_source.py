@@ -1,7 +1,10 @@
 """Source-level rules for the rvar package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import rvar
 
@@ -61,3 +64,19 @@ def test_oracle_stays_off_the_hot_paths():
                 (allowed if ok else found).append(where)
     assert found == []
     assert len(allowed) == 1  # the guard sees the one import it permits
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # a CLI request pays for every module that `import rvar.cli` loads;
+    # dataclasses pulls in inspect, and json, random and the oracle serve
+    # only structured output, verify and the tests.  -S keeps site's own
+    # imports out of the list.
+    code = ("import sys\n"
+            "import rvar.cli\n"
+            "heavy = ('dataclasses', 'inspect', 'json', 'random', 'rvar.oracle')\n"
+            "print(' '.join(m for m in heavy if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
