@@ -154,24 +154,27 @@ def minimal_rsystem(desc, m: NumSG) -> frozenset:
     """
     if not is_member(desc, m):
         raise NotInVariety("%s is not a member" % format_semigroup(m))
-    return _rsystem(desc, m)
+    return frozenset(_rsystem(desc, m))
 
 
-def _rsystem(desc, m: NumSG) -> frozenset:
-    """minimal_rsystem of a member m, unchecked; for callers that walk members.
+def _rsystem(desc, m: NumSG):
+    """minimal_rsystem of a member m as a strictly increasing sequence,
+    unchecked; for callers that walk members.
 
     Interval and Restricted families reduce to the minimal generators outside
-    the forced part.  In a Generated family each family member s not
-    containing m contributes x_s, the least element of m missing from s: the
-    part that s gives to an intersection generated by B ⊆ m contains m only
-    if its adjoined tail starts at x_s, so every system of m holds x_s, and
-    these elements alone already generate m.
+    the forced part, read off the increasing msg.  In a Generated family each
+    family member s not containing m contributes x_s, the least element of m
+    missing from s: the part that s gives to an intersection generated by
+    B ⊆ m contains m only if its adjoined tail starts at x_s, so every system
+    of m holds x_s, and these elements alone already generate m.
     """
     if isinstance(desc, Interval):
-        return frozenset(x for x in msg(m) if not contains(desc.lo, x))
+        return [x for x in msg(m) if not contains(desc.lo, x)]
     if isinstance(desc, Restricted):
-        return frozenset(x for x in msg(m) if x not in desc.a)
-    return frozenset(_first_missing(m, s) for s in desc.f if not is_subset(m, s))
+        if not desc.a:
+            return msg(m)
+        return [x for x in msg(m) if x not in desc.a]
+    return sorted({_first_missing(m, s) for s in desc.f if not is_subset(m, s)})
 
 
 def rrange(desc, m: NumSG) -> int:

@@ -201,7 +201,7 @@ def _cmd_genus_level(args):
     # the walk also carried each member's fdelta in the family's maximum
     level = sorted(_level_pairs(desc, args.genus), key=lambda pair: pair[0].sort_key())
     return (level, lambda pair: format_semigroup(pair[0]),
-            lambda pair: _record(*pair, minsys=sorted(_rsystem(desc, pair[0]))))
+            lambda pair: _record(*pair, minsys=_rsystem(desc, pair[0])))
 
 
 def _cmd_descendants(args):

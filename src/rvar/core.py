@@ -152,8 +152,12 @@ def from_generators(gens) -> NumSG:
     d = reduce(gcd, gens)
     if d != 1:
         raise GcdNotOne("gcd(%s) = %d, not 1" % (",".join(map(str, gens)), d))
-    lo, hi = gens[0], gens[-1]
-    bound = lo * hi + 1
+    # S contains <lo, gens[1]>, so a first window past lo * gens[1] holds a
+    # run of lo members when their gcd is 1; generators past a window only
+    # add values past it.  Schur's bound F(S) < (lo - 1)(hi - 1) makes a
+    # window past lo * hi enough, so doubling stops there.
+    lo = gens[0]
+    bound, cap = lo * gens[1] + 1, lo * gens[-1] + 1
     while True:
         if bound > MAX_SIEVE:
             raise CapacityExceeded("sieve for <%s> exceeds %d entries"
@@ -170,7 +174,7 @@ def from_generators(gens) -> NumSG:
         # a run of lo consecutive members proves the tail is complete
         if bound + 1 - (~reachable & window).bit_length() >= lo:
             return _canon(reachable, bound + 1)
-        bound *= 2
+        bound = min(2 * bound, cap)
 
 
 def contains(s: NumSG, x) -> bool:
@@ -250,8 +254,35 @@ def remove_element(s: NumSG, x: int) -> NumSG:
     if x not in msg(s):
         raise NotMinimalGenerator("%d is not a minimal generator of %s"
                                   % (x, format_semigroup(s)))
-    top = max(s.conductor, x + 1)
-    return _canon(_below(s, top) & ~(1 << x), top)
+    return _drop(s, x)
+
+
+def _drop(s: NumSG, x: int) -> NumSG:
+    """remove_element for a minimal generator x of s, unchecked; for callers
+    that walk the tree, where x comes from a minimal system of s.
+
+    For x >= conductor the child C is s below x, with conductor x + 1.  If
+    msg(s) is known and x is not the multiplicity m, msg(C) is msg(s)
+    without x, plus x + m unless x + m - h is in C for a generator
+    m < h < x.  Only sums through x were lost, so a new generator is x + b
+    with b a nonzero member; past x + m it is m plus a member of C, so b = m.
+    """
+    if x < s.conductor:
+        # the Frobenius number stays a gap, so the conductor stays
+        return NumSG(s.mask & ~(1 << x), s.conductor)
+    child = NumSG(_below(s, x), x + 1)
+    gens = s._msg
+    if gens is not None and x != gens[0]:
+        i = gens.index(x)
+        y = x + gens[0]
+        mask = child.mask
+        for h in gens[1:i]:
+            if mask >> (y - h) & 1:
+                child._msg = gens[:i] + gens[i + 1:]
+                break
+        else:
+            child._msg = gens[:i] + gens[i + 1:] + (y,)
+    return child
 
 
 def add_element(s: NumSG, x: int) -> NumSG:

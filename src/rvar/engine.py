@@ -10,7 +10,7 @@ genus-by-genus enumeration possible without revisiting vertices.
 from . import chains
 from .core import (
     NumSG, DomainError, InvariantError, NATURALS, _below, _canon, contains,
-    format_semigroup, frobenius, genus, is_subset, remove_element,
+    _drop, format_semigroup, frobenius, genus, is_subset,
     restricted_frobenius, union_with_tail,
 )
 from .descriptors import Descendants, _Record, delta_of
@@ -75,17 +75,17 @@ def _expansion(desc, sg: NumSG, fd: int):
     removed from the parent, both in a view and in its base family.
     """
     system = chains._rsystem(_base_of(desc), sg)
-    return system, sorted(x for x in system if x > fd)
+    return system, [x for x in system if x > fd]
 
 
-def _system_in(base_system: frozenset, cut: int) -> frozenset:
-    """The minimal system of a member with this base system in a family
-    whose maximum has base restricted Frobenius number cut; see tree_of.
+def _system_in(base_system, cut: int) -> frozenset:
+    """The minimal system of a member with this increasing base system in a
+    family whose maximum has base restricted Frobenius number cut; see tree_of.
 
     cut is -1 for a base family, whose systems are the base systems.
     """
     if cut < 0:
-        return base_system
+        return frozenset(base_system)
     return frozenset(x for x in base_system if x > cut)
 
 
@@ -94,7 +94,7 @@ def children(desc, node: RTreeNode) -> list:
     cut = _base_fdelta(desc, delta_of(desc))
     out = []
     for x in _expansion(desc, node.sg, _base_fdelta(desc, node.sg))[1]:
-        child = remove_element(node.sg, x)
+        child = _drop(node.sg, x)
         system = chains._rsystem(_base_of(desc), child)
         out.append(RTreeNode(child, x, _system_in(system, cut)))
     return out
@@ -129,7 +129,7 @@ def _walk(desc, genus_bound):
             if genus(sg) >= genus_bound:
                 complete = False
                 continue
-            nxt.extend((remove_element(sg, x), idx, x) for x in xs)
+            nxt.extend((_drop(sg, x), idx, x) for x in xs)
         frontier = nxt
     return rows, complete
 
@@ -199,7 +199,7 @@ def _level_pairs(desc, g: int) -> list:
         return []
     level = [(top, _base_fdelta(desc, top))]
     for _ in range(g0, g):
-        level = [(remove_element(sg, x), x) for sg, fd in level
+        level = [(_drop(sg, x), x) for sg, fd in level
                  for x in _expansion(desc, sg, fd)[1]]
         if not level:
             return []

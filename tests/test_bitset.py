@@ -22,10 +22,11 @@ settings.register_profile("rvar", deadline=None)
 settings.load_profile("rvar")
 
 from rvar import (
-    AlreadyMember, NotClosed, add_element, from_generators, genus, intersect,
-    is_subset, msg, multiplicity, remove_element, restricted_frobenius,
-    union_with_tail,
+    NATURALS, AlreadyMember, NotClosed, Restricted, add_element,
+    from_generators, genus, genus_level, intersect, is_subset, msg,
+    multiplicity, remove_element, restricted_frobenius, union_with_tail,
 )
+from rvar.core import NumSG, _drop
 
 W = 400
 MAX_GEN = 12
@@ -203,3 +204,81 @@ def test_add_and_remove_on_every_small_genus():
                 else:
                     with pytest.raises(NotClosed):
                         add_element(sg, x)
+
+
+def semigroups_up_to_genus(g_max):
+    """Every numerical semigroup of genus <= g_max, as member sets, by brute force.
+
+    Every gap lies below 2 * g_max, so decide 1, 2, ..., 2 * g_max - 1 in
+    turn: a sum of two members decided so far is a member, any other value
+    is tried as a gap and as a member; every value past them is a member.
+    """
+    top = 2 * g_max
+    out = []
+
+    def grow(x, members, n_gaps):
+        if x == top:
+            out.append(members | set(range(top, W)))
+            return
+        if not any(x - a in members for a in members if 0 < a < x):
+            if n_gaps < g_max:
+                grow(x + 1, members, n_gaps + 1)
+        grow(x + 1, members | {x}, n_gaps)
+
+    grow(1, {0}, 0)
+    return out
+
+
+def _check_drop(s, gens, x):
+    """Remove the minimal generator x of the semigroup s, whose minimal
+    generators are gens, through _drop, with and without a known msg of the
+    parent; return the case taken."""
+    want = minimal_generators(s - {x})
+    sg = from_generators(list(gens))
+    fresh = NumSG(sg.mask, sg.conductor)
+    lazy = _drop(fresh, x)
+    assert fresh._msg is None and lazy._msg is None
+    assert agrees(lazy, s - {x})
+    msg(sg)
+    child = _drop(sg, x)
+    assert agrees(child, s - {x})
+    if x < conductor(s):
+        case = "below conductor"
+    elif x == gens[0]:
+        case = "multiplicity"
+    else:
+        case = "x+m new" if x + gens[0] in want else "x+m a sum"
+    # msg is derived from the parent's exactly in the two x + m cases
+    assert (child._msg is not None) == case.startswith("x+m")
+    assert msg(child) == msg(NumSG(child.mask, child.conductor)) == want
+    return case
+
+
+def test_derived_msg_of_every_child_up_to_genus_10():
+    found = semigroups_up_to_genus(10)
+    counts = [0] * 11
+    cases = {}
+    for s in found:
+        counts[len(gaps(s))] += 1
+        gens = minimal_generators(s)
+        for x in gens:
+            case = _check_drop(s, gens, x)
+            cases[case] = cases.get(case, 0) + 1
+    # A007323 up to genus 10
+    assert counts == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204]
+    assert set(cases) == {"below conductor", "multiplicity", "x+m new", "x+m a sum"}
+    # genus 0 is <1>, whose one child <2,3> is the multiplicity case
+    assert msg(_drop(NATURALS, 1)) == (2, 3)
+
+
+@given(GENS, st.data())
+def test_derived_msg_of_a_random_child(gens, data):
+    s = closure(gens)
+    gens = minimal_generators(s)
+    _check_drop(s, gens, data.draw(st.sampled_from(gens)))
+
+
+def test_tree_levels_count_a007323_up_to_genus_14():
+    n = Restricted(frozenset(), NATURALS)
+    assert [len(genus_level(n, g)) for g in range(15)] == [
+        1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693]

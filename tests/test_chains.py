@@ -5,9 +5,10 @@ import pytest
 from rvar import (
     NATURALS, NotContained, NotInDelta, NotInVariety, NotNumerical,
     Restricted, chain_family, chain_to, delta_of, genus, is_member, is_subset,
-    minimal_rsystem, minimal_system_from_members, msg, restricted_frobenius,
-    rmonoid_generated, rrange,
+    members_of, minimal_rsystem, minimal_system_from_members, msg,
+    restricted_frobenius, rmonoid_generated, rrange,
 )
+from rvar.chains import _rsystem
 from support import (
     sg, DELTA_567, GENERATED_FIXTURE, GENERATED_MEMBERS, INTERVAL_FIXTURE,
     PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
@@ -137,6 +138,18 @@ class TestMinimalRSystem:
     def test_rejects_non_member(self):
         with pytest.raises(NotInVariety):
             minimal_rsystem(GENERATED_FIXTURE, sg(5, 7))
+
+    def test_public_system_is_a_frozenset_and_the_walks_increases(self):
+        # in the pseudo fixture several family members give one element
+        descs = (INTERVAL_FIXTURE, RESTRICTED_FIXTURE, GENERATED_FIXTURE,
+                 PSEUDO_FIXTURE, Restricted(frozenset(), NATURALS))
+        for desc in descs:
+            for m in members_of(desc, 10)[0]:
+                system = list(_rsystem(desc, m))
+                assert system == sorted(set(system))
+                public = minimal_rsystem(desc, m)
+                assert type(public) is frozenset
+                assert public == set(system)
 
     def test_generated_fixture_needs_at_most_two(self):
         for m in GENERATED_MEMBERS:

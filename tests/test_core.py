@@ -3,7 +3,7 @@
 import pytest
 
 from rvar import (
-    NATURALS, AlreadyMember, EmptyGenerators, EqualSemigroups, GcdNotOne,
+    NATURALS, AlreadyMember, CapacityExceeded, EmptyGenerators, EqualSemigroups, GcdNotOne,
     InvalidGenerator, NotClosed, NotContained, NotMember, NotMinimalGenerator,
     ParseError, add_element, contains, elements, format_semigroup,
     from_generators, frobenius, genus, intersect, intersect_all, is_subset,
@@ -45,6 +45,21 @@ class TestConstruction:
     def test_gcd_must_be_one(self):
         with pytest.raises(GcdNotOne):
             from_generators([4, 6])
+
+    def test_one_large_redundant_generator_needs_no_large_sieve(self):
+        # the first window is set by the two least generators
+        assert from_generators([2, 3, 4000001]) == sg(2, 3)
+        assert msg(from_generators([3, 5, 4000000])) == (3, 5)
+
+    def test_windows_grow_no_further_than_the_largest_generator_needs(self):
+        # gcd(1000, 2000) != 1, so the first window is too small; doubling
+        # it would pass the sieve limit, the least and largest pair's does not
+        assert from_generators([1000, 2000, 3001]) == from_generators([1000, 3001])
+
+    def test_huge_generators_still_exceed_the_sieve(self):
+        with pytest.raises(CapacityExceeded,
+                           match="sieve for <4000,4001> exceeds 4000000 entries"):
+            from_generators([4000, 4001])
 
 
 class TestBasicInvariants:
@@ -101,12 +116,18 @@ class TestSetOperations:
         assert genus(s) == genus(sg(5, 6, 7)) + 1
 
     def test_remove_requires_minimal_generator(self):
-        with pytest.raises(NotMinimalGenerator):
+        with pytest.raises(NotMinimalGenerator,
+                           match="^10 is not a minimal generator of <5,6,7>$"):
             remove_element(sg(5, 6, 7), 10)
-        with pytest.raises(NotMember):
+        with pytest.raises(NotMember,
+                           match="^4 is not a positive member of <5,6,7>$"):
             remove_element(sg(5, 6, 7), 4)
-        with pytest.raises(NotMember):
+        with pytest.raises(NotMember,
+                           match="^0 is not a positive member of <5,6,7>$"):
             remove_element(sg(5, 6, 7), 0)
+        with pytest.raises(NotMember,
+                           match="^-5 is not a positive member of <5,6,7>$"):
+            remove_element(sg(5, 6, 7), -5)
 
     def test_add_element_inverts_remove(self):
         s = sg(5, 6, 7)

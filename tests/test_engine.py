@@ -134,6 +134,14 @@ class TestChildren:
                 assert got == [(c.sg, c.restricted_frob, c.min_system)
                                for c in node.children]
 
+    def test_min_systems_are_frozensets_in_base_families_and_views(self):
+        for desc, members in FINITE_FIXTURES:
+            for d in [desc] + [descendants(desc, top) for top in members]:
+                for node in tree_vertices(build_tree(d)):
+                    assert type(node.min_system) is frozenset
+                    for c in children(d, node):
+                        assert type(c.min_system) is frozenset
+
     def test_generated_anchor(self):
         root = build_tree(GENERATED_FIXTURE)
         (node,) = [n for n in tree_vertices(root) if n.sg == sg(4, 7, 9, 10)]

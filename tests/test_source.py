@@ -80,3 +80,27 @@ def test_cli_import_loads_no_heavy_modules():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "\n"
+
+
+def _called_names(func):
+    """Names of the functions that the body of func calls, bare or dotted."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                yield f.id
+            elif isinstance(f, ast.Attribute):
+                yield f.attr
+
+
+def test_walk_path_makes_no_rechecks():
+    # the walk removes elements of a member's own system from members it
+    # built itself, so the checked forms for outside input stay off its path
+    checked = {"remove_element", "minimal_rsystem", "is_member"}
+    walk = {"_walk", "_level_pairs", "_expansion", "children"}
+    tree = ast.parse((SRC / "engine.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert walk <= set(funcs)
+    found = sorted("%s calls %s" % (name, called) for name in walk
+                   for called in _called_names(funcs[name]) if called in checked)
+    assert found == []
