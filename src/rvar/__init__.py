@@ -22,8 +22,7 @@ from .chains import (
     rrange,
 )
 from .closures import (
-    LD, PL, KINDS, NotCofinite, variety_closure, restricted_closure,
-    minimal_vsystem,
+    LD, PL, KINDS, variety_closure, restricted_closure, minimal_vsystem,
 )
 from .engine import (
     DEFAULT_GENUS_BOUND, InfiniteVariety, RTreeNode, member, build_tree,

@@ -7,9 +7,9 @@ integers has a smallest family member containing it: its closure.
 """
 
 from .core import (
-    NumSG, DomainError, EmptyGenerators, InvalidGenerator, CapacityExceeded,
-    InvariantError, NotClosed, NotContained, MAX_SIEVE, NATURALS, _below,
-    _bits, _canon, contains, elements, format_semigroup, intersect, msg,
+    NumSG, DomainError, CapacityExceeded, NotClosed, NotContained, _below,
+    _bits, _canon, _valid_generators, contains, elements, format_semigroup,
+    intersect, multiplicity,
 )
 
 LD = "ld"
@@ -17,9 +17,9 @@ PL = "pl"
 KINDS = (LD, PL)
 _OFFSETS = {LD: -1, PL: 1}
 
-
-class NotCofinite(DomainError):
-    """The closure never settles into a full tail of integers."""
+# A sweep over n entries costs about n**2 / 64 word operations, so wider
+# windows are refused: ("pl", [256]) needs 130,560 entries, ("pl", [257]) 131,584.
+MAX_WINDOW = 1 << 17
 
 
 def _offset(kind):
@@ -30,69 +30,58 @@ def _offset(kind):
                           % (kind, "/".join(KINDS))) from None
 
 
+def _window(top):
+    if top > MAX_WINDOW:
+        raise CapacityExceeded("closure window of %d entries exceeds %d"
+                               % (top, MAX_WINDOW))
+    return top
+
+
+def _sweep(off, seeds, top):
+    """Nonzero members below top, and the needed ones, of the closure of seeds.
+
+    seeds increase, and the closure holds every integer from top up.  x is a
+    member when it is a seed or its sums bit is set, and needed when that bit
+    is clear; sums with x as the larger summand exceed x, so taking x least
+    first is exact.  After a run of g = seeds[0] members every integer is g
+    plus a member, so the sweep stops there.
+    """
+    g, seed = seeds[0], set(seeds)
+    members = sums = run = 0
+    needed = []
+    for x in range(g, top):
+        if not sums >> x & 1:
+            if x not in seed:
+                run = 0
+                continue
+            needed.append(x)
+        run += 1
+        members |= 1 << x
+        if run == g:
+            return members | ((1 << top) - (2 << x)), needed
+        sums |= members << x | members << (x + off)
+    return members, needed
+
+
 def variety_closure(kind, gens) -> NumSG:
     """Smallest semigroup of the given kind containing gens.
 
-    Saturates membership over a window [0, B]: any element is derivable
-    from strictly smaller ones, so one increasing sweep per window is
-    exact.  The window doubles until the closure shows a tail that is
-    certified complete (conductor c with 2c <= B).
+    The closure contains g = min(gens) and g + g + offset, so its conductor
+    is at most that of <g, 2g + offset>, (g - 1)(2g + offset - 1)
+    (Sylvester): one sweep below it is exact.  g = 1 gives 0 and N.
     """
     off = _offset(kind)
-    gens = list(gens)
-    if not gens:
-        raise EmptyGenerators("no generators given")
-    for g in gens:
-        if not isinstance(g, int) or g < 1:
-            raise InvalidGenerator("generator %r is not a positive integer" % (g,))
-    gens = sorted(set(gens))
-    if gens[0] == 1:
-        return NATURALS
-    bound = 2 * gens[-1] ** 2
-    for _ in range(4):
-        if bound > MAX_SIEVE:
-            raise CapacityExceeded("closure window for {%s} exceeds %d entries"
-                                   % (",".join(map(str, gens)), MAX_SIEVE))
-        present = bytearray(bound + 1)
-        present[0] = 1
-        seed = set(gens)
-        nonzero = []
-        for y in range(1, bound + 1):
-            ok = y in seed
-            if not ok:
-                for a in nonzero:
-                    b = y - a
-                    if b >= 1 and present[b]:
-                        ok = True
-                        break
-                    b = y - a - off
-                    # b == y is the useless self-derivation; present[y] is
-                    # still 0 here so the test rejects it on its own
-                    if b >= 1 and present[b]:
-                        ok = True
-                        break
-            if ok:
-                present[y] = 1
-                nonzero.append(y)
-        c = bound + 1
-        while c > 0 and present[c - 1]:
-            c -= 1
-        if 2 * c <= bound:
-            out = _canon(sum(1 << i for i in range(c) if present[i]), c)
-            _assert_kind_closed(kind, out)
-            return out
-        bound *= 2
-    raise NotCofinite("closure of {%s} under %s shows no stable tail"
-                      % (",".join(map(str, gens)), kind))
+    gens = _valid_generators(gens)
+    top = _window((gens[0] - 1) * (2 * gens[0] + off - 1))
+    return _canon(_sweep(off, gens, top)[0] | 1, top)
 
 
-def _kind_defect(kind, s: NumSG):
-    """A nonzero pair (a, b) of members with a + b + offset outside s, if any.
+def _kind_defect(off, s: NumSG):
+    """A nonzero pair (a, b) of members with a + b + off outside s, if any.
 
     Pairs of small elements suffice: any sum involving the tail lands at or
     past the conductor.
     """
-    off = _offset(kind)
     gaps = s.gaps
     nonzero = s.mask & ~1
     for a in elements(s, s.conductor):
@@ -102,13 +91,6 @@ def _kind_defect(kind, s: NumSG):
             if hit:
                 return (a, (hit & -hit).bit_length() - 1 - a - off)
     return None
-
-
-def _assert_kind_closed(kind, s: NumSG):
-    bad = _kind_defect(kind, s)
-    if bad is not None:
-        raise InvariantError("closure %s escapes its own kind at %s"
-                             % (format_semigroup(s), bad))
 
 
 def restricted_closure(kind, a, t: NumSG) -> NumSG:
@@ -129,21 +111,14 @@ def minimal_vsystem(kind, m: NumSG) -> frozenset:
     m must be closed under the kind.  Then the closure of the nonzero
     members of m below x agrees with m below x, so a member x is needed
     exactly when it is neither a + b nor a + b + offset for nonzero members
-    a, b < x.  Members past max(msg(m)) are sums of two nonzero members, so
-    the candidates stop there; they are taken least first, as in msg.
+    a, b < x: the needed values of a sweep over the members of m.  Past
+    conductor + multiplicity every member is a sum, as in msg.
     """
-    bad = _kind_defect(kind, m)
     off = _offset(kind)
+    top = _window(m.conductor + multiplicity(m) + 1)
+    bad = _kind_defect(off, m)
     if bad is not None:
         raise NotClosed("%d + %d %s 1 = %d escapes %s"
                         % (bad[0], bad[1], "-" if off < 0 else "+",
                            bad[0] + bad[1] + off, format_semigroup(m)))
-    nonzero = _below(m, max(msg(m)) + 1) & ~1
-    out, sums = [], 0
-    for x in _bits(nonzero):
-        if not sums >> x & 1:
-            out.append(x)
-        # sums with x as the larger summand; the next candidates exceed x
-        upto = nonzero & ((2 << x) - 1)
-        sums |= upto << x | upto << (x + off)
-    return frozenset(out)
+    return frozenset(_sweep(off, _bits(_below(m, top) & ~1), top)[1])

@@ -138,16 +138,21 @@ def _canon(mask, top) -> NumSG:
     return NumSG(mask & ((1 << c) - 1), c)
 
 
-def from_generators(gens) -> NumSG:
-    """Canonical numerical semigroup generated by gens; requires gcd 1."""
+def _valid_generators(gens) -> list:
+    """gens, nonempty positive ints, as an increasing list without repeats."""
     gens = list(gens)
     if not gens:
         raise EmptyGenerators("no generators given")
     for g in gens:
         if not isinstance(g, int) or g < 1:
             raise InvalidGenerator("generator %r is not a positive integer" % (g,))
-    gens = sorted(set(gens))
-    if 1 in gens:
+    return sorted(set(gens))
+
+
+def from_generators(gens) -> NumSG:
+    """Canonical numerical semigroup generated by gens; requires gcd 1."""
+    gens = _valid_generators(gens)
+    if gens[0] == 1:
         return NATURALS
     d = reduce(gcd, gens)
     if d != 1:

@@ -8,12 +8,19 @@ the structural algorithms.  No hot path calls into this module.
 from itertools import combinations
 
 from .core import (
-    NumSG, DomainError, InvariantError, NATURALS, NotContained, contains,
-    format_semigroup, genus, intersect, intersect_all, is_subset, msg,
-    remove_element, restricted_frobenius, union_with_tail,
+    NumSG, DomainError, InvariantError, NATURALS, NotContained, _below,
+    _canon, contains, format_semigroup, genus, intersect, intersect_all,
+    is_subset, msg, restricted_frobenius, union_with_tail,
 )
 from .chains import NoContainingElement, NotInVariety, chain_family
 from .descriptors import Interval, Restricted, Generated
+
+
+def _without(s: NumSG, x) -> NumSG:
+    """s without its minimal generator x, by plain mask arithmetic, so no
+    check shares the msg that core's removal may derive for the child."""
+    top = max(s.conductor, x + 1)
+    return _canon(_below(s, top) & ~(1 << x), top)
 
 
 def enumerate_between(lo, hi: NumSG, genus_bound=None):
@@ -49,7 +56,7 @@ def enumerate_between(lo, hi: NumSG, genus_bound=None):
         for x in msg(s):
             if required(x):
                 continue
-            child = remove_element(s, x)
+            child = _without(s, x)
             if child not in seen:
                 seen.add(child)
                 stack.append(child)
@@ -100,7 +107,7 @@ def random_semigroup(rng, genus_max=10) -> NumSG:
     """Random semigroup grown by removing random generators from N."""
     s = NATURALS
     for _ in range(rng.randint(0, genus_max)):
-        s = remove_element(s, rng.choice(msg(s)))
+        s = _without(s, rng.choice(msg(s)))
     return s
 
 
@@ -108,7 +115,7 @@ def random_subsemigroup(rng, t: NumSG, steps) -> NumSG:
     """Random semigroup inside t, reached in the given number of removals."""
     s = t
     for _ in range(steps):
-        s = remove_element(s, rng.choice(msg(s)))
+        s = _without(s, rng.choice(msg(s)))
     return s
 
 

@@ -339,6 +339,13 @@ class TestClosure:
         assert rc == 1
         assert "either generator list or --vsystem" in err
 
+    def test_window_follows_the_least_generator(self, capsys):
+        rc, out, _ = run(capsys, "closure", "--kind", "ld", "5,2000")
+        assert (rc, out) == (0, "<5,9,13,17,21>\n")
+        rc, out, err = run(capsys, "closure", "--kind", "pl", "300")
+        assert (rc, out) == (2, "")
+        assert "closure window of 179400 entries exceeds 131072" in err
+
     def test_unclosed_vsystem_is_a_domain_error(self, capsys):
         rc, _, err = run(capsys, "closure", "--kind", "ld",
                          "--vsystem", "<5,7,9>")

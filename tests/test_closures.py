@@ -3,9 +3,9 @@
 import pytest
 
 from rvar import (
-    LD, PL, NATURALS, DomainError, EmptyGenerators, InvalidGenerator,
-    NotClosed, NotContained, contains, frobenius, minimal_vsystem, msg,
-    restricted_closure, variety_closure,
+    LD, PL, NATURALS, CapacityExceeded, DomainError, EmptyGenerators,
+    InvalidGenerator, NotClosed, NotContained, closures, contains, frobenius,
+    minimal_vsystem, msg, restricted_closure, variety_closure,
 )
 from support import sg
 
@@ -45,14 +45,45 @@ class TestVarietyClosure:
         assert not contains(closed, 80)
         assert frobenius(closed) == 80
 
+    def test_generators_past_the_window_are_redundant(self):
+        # the window is set by the least generator: 2000 lies in the tail of
+        # the closure of {5}, so it needs no window of its own
+        assert variety_closure(LD, [5, 2000]) == sg(5, 9, 13, 17, 21)
+        assert variety_closure(PL, [4, 10 ** 30]) == variety_closure(PL, [4])
+
+    def test_least_generator_sets_the_window(self, monkeypatch):
+        # pl's window for g is (g - 1) * 2g: 130,560 entries for 256 fits in
+        # MAX_WINDOW, 131,584 for 257 does not, and is refused before any sweep
+        tops = []
+
+        def sweep(off, seeds, top):
+            tops.append(top)
+            return 0, []
+
+        monkeypatch.setattr(closures, "_sweep", sweep)
+        variety_closure(PL, [256, 300])
+        variety_closure(LD, [257])
+        assert tops == [130560, closures.MAX_WINDOW]
+        with pytest.raises(CapacityExceeded,
+                           match="^closure window of 131584 entries exceeds 131072$"):
+            variety_closure(PL, [257])
+        # the window check also comes before minimal_vsystem's closedness check
+        with pytest.raises(CapacityExceeded,
+                           match="^closure window of 131075 entries exceeds 131072$"):
+            minimal_vsystem(PL, sg(2, 131073))
+        assert tops == [130560, closures.MAX_WINDOW]
+
     def test_errors(self):
-        with pytest.raises(EmptyGenerators):
+        # the same checks and messages as from_generators
+        with pytest.raises(EmptyGenerators, match="^no generators given$"):
             variety_closure(LD, [])
-        with pytest.raises(InvalidGenerator):
+        with pytest.raises(InvalidGenerator,
+                           match="^generator 0 is not a positive integer$"):
             variety_closure(LD, [0])
         with pytest.raises(InvalidGenerator):
             variety_closure(PL, [-2, 5])
-        with pytest.raises(InvalidGenerator):
+        with pytest.raises(InvalidGenerator,
+                           match="^generator '7' is not a positive integer$"):
             variety_closure(PL, [5, "7"])
         with pytest.raises(DomainError):
             variety_closure("qq", [5])

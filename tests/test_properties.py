@@ -233,7 +233,35 @@ class TestRMonoidLaws:
         assert is_member(desc, s) == expected
 
 
+def naive_closure(off, gens, window):
+    """Nonzero members below window of the closure of gens, by fixpoint.
+
+    Every a + b and a + b + off exceeds a and b, so the members below the
+    window depend only on members below it.
+    """
+    got = {g for g in gens if g < window}
+    while True:
+        new = {s for a in got for b in got if a <= b
+               for s in (a + b, a + b + off) if s < window} - got
+        if not new:
+            return got
+        got |= new
+
+
 class TestClosureLaws:
+    @given(KIND, st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    def test_closure_is_the_least_closed_set(self, kind, gens):
+        # closures of generators up to 12 settle below 264, so the
+        # reference's window shows a run of min(gens) members at its top
+        window = 300
+        off = -1 if kind == LD else 1
+        ref = naive_closure(off, gens, window)
+        assert set(range(window - min(gens), window)) <= ref
+        v = variety_closure(kind, gens)
+        assert v.conductor <= window
+        assert set(elements(v, window - 1)) == ref | {0}
+        assert variety_closure(kind, minimal_vsystem(kind, v)) == v
+
     @given(KIND, st.lists(st.integers(2, 15), min_size=1, max_size=3))
     def test_extensive_and_idempotent(self, kind, gens):
         v = variety_closure(kind, gens)

@@ -104,3 +104,17 @@ def test_walk_path_makes_no_rechecks():
     found = sorted("%s calls %s" % (name, called) for name in walk
                    for called in _called_names(funcs[name]) if called in checked)
     assert found == []
+
+
+def test_oracle_removes_elements_by_its_own_arithmetic():
+    # core's removal may take a child's msg from its parent's; the oracle
+    # builds children as plain masks, so `rvar verify` does not check that
+    # derivation against itself
+    shared = {"remove_element", "_drop"}
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert {"enumerate_between", "random_semigroup", "random_subsemigroup"} <= {
+        f.name for f in funcs}
+    found = sorted("%s calls %s" % (f.name, called) for f in funcs
+                   for called in _called_names(f) if called in shared)
+    assert found == []
