@@ -36,9 +36,8 @@ __version__ = "0.1.0"
 # importing the package, or the CLI, does not load them.
 _ORACLE_NAMES = frozenset({
     "oracle", "enumerate_between", "smallest_containing", "oracle_members",
-    "oracle_check_rvariety_axioms", "minimal_system_from_members",
-    "random_semigroup", "random_subsemigroup", "random_interval",
-    "random_restricted",
+    "minimal_system_from_members", "random_semigroup", "random_subsemigroup",
+    "random_interval", "random_restricted",
 })
 
 

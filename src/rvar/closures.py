@@ -77,7 +77,8 @@ def variety_closure(kind, gens) -> NumSG:
 
 
 def _kind_defect(off, s: NumSG):
-    """A nonzero pair (a, b) of members with a + b + off outside s, if any.
+    """A nonzero pair (a, b) of members with a + b + off outside s, for an
+    s that is not closed under the kind; it words the NotClosed error.
 
     Pairs of small elements suffice: any sum involving the tail lands at or
     past the conductor.
@@ -90,7 +91,6 @@ def _kind_defect(off, s: NumSG):
             hit = ((nonzero & ((2 << a) - 1)) << (a + off)) & gaps
             if hit:
                 return (a, (hit & -hit).bit_length() - 1 - a - off)
-    return None
 
 
 def restricted_closure(kind, a, t: NumSG) -> NumSG:
@@ -108,17 +108,20 @@ def restricted_closure(kind, a, t: NumSG) -> NumSG:
 def minimal_vsystem(kind, m: NumSG) -> frozenset:
     """Least set of positive integers whose closure of the kind is m.
 
-    m must be closed under the kind.  Then the closure of the nonzero
-    members of m below x agrees with m below x, so a member x is needed
-    exactly when it is neither a + b nor a + b + offset for nonzero members
-    a, b < x: the needed values of a sweep over the members of m.  Past
-    conductor + multiplicity every member is a sum, as in msg.
+    The sweep over the nonzero members of m below the window derives the
+    closure of them, which is m exactly when m is closed; _kind_defect then
+    only words the error.  For a closed m a member x is needed exactly when
+    it is neither a + b nor a + b + offset for nonzero members a, b < x:
+    the needed values of the sweep.  Past conductor + multiplicity every
+    member is a sum, as in msg.
     """
     off = _offset(kind)
     top = _window(m.conductor + multiplicity(m) + 1)
-    bad = _kind_defect(off, m)
-    if bad is not None:
+    nonzero = _below(m, top) & ~1
+    members, needed = _sweep(off, _bits(nonzero), top)
+    if members != nonzero:
+        a, b = _kind_defect(off, m)
         raise NotClosed("%d + %d %s 1 = %d escapes %s"
-                        % (bad[0], bad[1], "-" if off < 0 else "+",
-                           bad[0] + bad[1] + off, format_semigroup(m)))
-    return frozenset(_sweep(off, _bits(_below(m, top) & ~1), top)[1])
+                        % (a, b, "-" if off < 0 else "+", a + b + off,
+                           format_semigroup(m)))
+    return frozenset(needed)

@@ -7,10 +7,12 @@ elements of its minimal system that exceed that number, which is what makes
 genus-by-genus enumeration possible without revisiting vertices.
 """
 
+from itertools import combinations
+
 from . import chains
 from .core import (
     NumSG, DomainError, InvariantError, NATURALS, _below, _canon, contains,
-    _drop, format_semigroup, frobenius, genus, is_subset,
+    _drop, format_semigroup, frobenius, genus, intersect, is_subset,
     restricted_frobenius, union_with_tail,
 )
 from .descriptors import Descendants, _Record, delta_of
@@ -150,7 +152,8 @@ def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     base maximum Δ.  Each descendant of T is T with elements above F
     removed, so it keeps T ∩ [0, F]: in the view those elements are forced,
     like the forced set of a restricted family, and only the base system
-    elements above F are left to generate S.
+    elements above F are left to generate S.  Children come in increasing
+    restricted Frobenius number, the order in which the walk adds them.
     """
     rows, complete = _walk(desc, genus_bound)
     cut = _base_fdelta(desc, delta_of(desc))
@@ -159,8 +162,6 @@ def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     for i, (_, parent, _, _) in enumerate(rows):
         if parent >= 0:
             nodes[parent].children.append(nodes[i])
-    for n in nodes:
-        n.children.sort(key=lambda c: c.restricted_frob)
     return nodes[0], complete
 
 
@@ -242,16 +243,16 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     """(image, complete): {S ∩ u | S a member with genus(S) <= bound},
     deduplicated, and whether the member walk was complete.
 
-    A complete image is checked against the three family axioms; a
-    truncated one skips the check, since boundary members are missing.
+    A complete image is a family again, so it is not re-checked.  Its
+    maximum is Δ ∩ u, and (S₁ ∩ u) ∩ (S₂ ∩ u) = (S₁ ∩ S₂) ∩ u.  For
+    F = max((Δ ∩ u) ∖ S), adjoining restricted Frobenius numbers walks down
+    Δ ∖ S, and every value above F is outside u, so the chain reaches a
+    member S′ with S′ ∩ u = S ∩ u; then (S′ ∪ {F}) ∩ u = (S ∩ u) ∪ {F}.
     """
     mem, complete = members_of(desc, genus_bound)
     w = max(u.conductor, *(s.conductor for s in mem))
     um = _below(u, w)
-    image = {_canon(m, w) for m in {_below(s, w) & um for s in mem}}
-    if complete:
-        check_rvariety_axioms(image)
-    return image, complete
+    return {_canon(m, w) for m in {_below(s, w) & um for s in mem}}, complete
 
 
 def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:
@@ -260,37 +261,26 @@ def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:
 
 
 def check_rvariety_axioms(members):
-    """Check the three family axioms on an explicit finite member set.
+    """The three family axioms on an explicit finite member set, one NumSG
+    operation per member or pair.
 
-    The axioms are tested on masks below one window W, the largest
-    conductor: every member, and every intersection or adjunction of
-    members, contains [W, ∞), so two of them are equal exactly when their
-    masks below W are.  A NumSG is built only to word a failure.
-    Members are visited in the order of list(set(members)), and a failure
-    names the same member or pair as oracle.oracle_check_rvariety_axioms,
-    the pairwise reference the tests compare against.
+    No computation calls it: the tests check walks, views and restriction
+    images with it.  Members are visited in the order of set(members).
     """
-    order = list(set(members))
-    if not order:
+    members = set(members)
+    if not members:
         raise InvariantError("empty family")
-    w = max(s.conductor for s in order)
-    masks = [_below(s, w) for s in order]
-    known = set(masks)
-    # a maximum contains every other member, so it alone has the least
-    # genus: the most members below W
-    t = max(masks, key=int.bit_count)
-    if any(m & ~t for m in masks):
+    # a maximum contains every other member, so it alone has the least genus
+    top = min(members, key=genus)
+    if not all(is_subset(s, top) for s in members):
         raise InvariantError("no maximum element")
-    for i, a in enumerate(masks):
-        if not known.issuperset(map(a.__and__, masks[i + 1:])):
-            j = next(j for j in range(i + 1, len(masks))
-                     if a & masks[j] not in known)
+    for a, b in combinations(members, 2):
+        if intersect(a, b) not in members:
             raise InvariantError("intersection escapes: %s ∩ %s"
-                                 % (format_semigroup(order[i]),
-                                    format_semigroup(order[j])))
-    for s, m in zip(order, masks):
-        if m != t:
-            f = (t & ~m).bit_length() - 1
-            if m | (t >> f << f) not in known:
+                                 % (format_semigroup(a), format_semigroup(b)))
+    for s in members:
+        if s != top:
+            f = restricted_frobenius(s, top)
+            if union_with_tail(s, top, f) not in members:
                 raise InvariantError("adjoining %d to %s escapes"
                                      % (f, format_semigroup(s)))

@@ -5,12 +5,9 @@ removals and plain set intersections.  Tests compare these answers against
 the structural algorithms.  No hot path calls into this module.
 """
 
-from itertools import combinations
-
 from .core import (
-    NumSG, DomainError, InvariantError, NATURALS, NotContained, _below,
-    _canon, contains, format_semigroup, genus, intersect, intersect_all,
-    is_subset, msg, restricted_frobenius, union_with_tail,
+    NumSG, DomainError, NATURALS, NotContained, _below, _canon, contains,
+    format_semigroup, genus, intersect, intersect_all, is_subset, msg,
 )
 from .chains import NoContainingElement, NotInVariety, chain_family
 from .descriptors import Interval, Restricted, Generated
@@ -152,27 +149,3 @@ def oracle_members(desc, genus_bound):
             family = grown
     raise TypeError("no oracle for %r" % (desc,))
 
-
-def oracle_check_rvariety_axioms(members):
-    """The three family axioms, one NumSG operation per member or pair.
-
-    Reference for engine.check_rvariety_axioms: both raise InvariantError
-    with the same message on the same family, or both pass.
-    """
-    members = set(members)
-    if not members:
-        raise InvariantError("empty family")
-    # a maximum contains every other member, so it alone has the least genus
-    top = min(members, key=genus)
-    if not all(is_subset(s, top) for s in members):
-        raise InvariantError("no maximum element")
-    for a, b in combinations(members, 2):
-        if intersect(a, b) not in members:
-            raise InvariantError("intersection escapes: %s ∩ %s"
-                                 % (format_semigroup(a), format_semigroup(b)))
-    for s in members:
-        if s != top:
-            f = restricted_frobenius(s, top)
-            if union_with_tail(s, top, f) not in members:
-                raise InvariantError("adjoining %d to %s escapes"
-                                     % (f, format_semigroup(s)))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from rvar import InvariantError, cli, engine
+from rvar import InvariantError, cli
 
 INTERVAL = "<5,6>:<5,6,7>"
 GENERATED = "<5,7,9,11,13>;<4,10,11,13>:<4,5,7>"
@@ -487,9 +487,9 @@ class TestErrorPaths:
         assert "in itself" in err
 
     def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
-        def broken(members):
+        def broken(desc, u, genus_bound):
             raise InvariantError("no maximum element")
-        monkeypatch.setattr(engine, "check_rvariety_axioms", broken)
+        monkeypatch.setattr(cli, "restriction_of", broken)
         rc, out, err = run(capsys, "restrict", "--interval", INTERVAL, "--by", "<5,6,7>")
         assert rc == 3
         assert out == ""

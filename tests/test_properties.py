@@ -20,17 +20,17 @@ settings.register_profile("rvar", deadline=None)
 settings.load_profile("rvar")
 
 from rvar import (
-    LD, PL, EmptyGenerators, GcdNotOne, Generated, Interval, InvariantError,
-    NATURALS, NumSG, Restricted, add_element, build_tree, chain_family,
-    chain_to, check_rvariety_axioms, contains, delta_of, elements,
+    LD, PL, EmptyGenerators, GcdNotOne, Generated, Interval, NATURALS,
+    NumSG, Restricted, add_element, build_tree, chain_family, chain_to,
+    check_rvariety_axioms, contains, delta_of, descendants, elements,
     enumerate_between, format_semigroup, from_generators, frobenius, genus,
     genus_level, intersect, intersect_all, is_member, is_subset, member,
-    members_of, minimal_rsystem, minimal_vsystem, msg,
-    oracle_check_rvariety_axioms, oracle_members, parse_semigroup,
-    random_subsemigroup, remove_element, restrict_variety, restricted_closure,
-    restricted_frobenius, rmonoid_generated, tree_vertices, union_with_tail,
-    variety_closure,
+    members_of, minimal_rsystem, minimal_vsystem, msg, oracle_members,
+    parse_semigroup, random_semigroup, random_subsemigroup, remove_element,
+    restrict_variety, restricted_closure, restricted_frobenius,
+    rmonoid_generated, tree_vertices, union_with_tail, variety_closure,
 )
+from rvar.engine import restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE
 
 
@@ -72,6 +72,24 @@ def generated_descriptors(draw):
     fam = tuple(random_subsemigroup(rng, delta, rng.randint(0, 3))
                 for _ in range(count))
     return Generated(fam, delta)
+
+
+@st.composite
+def finite_families(draw):
+    """(desc, bound): an Interval, Restricted or Generated family and a genus
+    bound that its walk reaches in full."""
+    kind = draw(st.sampled_from([Interval, Restricted, Generated]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    t = random_semigroup(rng, 8)
+    lo = random_subsemigroup(rng, t, rng.randint(1, 6))
+    if kind is Interval:
+        return Interval(lo, t), genus(lo)
+    if kind is Restricted:
+        # every member contains lo, the semigroup its forced elements generate
+        return Restricted(msg(lo), t), genus(lo)
+    fam = tuple(random_subsemigroup(rng, t, rng.randint(0, 5))
+                for _ in range(rng.randint(1, 3)))
+    return Generated(fam, t), 40
 
 
 @st.composite
@@ -335,6 +353,8 @@ class TestEngineLaws:
         stack = [build_tree(desc, genus(desc.lo))]
         while stack:
             node = stack.pop()
+            frobs = [c.restricted_frob for c in node.children]
+            assert frobs == sorted(set(frobs))
             for c in node.children:
                 assert union_with_tail(c.sg, delta, c.restricted_frob) == node.sg
                 assert restricted_frobenius(c.sg, delta) == c.restricted_frob
@@ -363,6 +383,33 @@ class TestEngineLaws:
             max(restricted_frobenius(s, delta) for s in subs)
 
 
+def _descends(s, top, delta):
+    """Whether adjoining restricted Frobenius numbers in delta leads s to top."""
+    while genus(s) > genus(top):
+        s = union_with_tail(s, delta, restricted_frobenius(s, delta))
+    return s == top
+
+
+class TestRestrictionLaws:
+    # restriction_of returns its image unchecked; the proof in its
+    # docstring is held here against the oracle and the axiom check
+    @given(finite_families(), st.integers(0, 2 ** 32))
+    @settings(max_examples=100)
+    def test_complete_image_is_the_restricted_oracle_family(self, family, seed):
+        desc, bound = family
+        rng = random.Random(seed)
+        u = random_semigroup(rng, 10)
+        base = sorted(oracle_members(desc, bound), key=NumSG.sort_key)
+        top = rng.choice(base)
+        delta = delta_of(desc)
+        view = [s for s in base if _descends(s, top, delta)]
+        for d, mem in ((desc, base), (descendants(desc, top), view)):
+            image, complete = restriction_of(d, u, bound)
+            assert complete
+            assert image == {intersect(s, u) for s in mem}
+            check_rvariety_axioms(image)
+
+
 # every semigroup of genus <= 5, 27 in all
 SMALL_SEMIGROUPS = sorted(enumerate_between(frozenset(), NATURALS, 5),
                           key=NumSG.sort_key)
@@ -376,32 +423,8 @@ AXIOM_FAMILIES = [tuple(members) for _, members in FINITE_FIXTURES] + [
                     (Interval(sg(7, 8), sg(7, 8, 9, 10)), sg(5, 7, 8))]]
 
 
-@st.composite
-def thinned_families(draw):
-    """A passing family with up to two members dropped."""
-    family = draw(st.sampled_from(AXIOM_FAMILIES))
-    drop = draw(st.sets(st.sampled_from(range(len(family))), max_size=2))
-    return [s for i, s in enumerate(family) if i not in drop]
-
-
-def _verdict(check, family):
-    try:
-        check(family)
-    except InvariantError as e:
-        return str(e)
-    return None
-
-
 class TestAxiomCheckLaws:
-    @given(st.one_of(st.lists(st.sampled_from(SMALL_SEMIGROUPS), max_size=8),
-                     thinned_families()))
-    @settings(max_examples=300)
-    def test_fast_check_agrees_with_the_reference(self, family):
-        assert (_verdict(check_rvariety_axioms, family)
-                == _verdict(oracle_check_rvariety_axioms, family))
-
     def test_every_family_of_the_pool_passes(self):
         assert len(SMALL_SEMIGROUPS) == 27
         for family in AXIOM_FAMILIES:
             check_rvariety_axioms(family)
-            oracle_check_rvariety_axioms(family)

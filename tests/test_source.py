@@ -95,9 +95,11 @@ def _called_names(func):
 
 def test_walk_path_makes_no_rechecks():
     # the walk removes elements of a member's own system from members it
-    # built itself, so the checked forms for outside input stay off its path
-    checked = {"remove_element", "minimal_rsystem", "is_member"}
-    walk = {"_walk", "_level_pairs", "_expansion", "children"}
+    # built itself, so the checked forms for outside input stay off its path;
+    # a complete restriction image is a family by proof, so it is not re-checked
+    checked = {"remove_element", "minimal_rsystem", "is_member",
+               "check_rvariety_axioms"}
+    walk = {"_walk", "_level_pairs", "_expansion", "children", "restriction_of"}
     tree = ast.parse((SRC / "engine.py").read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     assert walk <= set(funcs)
