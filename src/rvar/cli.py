@@ -6,16 +6,17 @@ semigroup arithmetic, non-member arguments, undecidable-within-bound),
 Output is deterministic: members sort by (genus, small elements), JSON keys
 are sorted, trees list children by increasing removed element.
 
-Every subcommand but verify has one output path.  Its handler does the
-work and returns (items, text, record): an iterable of items and two
-functions of one item.  For --format text or dot main writes text(item),
-a string or, for a tree, an iterable of lines, so no tree is held as one
-string.  For --format structured it writes json.dumps(record(item),
-sort_keys=True), one line per item.  Only the function of the chosen
-format runs, so text output computes no field it does not print.  Lines
-go out in writes of about _CHUNK characters, not one per line: with
-unbuffered stdout each write is a system call.  verify prints its checks
-as they run and returns its exit code instead.
+Every subcommand has one output path.  Its handler does the work and
+returns (items, text, record): an iterable of items and two functions of
+one item.  For --format text or dot main writes text(item), a string or,
+for a tree, an iterable of lines, so no tree is held as one string.  For
+--format structured it writes json.dumps(record(item), sort_keys=True),
+one line per item.  Only the function of the chosen format runs, so text
+output computes no field it does not print.  Lines go out in writes of
+about _CHUNK characters, not one per line: with unbuffered stdout each
+write is a system call.  verify has only the text format: its items are
+its lines, made as its checks run, and a failed check ends them with a
+domain error.
 
 json and random are imported only where they are used, so a text request
 starts without them.
@@ -93,7 +94,7 @@ def _record(s, fdelta, **more):
 # ---------------------------------------------------------------- trees
 
 def _node_record(n):
-    return _record(n.sg, n.restricted_frob, minsys=sorted(n.min_system),
+    return _record(n.sg, n.restricted_frob, minsys=n.min_system,
                    children=[_node_record(c) for c in n.children])
 
 
@@ -103,7 +104,7 @@ def _tree_text(root, complete, bound):
     for n in tree_vertices(root):
         yield ("%s%s  [%s]  fdelta=%d"
                % ("  " * (genus(n.sg) - g0), format_semigroup(n.sg),
-                  _csv(sorted(n.min_system)), n.restricted_frob))
+                  _csv(n.min_system), n.restricted_frob))
     if not complete:
         yield "# truncated at genus %d" % bound
 
@@ -260,18 +261,19 @@ def _cmd_verify(args):
         desc = random_interval(rng) if i % 2 == 0 else random_restricted(rng)
         checks.append(("random %s #%d" % (type(desc).__name__.lower(), i),
                        desc, args.genus_bound))
-    failures = 0
-    for label, desc, bound in checks:
-        fast = set(members_of(desc, bound)[0])
-        slow = oracle_members(desc, bound)
-        print("%s %s (%d members)" % ("ok" if fast == slow else "FAIL", label,
-                                      len(slow)))
-        failures += fast != slow
-    if failures:
-        print("%d check(s) failed" % failures, file=sys.stderr)
-        return 2
-    print("all checks passed (seed=%d, count=%d)" % (args.seed, args.count))
-    return 0
+
+    def lines():
+        failures = 0
+        for label, desc, bound in checks:
+            fast = set(members_of(desc, bound)[0])
+            slow = oracle_members(desc, bound)
+            yield "%s %s (%d members)" % ("ok" if fast == slow else "FAIL", label,
+                                          len(slow))
+            failures += fast != slow
+        if failures:
+            raise DomainError("%d check(s) failed" % failures)
+        yield "all checks passed (seed=%d, count=%d)" % (args.seed, args.count)
+    return lines(), str, None
 
 
 # -------------------------------------------------------------- the parser
@@ -376,7 +378,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--genus-bound", type=int, default=12, metavar="N")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, format="text")
 
     return parser
 
@@ -405,10 +407,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        result = args.handler(args)
-        if isinstance(result, int):  # verify prints its checks as they run
-            return result
-        items, text, record = result
+        items, text, record = args.handler(args)
         if args.format == "structured":
             import json
             text = lambda item: json.dumps(record(item), sort_keys=True)

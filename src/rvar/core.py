@@ -154,32 +154,29 @@ def from_generators(gens) -> NumSG:
     gens = _valid_generators(gens)
     if gens[0] == 1:
         return NATURALS
-    d = reduce(gcd, gens)
+    # Brauer (1942): with d_i = gcd(a_1, ..., a_i) for the increasing
+    # generators, F(S) <= sum of a_(i+1) (d_i / d_(i+1) - 1), less a_1,
+    # so every integer from top on is a member
+    d, top = gens[0], 1 - gens[0]
+    for a in gens[1:]:
+        e = gcd(d, a)
+        top += a * (d // e - 1)
+        d = e
     if d != 1:
         raise GcdNotOne("gcd(%s) = %d, not 1" % (",".join(map(str, gens)), d))
-    # S contains <lo, gens[1]>, so a first window past lo * gens[1] holds a
-    # run of lo members when their gcd is 1; generators past a window only
-    # add values past it.  Schur's bound F(S) < (lo - 1)(hi - 1) makes a
-    # window past lo * hi enough, so doubling stops there.
-    lo = gens[0]
-    bound, cap = lo * gens[1] + 1, lo * gens[-1] + 1
-    while True:
-        if bound > MAX_SIEVE:
-            raise CapacityExceeded("sieve for <%s> exceeds %d entries"
-                                   % (",".join(map(str, gens)), MAX_SIEVE))
-        # bit i of reachable <=> i <= bound is a nonnegative combination of gens;
-        # closing under +g, then +2g, +4g, ... closes under every multiple of g
-        window = (1 << (bound + 1)) - 1
-        reachable = 1
-        for g in gens:
-            step = g
-            while step <= bound:
-                reachable |= (reachable << step) & window
-                step <<= 1
-        # a run of lo consecutive members proves the tail is complete
-        if bound + 1 - (~reachable & window).bit_length() >= lo:
-            return _canon(reachable, bound + 1)
-        bound = min(2 * bound, cap)
+    if top > MAX_SIEVE:
+        raise CapacityExceeded("sieve for <%s> exceeds %d entries"
+                               % (",".join(map(str, gens)), MAX_SIEVE))
+    # bit i of reachable <=> i < top is a nonnegative combination of gens;
+    # closing under +g, then +2g, +4g, ... closes under every multiple of g
+    window = (1 << top) - 1
+    reachable = 1
+    for g in gens:
+        step = g
+        while step < top:
+            reachable |= (reachable << step) & window
+            step <<= 1
+    return _canon(reachable, top)
 
 
 def contains(s: NumSG, x) -> bool:

@@ -7,6 +7,7 @@ elements of its minimal system that exceed that number, which is what makes
 genus-by-genus enumeration possible without revisiting vertices.
 """
 
+from bisect import bisect_right
 from itertools import combinations
 
 from . import chains
@@ -26,9 +27,13 @@ class InfiniteVariety(DomainError):
 
 
 class RTreeNode(_Record):
+    """A member of a family tree: sg, its restricted Frobenius number in the
+    family's maximum, its minimal system as a strictly increasing tuple, and
+    its children in increasing restricted Frobenius number."""
+
     __slots__ = ("sg", "restricted_frob", "min_system", "children")
 
-    def __init__(self, sg: NumSG, restricted_frob: int, min_system: frozenset,
+    def __init__(self, sg: NumSG, restricted_frob: int, min_system: tuple,
                  children=None):
         self.sg = sg
         self.restricted_frob = restricted_frob
@@ -66,102 +71,80 @@ def _base_fdelta(desc, s: NumSG) -> int:
     return fdelta(s, delta_of(_base_of(desc)))
 
 
-def _expansion(desc, sg: NumSG, fd: int):
-    """(system, xs): the base minimal system of the member sg, and the
-    removal candidates producing its children, increasing.
+def _above(xs, v):
+    """The elements of the increasing sequence xs that exceed v."""
+    return xs[bisect_right(xs, v):]
 
-    fd is the restricted Frobenius number of sg in the base maximum.
-    Children under a descendants view coincide with children in the base
-    tree, so the base minimal system and base restricted Frobenius drive
-    the expansion in every case.  Below the root of a walk, fd is the value
-    removed from the parent, both in a view and in its base family.
+
+def _node(base, sg: NumSG, fd: int, cut: int) -> RTreeNode:
+    """The tree node of the member sg of a family with base family base.
+
+    fd is sg's restricted Frobenius number in the family's own maximum, and
+    cut is the restricted Frobenius number of that maximum in the base
+    maximum, -1 for a base family; see tree_of for why the system is the
+    base system above cut.
     """
-    system = chains._rsystem(_base_of(desc), sg)
-    return system, [x for x in system if x > fd]
-
-
-def _system_in(base_system, cut: int) -> frozenset:
-    """The minimal system of a member with this increasing base system in a
-    family whose maximum has base restricted Frobenius number cut; see tree_of.
-
-    cut is -1 for a base family, whose systems are the base systems.
-    """
-    if cut < 0:
-        return frozenset(base_system)
-    return frozenset(x for x in base_system if x > cut)
+    return RTreeNode(sg, fd, tuple(_above(chains._rsystem(base, sg), cut)))
 
 
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
-    cut = _base_fdelta(desc, delta_of(desc))
-    out = []
-    for x in _expansion(desc, node.sg, _base_fdelta(desc, node.sg))[1]:
-        child = _drop(node.sg, x)
-        system = chains._rsystem(_base_of(desc), child)
-        out.append(RTreeNode(child, x, _system_in(system, cut)))
-    return out
+    base, cut = _base_of(desc), _base_fdelta(desc, delta_of(desc))
+    return [_node(base, _drop(node.sg, x), x, cut)
+            for x in _above(node.min_system, node.restricted_frob)]
 
 
 def _walk(desc, genus_bound):
     """Expand the tree to the bound.
 
-    Returns (rows, complete) where rows are (sg, parent_index, fd,
-    base_system) in breadth-first order and complete says no expansion was
-    cut off.  fd is the restricted Frobenius number in the family's own
-    maximum: -1 for the maximum, and for any other member the value x
-    removed from its parent, because every value the parent lacks is below x.
+    Returns (nodes, complete): one RTreeNode per member with genus <= bound,
+    in breadth-first order and linked to its children, and whether no
+    expansion was cut off.  A node's restricted Frobenius number is the one
+    in the family's own maximum: -1 for the maximum, and for any other
+    member the value x removed from its parent, because every value the
+    parent lacks is below x.  Its system holds only values above the cut,
+    and x exceeds the cut, so the children of any node come from the
+    elements of its system above its restricted Frobenius number.
     """
     top = delta_of(desc)
     if genus_bound < genus(top):
         raise DomainError("genus bound %d is below the genus %d of the maximum"
                           % (genus_bound, genus(top)))
-    # the maximum of a view has a base fd of its own; below it fd is x
-    root_fd = _base_fdelta(desc, top)
-    rows = []
+    base, cut = _base_of(desc), _base_fdelta(desc, top)
+    nodes = [_node(base, top, -1, cut)]
     complete = True
-    frontier = [(top, -1, -1)]
-    while frontier:
-        nxt = []
-        for sg, parent, fd in frontier:
-            idx = len(rows)
-            system, xs = _expansion(desc, sg, fd if parent >= 0 else root_fd)
-            rows.append((sg, parent, fd, system))
-            if not xs:
-                continue
-            if genus(sg) >= genus_bound:
-                complete = False
-                continue
-            nxt.extend((_drop(sg, x), idx, x) for x in xs)
-        frontier = nxt
-    return rows, complete
+    for n in nodes:  # nodes grows as it is read: a breadth-first queue
+        xs = _above(n.min_system, n.restricted_frob)
+        if not xs:
+            continue
+        if genus(n.sg) >= genus_bound:
+            complete = False
+            continue
+        n.children = [_node(base, _drop(n.sg, x), x, cut) for x in xs]
+        nodes += n.children
+    return nodes, complete
 
 
 def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     """All members with genus <= bound, plus a flag telling whether that is all of them."""
-    rows, complete = _walk(desc, genus_bound)
-    return [r[0] for r in rows], complete
+    nodes, complete = _walk(desc, genus_bound)
+    return [n.sg for n in nodes], complete
 
 
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     """(root, complete): the family tree rooted at the maximum, cut at the genus bound.
 
-    Every node carries its exact minimal system, also when the walk is cut
-    off.  Under a descendants view of top T the restricted Frobenius is
-    taken in T, and the system of a member S is
-    {x in the base system of S : x > F}, where F = fdelta(T, Δ) for the
+    Every node carries its exact minimal system, as a strictly increasing
+    tuple, also when the walk is cut off.  Under a descendants view of top
+    T the restricted Frobenius is taken in T, and the system of a member S
+    is {x in the base system of S : x > F}, where F = fdelta(T, Δ) for the
     base maximum Δ.  Each descendant of T is T with elements above F
     removed, so it keeps T ∩ [0, F]: in the view those elements are forced,
     like the forced set of a restricted family, and only the base system
     elements above F are left to generate S.  Children come in increasing
     restricted Frobenius number, the order in which the walk adds them.
     """
-    rows, complete = _walk(desc, genus_bound)
-    cut = _base_fdelta(desc, delta_of(desc))
-    nodes = [RTreeNode(sg, fd, _system_in(system, cut))
-             for sg, _, fd, system in rows]
-    for i, (_, parent, _, _) in enumerate(rows):
-        if parent >= 0:
-            nodes[parent].children.append(nodes[i])
+    nodes, complete = _walk(desc, genus_bound)
     return nodes[0], complete
 
 
@@ -193,15 +176,18 @@ def _level_pairs(desc, g: int) -> list:
     expanded through its minimal-system elements above its restricted
     Frobenius number, and iteration stops early once a level comes up empty.
     Tree children of distinct parents are distinct, so no member repeats.
+    Unlike _walk, it holds one level at a time and computes no system for
+    the last level.
     """
     top = delta_of(desc)
     g0 = genus(top)
     if g < g0:
         return []
+    base = _base_of(desc)
     level = [(top, _base_fdelta(desc, top))]
     for _ in range(g0, g):
         level = [(_drop(sg, x), x) for sg, fd in level
-                 for x in _expansion(desc, sg, fd)[1]]
+                 for x in _above(chains._rsystem(base, sg), fd)]
         if not level:
             return []
     return level
@@ -217,9 +203,9 @@ def is_pseudo_variety(desc, genus_bound=DEFAULT_GENUS_BOUND) -> bool:
     top = delta_of(desc)
     if top == NATURALS:
         return True
-    rows, complete = _walk(desc, genus_bound)
-    for sg, _, _, _ in rows[1:]:
-        if not contains(top, frobenius(sg)):
+    nodes, complete = _walk(desc, genus_bound)
+    for n in nodes[1:]:
+        if not contains(top, frobenius(n.sg)):
             return False
     if not complete:
         raise InfiniteVariety("no counterexample up to genus %d, but members remain"

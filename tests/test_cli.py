@@ -395,6 +395,15 @@ class TestVerify:
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1] == "all checks passed (seed=0, count=4)"
 
+    def test_a_failed_check_is_a_domain_error(self, capsys, monkeypatch):
+        import rvar.oracle
+        monkeypatch.setattr(rvar.oracle, "oracle_members", lambda desc, bound: set())
+        rc, out, err = run(capsys, "verify", "--count", "0")
+        assert rc == 2
+        assert out.splitlines()[0] == "FAIL interval fixture (0 members)"
+        assert len(out.splitlines()) == 3
+        assert err == "rvar: error: 3 check(s) failed\n"
+
 
 # one small valid input per subcommand with a structured form
 SAMPLES = {

@@ -52,9 +52,15 @@ class TestConstruction:
         assert msg(from_generators([3, 5, 4000000])) == (3, 5)
 
     def test_windows_grow_no_further_than_the_largest_generator_needs(self):
-        # gcd(1000, 2000) != 1, so the first window is too small; doubling
-        # it would pass the sieve limit, the least and largest pair's does not
+        # gcd(1000, 2000) != 1, so 3001 sets the window: Brauer's bound is
+        # 3001 * 999 - 1000, below the sieve limit
         assert from_generators([1000, 2000, 3001]) == from_generators([1000, 3001])
+
+    def test_window_is_brauers_bound_when_the_least_pair_shares_a_factor(self):
+        # gcd(2000, 2002) = 2, so 2003 decides the bound: 1,999,998 + 2003 - 2000
+        s = from_generators([2000, 2002, 2003])
+        assert msg(s) == (2000, 2002, 2003)
+        assert frobenius(s) == 1_334_001
 
     def test_huge_generators_still_exceed_the_sieve(self):
         with pytest.raises(CapacityExceeded,

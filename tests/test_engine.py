@@ -14,7 +14,7 @@ from rvar import (
     minimal_system_from_members, msg, remove_element, restrict_variety,
     tree_of, tree_vertices, union_with_tail,
 )
-from rvar.engine import _level_pairs, fdelta
+from rvar.engine import RTreeNode, _level_pairs, _walk, fdelta
 from support import (
     sg, DELTA_567, FINITE_FIXTURES, GENERATED_FIXTURE, GENERATED_MEMBERS,
     INTERVAL_FIXTURE, INTERVAL_MEMBERS, PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
@@ -52,11 +52,11 @@ class TestBuildTree:
         root = build_tree(INTERVAL_FIXTURE)
         assert root.sg == DELTA_567
         assert root.restricted_frob == -1
-        assert root.min_system == frozenset({7})
+        assert root.min_system == (7,)
         (n7,) = root.children
         assert n7.sg == sg(5, 6, 13, 14)
         assert n7.restricted_frob == 7
-        assert n7.min_system == frozenset({13, 14})
+        assert n7.min_system == (13, 14)
         a, b = n7.children
         assert (a.sg, a.restricted_frob) == (sg(5, 6, 14), 13)
         assert (b.sg, b.restricted_frob) == (sg(5, 6, 13), 14)
@@ -65,7 +65,7 @@ class TestBuildTree:
         assert (c.sg, c.restricted_frob) == (sg(5, 6, 19), 14)
         (d,) = c.children
         assert (d.sg, d.restricted_frob) == (sg(5, 6), 19)
-        assert d.min_system == frozenset()
+        assert d.min_system == ()
         assert d.children == []
 
     def test_bound_equal_to_root_genus_gives_single_node(self):
@@ -74,6 +74,14 @@ class TestBuildTree:
         mem, complete = members_of(INTERVAL_FIXTURE, genus_bound=genus(DELTA_567))
         assert mem == [DELTA_567]
         assert not complete
+
+    def test_walk_returns_one_node_per_member(self):
+        # bench/tracer.py counts len(_walk(...)[0]) as the walk's rows
+        nodes, complete = out = _walk(Restricted(frozenset(), NATURALS), 3)
+        assert type(out) is tuple
+        assert len(nodes) == 1 + 1 + 2 + 4  # A007323 up to genus 3
+        assert all(type(n) is RTreeNode for n in nodes)
+        assert complete is False
 
     def test_bound_below_root_genus_rejected(self):
         with pytest.raises(DomainError):
@@ -134,13 +142,13 @@ class TestChildren:
                 assert got == [(c.sg, c.restricted_frob, c.min_system)
                                for c in node.children]
 
-    def test_min_systems_are_frozensets_in_base_families_and_views(self):
+    def test_min_systems_are_increasing_tuples_in_base_families_and_views(self):
         for desc, members in FINITE_FIXTURES:
             for d in [desc] + [descendants(desc, top) for top in members]:
                 for node in tree_vertices(build_tree(d)):
-                    assert type(node.min_system) is frozenset
-                    for c in children(d, node):
-                        assert type(c.min_system) is frozenset
+                    for n in [node] + children(d, node):
+                        assert type(n.min_system) is tuple
+                        assert all(a < b for a, b in zip(n.min_system, n.min_system[1:]))
 
     def test_generated_anchor(self):
         root = build_tree(GENERATED_FIXTURE)
@@ -226,7 +234,7 @@ class TestDescendants:
         root = build_tree(view)
         assert root.sg == sg(5, 6, 13, 14)
         assert root.restricted_frob == -1
-        assert root.min_system == frozenset({13, 14})
+        assert root.min_system == (13, 14)
         assert {c.sg for c in root.children} == {sg(5, 6, 14), sg(5, 6, 13)}
         fds = {n.sg: n.restricted_frob for n in tree_vertices(root)}
         assert fds[sg(5, 6, 14)] == 13
@@ -269,11 +277,11 @@ class TestDescendants:
         mem, complete = members_of(view, genus_bound=8)
         assert not complete
         got = {n.sg: n.min_system for n in tree_vertices(root)}
-        assert got == {sg(4, 6, 11, 13): frozenset({11, 13}),
-                       sg(4, 6, 13, 15): frozenset({13, 15}),
-                       sg(4, 6, 15, 17): frozenset({15, 17}),
-                       sg(4, 6, 13): frozenset({13}),
-                       sg(4, 6, 11): frozenset({11})}
+        assert got == {sg(4, 6, 11, 13): (11, 13),
+                       sg(4, 6, 13, 15): (13, 15),
+                       sg(4, 6, 15, 17): (15, 17),
+                       sg(4, 6, 13): (13,),
+                       sg(4, 6, 11): (11,)}
         assert root.restricted_frob == -1
 
     def test_view_systems_match_the_oracle(self):
@@ -282,7 +290,7 @@ class TestDescendants:
                 full = tree_vertices(build_tree(descendants(desc, top)))
                 mem = [n.sg for n in full]
                 for n in full:
-                    assert n.min_system == minimal_system_from_members(mem, n.sg)
+                    assert frozenset(n.min_system) == minimal_system_from_members(mem, n.sg)
 
     def test_cut_view_shows_the_systems_of_the_complete_walk(self):
         view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))

@@ -99,7 +99,7 @@ def test_walk_path_makes_no_rechecks():
     # a complete restriction image is a family by proof, so it is not re-checked
     checked = {"remove_element", "minimal_rsystem", "is_member",
                "check_rvariety_axioms"}
-    walk = {"_walk", "_level_pairs", "_expansion", "children", "restriction_of"}
+    walk = {"_walk", "_level_pairs", "_node", "_above", "children", "restriction_of"}
     tree = ast.parse((SRC / "engine.py").read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     assert walk <= set(funcs)
