@@ -25,9 +25,9 @@ from .closures import (
     LD, PL, KINDS, variety_closure, restricted_closure, minimal_vsystem,
 )
 from .engine import (
-    DEFAULT_GENUS_BOUND, InfiniteVariety, RTreeNode, member, build_tree,
-    tree_of, tree_vertices, members_of, genus_level, is_pseudo_variety, descendants,
-    restrict_variety, check_rvariety_axioms, children,
+    DEFAULT_GENUS_BOUND, RTreeNode, member, build_tree, tree_of, tree_vertices,
+    members_of, genus_level, is_pseudo_variety, descendants, restrict_variety,
+    children,
 )
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 _ORACLE_NAMES = frozenset({
     "oracle", "enumerate_between", "smallest_containing", "oracle_members",
     "minimal_system_from_members", "random_semigroup", "random_subsemigroup",
-    "random_interval", "random_restricted",
+    "random_interval", "random_restricted", "check_rvariety_axioms",
 })
 
 

@@ -6,13 +6,12 @@ members admits a unique minimal generating system; this module computes it
 for the three base descriptor families.
 """
 
-from functools import lru_cache
 from math import gcd
 
 from .core import (
-    NumSG, DomainError, InvariantError, NotContained, add_element, contains,
+    NumSG, DomainError, InvariantError, NotContained, _below, _bits, contains,
     format_semigroup, from_generators, intersect_all, is_subset, msg,
-    restricted_frobenius, union_with_tail,
+    union_with_tail,
 )
 from .descriptors import Interval, Restricted, Generated, _Frozen, _set, delta_of
 
@@ -47,19 +46,18 @@ class ChainRec(_Frozen):
 
 
 def chain_to(s: NumSG, t: NumSG) -> ChainRec:
-    """The chain from s up to t; single link when s == t."""
+    """The chain from s up to t; single link when s == t.
+
+    The values adjoined are the elements of t ∖ s in decreasing order, and
+    the link after adjoining f is s ∪ (t ∩ [f, ∞)): every element of t above
+    f was adjoined before it or is in s.  Such a union is closed, so no link
+    is re-checked.  t ∖ s lies below the conductor of s.
+    """
     if not is_subset(s, t):
         raise NotContained("%s is not contained in %s"
                            % (format_semigroup(s), format_semigroup(t)))
-    links = [s]
-    fills = []
-    cur = s
-    while cur != t:
-        f = restricted_frobenius(cur, t)
-        cur = add_element(cur, f)
-        links.append(cur)
-        fills.append(f)
-    return ChainRec(tuple(links), tuple(fills))
+    fills = tuple(_bits(_below(t, s.conductor) & ~s.mask)[::-1])
+    return ChainRec((s,) + tuple(union_with_tail(s, t, f) for f in fills), fills)
 
 
 def chain_family(f, delta: NumSG) -> set:
@@ -71,11 +69,6 @@ def chain_family(f, delta: NumSG) -> set:
                                % (format_semigroup(s), format_semigroup(delta)))
         out.update(chain_to(s, delta).links)
     return out
-
-
-@lru_cache(maxsize=4096)
-def _chain_members(desc: Generated) -> tuple:
-    return tuple(sorted(chain_family(desc.f, desc.delta), key=NumSG.sort_key))
 
 
 def _first_missing(m: NumSG, s: NumSG) -> int:
@@ -94,16 +87,15 @@ def is_member(desc, s: NumSG) -> bool:
     if isinstance(desc, Restricted):
         return all(contains(s, x) for x in desc.a) and is_subset(s, desc.t)
     if isinstance(desc, Generated):
-        if s == desc.delta:
-            return True
-        if not is_subset(s, desc.delta):
-            return False
-        # the intersection of all chain members containing s is the smallest
-        # member-expressible superset; s is a member iff it equals s
-        containing = [c for c in _chain_members(desc) if is_subset(s, c)]
-        if not containing:
-            return False
-        return intersect_all(containing) == s
+        # s is a member iff it is the intersection of the chain links that
+        # contain it.  The links of c's chain are c ∪ (Δ ∩ [n, ∞)), so the
+        # least one containing s starts its tail at min(s ∖ c), and Δ, the
+        # last link of every chain, stands for the family when f is empty.
+        delta = desc.delta
+        return is_subset(s, delta) and intersect_all(
+            [delta] + [c if is_subset(s, c)
+                       else union_with_tail(c, delta, _first_missing(s, c))
+                       for c in desc.f]) == s
     raise TypeError("not a base variety descriptor: %r" % (desc,))
 
 

@@ -8,22 +8,16 @@ genus-by-genus enumeration possible without revisiting vertices.
 """
 
 from bisect import bisect_right
-from itertools import combinations
 
 from . import chains
 from .core import (
-    NumSG, DomainError, InvariantError, NATURALS, _below, _canon, contains,
-    _drop, format_semigroup, frobenius, genus, intersect, is_subset,
-    restricted_frobenius, union_with_tail,
+    NumSG, DomainError, _below, _canon, _drop, format_semigroup, frobenius,
+    genus, is_subset, restricted_frobenius, union_with_tail,
 )
 from .descriptors import Descendants, _Record, delta_of
 from .chains import NotInVariety
 
 DEFAULT_GENUS_BOUND = 40
-
-
-class InfiniteVariety(DomainError):
-    """Enumeration hit the genus bound with members still unexplored."""
 
 
 class RTreeNode(_Record):
@@ -193,24 +187,23 @@ def _level_pairs(desc, g: int) -> list:
     return level
 
 
-def is_pseudo_variety(desc, genus_bound=DEFAULT_GENUS_BOUND) -> bool:
-    """Whether every member besides the maximum has its Frobenius number in the maximum.
+def is_pseudo_variety(desc) -> bool:
+    """Whether every member besides the maximum has its Frobenius number in
+    the maximum; read off the maximum's own tree node, without a walk.
 
-    A counterexample within the bound is definitive even for infinite
-    families.  A maximum of N makes the answer trivially true.  Otherwise an
-    incomplete walk raises InfiniteVariety rather than guessing.
+    For the maximum Δ with system B (the base system above the view's cut,
+    as tree_of takes it), the answer is: B is empty or min(B) > F(Δ).  A
+    member S ⊆ Δ has F(S) >= F(Δ), and every integer past F(Δ) is in Δ, so
+    a counterexample S has F(S) = F(Δ) and contains every integer past it.
+    Its chain up to Δ then adjoins only values below F(Δ), every link of it
+    is a member, and its last link below Δ is Δ ∖ {r} with
+    r = min(Δ ∖ S) < F(Δ): a tree child of Δ, so r is in B.  Conversely,
+    for r in B with r < F(Δ) the child Δ ∖ {r} has Frobenius number F(Δ),
+    outside Δ.  Δ = N has F(Δ) = -1, so the answer is True.
     """
     top = delta_of(desc)
-    if top == NATURALS:
-        return True
-    nodes, complete = _walk(desc, genus_bound)
-    for n in nodes[1:]:
-        if not contains(top, frobenius(n.sg)):
-            return False
-    if not complete:
-        raise InfiniteVariety("no counterexample up to genus %d, but members remain"
-                              % genus_bound)
-    return True
+    system = _node(_base_of(desc), top, -1, _base_fdelta(desc, top)).min_system
+    return not system or system[0] > frobenius(top)
 
 
 def descendants(desc, t: NumSG) -> Descendants:
@@ -244,29 +237,3 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
 def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:
     """The image of restriction_of(desc, u, genus_bound)."""
     return restriction_of(desc, u, genus_bound)[0]
-
-
-def check_rvariety_axioms(members):
-    """The three family axioms on an explicit finite member set, one NumSG
-    operation per member or pair.
-
-    No computation calls it: the tests check walks, views and restriction
-    images with it.  Members are visited in the order of set(members).
-    """
-    members = set(members)
-    if not members:
-        raise InvariantError("empty family")
-    # a maximum contains every other member, so it alone has the least genus
-    top = min(members, key=genus)
-    if not all(is_subset(s, top) for s in members):
-        raise InvariantError("no maximum element")
-    for a, b in combinations(members, 2):
-        if intersect(a, b) not in members:
-            raise InvariantError("intersection escapes: %s ∩ %s"
-                                 % (format_semigroup(a), format_semigroup(b)))
-    for s in members:
-        if s != top:
-            f = restricted_frobenius(s, top)
-            if union_with_tail(s, top, f) not in members:
-                raise InvariantError("adjoining %d to %s escapes"
-                                     % (f, format_semigroup(s)))

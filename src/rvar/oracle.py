@@ -1,13 +1,17 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here is deliberately naive: exhaustive descent over generator
-removals and plain set intersections.  Tests compare these answers against
-the structural algorithms.  No hot path calls into this module.
+removals, plain set intersections and a pairwise check of the family
+axioms.  Tests compare these answers against the structural algorithms.
+No hot path calls into this module.
 """
 
+from itertools import combinations
+
 from .core import (
-    NumSG, DomainError, NATURALS, NotContained, _below, _canon, contains,
-    format_semigroup, genus, intersect, intersect_all, is_subset, msg,
+    NumSG, DomainError, InvariantError, NATURALS, NotContained, _below, _canon,
+    contains, format_semigroup, genus, intersect, intersect_all, is_subset, msg,
+    restricted_frobenius, union_with_tail,
 )
 from .chains import NoContainingElement, NotInVariety, chain_family
 from .descriptors import Interval, Restricted, Generated
@@ -133,7 +137,8 @@ def oracle_members(desc, genus_bound):
     """Member set of a base family by raw enumeration, cut at the genus bound.
 
     Interval and restricted families descend from the maximum; a generated
-    family is its chain family closed under pairwise intersection.
+    family is its chain family and its maximum, closed under pairwise
+    intersection.
     """
     if isinstance(desc, Interval):
         return {s for s in enumerate_between(desc.lo, desc.hi, genus_bound)
@@ -141,7 +146,7 @@ def oracle_members(desc, genus_bound):
     if isinstance(desc, Restricted):
         return enumerate_between(desc.a, desc.t, genus_bound)
     if isinstance(desc, Generated):
-        family = chain_family(desc.f, desc.delta)
+        family = chain_family(desc.f, desc.delta) | {desc.delta}
         while True:
             grown = family | {intersect(a, b) for a in family for b in family}
             if grown == family:
@@ -149,3 +154,28 @@ def oracle_members(desc, genus_bound):
             family = grown
     raise TypeError("no oracle for %r" % (desc,))
 
+
+def check_rvariety_axioms(members):
+    """The three family axioms on an explicit finite member set, one NumSG
+    operation per member or pair.
+
+    No computation calls it: the tests check walks, views and restriction
+    images with it.  Members are visited in the order of set(members).
+    """
+    members = set(members)
+    if not members:
+        raise InvariantError("empty family")
+    # a maximum contains every other member, so it alone has the least genus
+    top = min(members, key=genus)
+    if not all(is_subset(s, top) for s in members):
+        raise InvariantError("no maximum element")
+    for a, b in combinations(members, 2):
+        if intersect(a, b) not in members:
+            raise InvariantError("intersection escapes: %s ∩ %s"
+                                 % (format_semigroup(a), format_semigroup(b)))
+    for s in members:
+        if s != top:
+            f = restricted_frobenius(s, top)
+            if union_with_tail(s, top, f) not in members:
+                raise InvariantError("adjoining %d to %s escapes"
+                                     % (f, format_semigroup(s)))

@@ -8,7 +8,7 @@ import pytest
 
 import rvar
 from rvar import (
-    NATURALS, Descendants, DomainError, InfiniteVariety, Interval, NotInVariety,
+    NATURALS, Descendants, DomainError, Interval, NotInVariety,
     Restricted, build_tree, check_rvariety_axioms, children, delta_of,
     descendants, genus, genus_level, is_pseudo_variety, member, members_of,
     minimal_system_from_members, msg, remove_element, restrict_variety,
@@ -213,12 +213,11 @@ class TestIsPseudoVariety:
     def test_naturals_top_is_trivially_pseudo(self):
         assert is_pseudo_variety(Restricted(frozenset({2}), NATURALS)) is True
 
-    def test_undecided_infinite_family(self):
-        with pytest.raises(InfiniteVariety):
-            is_pseudo_variety(Restricted(frozenset(), sg(2, 3)), genus_bound=8)
-
-    def test_infinite_variety_is_a_domain_error(self):
-        assert issubclass(InfiniteVariety, DomainError)
+    def test_infinite_family_is_decided_at_no_bound(self):
+        # every child of <2,3> drops a value past its Frobenius number 1;
+        # <3,5,7> has the child <5,6,7,8,9> of Frobenius number 4
+        assert is_pseudo_variety(Restricted(frozenset(), sg(2, 3))) is True
+        assert is_pseudo_variety(Restricted(frozenset(), sg(3, 5, 7))) is False
 
 
 class TestDescendants:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rvar import (
-    NATURALS, DomainError, Interval, NoContainingElement, NotContained,
+    NATURALS, DomainError, Generated, Interval, NoContainingElement, NotContained,
     Restricted, descendants, enumerate_between, genus, genus_level, members_of,
     oracle_members, random_interval, random_restricted, random_semigroup,
     random_subsemigroup, smallest_containing,
@@ -113,6 +113,14 @@ class TestOracleAgainstEngine:
             {s for s in GENERATED_MEMBERS if genus(s) <= 7}
         assert oracle_members(GENERATED_FIXTURE, 7) == \
             set(members_of(GENERATED_FIXTURE, 7)[0])
+
+    def test_generated_family_without_generators_is_its_maximum(self):
+        # Δ is the last link of every chain, so with no chains to take it
+        # from the oracle must still hold it
+        delta = sg(3, 8, 13)
+        desc = Generated((), delta)
+        assert oracle_members(desc, genus(delta)) == {delta}
+        assert members_of(desc, genus(delta) + 3) == ([delta], True)
 
     def test_no_oracle_for_a_view(self):
         view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))

@@ -24,7 +24,8 @@ from rvar import (
     NumSG, Restricted, add_element, build_tree, chain_family, chain_to,
     check_rvariety_axioms, contains, delta_of, descendants, elements,
     enumerate_between, format_semigroup, from_generators, frobenius, genus,
-    genus_level, intersect, intersect_all, is_member, is_subset, member,
+    genus_level, intersect, intersect_all, is_member, is_pseudo_variety,
+    is_subset, member,
     members_of, minimal_rsystem, minimal_vsystem, msg, oracle_members,
     parse_semigroup, random_semigroup, random_subsemigroup, remove_element,
     restrict_variety, restricted_closure, restricted_frobenius,
@@ -381,6 +382,36 @@ class TestEngineLaws:
         crossing = intersect_all(subs)
         assert restricted_frobenius(crossing, delta) == \
             max(restricted_frobenius(s, delta) for s in subs)
+
+
+def _pseudo_by_rule(members, top):
+    """The defining rule: every member S other than top has F(S) in top."""
+    return all(contains(top, frobenius(s)) for s in members if s != top)
+
+
+class TestPseudoVarietyLaws:
+    # is_pseudo_variety reads its answer off the maximum's tree node; the
+    # rule over walked members, which it replaces, is the reference here
+    @given(finite_families(), st.integers(0, 2 ** 32))
+    @settings(max_examples=80)
+    def test_finite_families_and_views_follow_the_rule(self, family, seed):
+        desc, bound = family
+        mem, complete = members_of(desc, bound)
+        assert complete
+        top = random.Random(seed).choice(mem)
+        view = descendants(desc, top)
+        view_mem, view_complete = members_of(view, bound)
+        assert view_complete
+        assert is_pseudo_variety(desc) == _pseudo_by_rule(mem, delta_of(desc))
+        assert is_pseudo_variety(view) == _pseudo_by_rule(view_mem, top)
+
+    @given(restricteds())
+    @settings(max_examples=60)
+    def test_infinite_families_follow_the_rule_four_genera_down(self, desc):
+        # by the proof a counterexample, when there is one, is a child of
+        # the maximum; the walk looks three genera further down
+        mem, _ = members_of(desc, genus(desc.t) + 4)
+        assert is_pseudo_variety(desc) == _pseudo_by_rule(mem, desc.t)
 
 
 def _descends(s, top, delta):

@@ -93,6 +93,12 @@ def _called_names(func):
                 yield f.attr
 
 
+def _top_functions(name):
+    """The module-level functions of the package module name, by name."""
+    tree = ast.parse((SRC / name).read_text())
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
 def test_walk_path_makes_no_rechecks():
     # the walk removes elements of a member's own system from members it
     # built itself, so the checked forms for outside input stay off its path;
@@ -100,8 +106,7 @@ def test_walk_path_makes_no_rechecks():
     checked = {"remove_element", "minimal_rsystem", "is_member",
                "check_rvariety_axioms"}
     walk = {"_walk", "_level_pairs", "_node", "_above", "children", "restriction_of"}
-    tree = ast.parse((SRC / "engine.py").read_text())
-    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    funcs = _top_functions("engine.py")
     assert walk <= set(funcs)
     found = sorted("%s calls %s" % (name, called) for name in walk
                    for called in _called_names(funcs[name]) if called in checked)
@@ -119,4 +124,43 @@ def test_oracle_removes_elements_by_its_own_arithmetic():
         f.name for f in funcs}
     found = sorted("%s calls %s" % (f.name, called) for f in funcs
                    for called in _called_names(f) if called in shared)
+    assert found == []
+
+
+def test_closed_forms_make_no_search():
+    # is_pseudo_variety reads the answer off the maximum's tree node, and
+    # chain_to writes each link as a union with a tail: neither walks the
+    # family nor re-checks a step
+    banned = {("engine.py", "is_pseudo_variety"): {"_walk", "members_of", "_level_pairs"},
+              ("chains.py", "chain_to"): {"add_element", "restricted_frobenius"}}
+    found = []
+    for (name, func), calls in sorted(banned.items()):
+        called = set(_called_names(_top_functions(name)[func]))
+        found += ["%s calls %s" % (func, c) for c in sorted(called & calls)]
+    assert found == []
+
+
+def _bound_names(node):
+    """The names that a module-level import statement binds."""
+    for alias in node.names:
+        if alias.asname:
+            yield alias.asname
+        else:
+            yield alias.name.split(".")[0]
+
+
+def test_no_unused_imports():
+    # every name a module imports at module level is used in that module;
+    # the package root imports only to re-export, so it is exempt
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {name: node.lineno for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for name in _bound_names(node)}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for name, line in sorted(imported.items()) if name not in used]
     assert found == []
