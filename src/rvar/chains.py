@@ -89,13 +89,21 @@ def is_member(desc, s: NumSG) -> bool:
     if isinstance(desc, Generated):
         # s is a member iff it is the intersection of the chain links that
         # contain it.  The links of c's chain are c ∪ (Δ ∩ [n, ∞)), so the
-        # least one containing s starts its tail at min(s ∖ c), and Δ, the
-        # last link of every chain, stands for the family when f is empty.
+        # least one containing s starts its tail at n = min(s ∖ c); with b
+        # the lowest bit of s ∖ c that tail is Δ & -b, and b = 0 when s ⊆ c
+        # leaves c itself.  Δ, the last link of every chain, stands for the
+        # family when f is empty.  No conductor exceeds top, so the masks
+        # below it decide.
         delta = desc.delta
-        return is_subset(s, delta) and intersect_all(
-            [delta] + [c if is_subset(s, c)
-                       else union_with_tail(c, delta, _first_missing(s, c))
-                       for c in desc.f]) == s
+        if not is_subset(s, delta):
+            return False
+        top = max([s.conductor] + [c.conductor for c in desc.f])
+        sm, dm = _below(s, top), _below(delta, top)
+        acc = dm
+        for c in desc.f:
+            out = sm & c.gaps
+            acc &= _below(c, top) | (dm & -(out & -out))
+        return acc == sm
     raise TypeError("not a base variety descriptor: %r" % (desc,))
 
 
@@ -142,31 +150,60 @@ def minimal_rsystem(desc, m: NumSG) -> frozenset:
     """The unique minimal set B with rmonoid_generated(desc, B) == m.
 
     m must be a member; it is checked here, because m may come from outside
-    the program.  The system itself is computed by _rsystem.
+    the program.
     """
+    return frozenset(_member_system(desc, m))
+
+
+def _member_system(desc, m: NumSG) -> tuple:
+    """minimal_rsystem as a strictly increasing tuple, after the same check."""
     if not is_member(desc, m):
         raise NotInVariety("%s is not a member" % format_semigroup(m))
-    return frozenset(_rsystem(desc, m))
+    return _systems(desc)(m)
 
 
-def _rsystem(desc, m: NumSG):
-    """minimal_rsystem of a member m as a strictly increasing sequence,
-    unchecked; for callers that walk members.
+def _systems(desc):
+    """The system kernel of a base descriptor: a function from a member m
+    to its minimal system as a strictly increasing tuple, unchecked; for
+    callers that walk members.  The work that depends on the family alone
+    is done here, once, so each call is a few mask operations.
 
     Interval and Restricted families reduce to the minimal generators outside
-    the forced part, read off the increasing msg.  In a Generated family each
-    family member s not containing m contributes x_s, the least element of m
-    missing from s: the part that s gives to an intersection generated by
-    B ⊆ m contains m only if its adjoined tail starts at x_s, so every system
-    of m holds x_s, and these elements alone already generate m.
+    the forced part, read off the increasing msg: for Interval(lo, hi) the
+    generators in the gaps of lo.  In a Generated family each family member
+    s not containing m contributes x_s, the least element of m missing from
+    s: the part that s gives to an intersection generated by B ⊆ m contains
+    m only if its adjoined tail starts at x_s, so every system of m holds
+    x_s, and these elements alone already generate m.  Every element of m at
+    or past the conductor of s is in s, so x_s is the lowest bit of m's
+    mask below the largest conductor top in f, cut by the gaps of s.
     """
     if isinstance(desc, Interval):
-        return [x for x in msg(m) if not contains(desc.lo, x)]
+        gaps = desc.lo.gaps
+        return lambda m: tuple([x for x in msg(m) if gaps >> x & 1])
     if isinstance(desc, Restricted):
         if not desc.a:
-            return msg(m)
-        return [x for x in msg(m) if x not in desc.a]
-    return sorted({_first_missing(m, s) for s in desc.f if not is_subset(m, s)})
+            return msg
+        forced = desc.a
+        return lambda m: tuple([x for x in msg(m) if x not in forced])
+    if isinstance(desc, Generated):
+        gaps = [s.gaps for s in desc.f]
+        top = max([s.conductor for s in desc.f], default=0)
+
+        def system(m):
+            mm = _below(m, top)
+            low = 0
+            for g in gaps:
+                out = mm & g
+                low |= out & -out
+            xs = []
+            while low:
+                b = low & -low
+                xs.append(b.bit_length() - 1)
+                low ^= b
+            return tuple(xs)
+        return system
+    raise TypeError("not a base variety descriptor: %r" % (desc,))
 
 
 def rrange(desc, m: NumSG) -> int:

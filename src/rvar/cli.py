@@ -31,11 +31,11 @@ from .core import (
     multiplicity, parse_semigroup, restricted_frobenius,
 )
 from .descriptors import Interval, Restricted, Generated, delta_of
-from .chains import _rsystem, chain_to, minimal_rsystem
+from .chains import _member_system, _systems, chain_to
 from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
 from .engine import (
-    DEFAULT_GENUS_BOUND, _level_pairs, descendants, fdelta, members_of,
-    restriction_of, tree_of, tree_vertices,
+    DEFAULT_GENUS_BOUND, _level_pairs, descendants, fdelta, restriction_of,
+    tree_of, tree_vertices,
 )
 
 _CHUNK = 1 << 16
@@ -187,7 +187,7 @@ def _cmd_chain(args):
 def _cmd_minsys(args):
     desc = _variety_from(args)
     s = parse_semigroup(args.sg)
-    system = sorted(minimal_rsystem(desc, s))
+    system = _member_system(desc, s)
     return [s], lambda s: _csv(system), lambda s: _record(
         s, fdelta(s, delta_of(desc)), minsys=system)
 
@@ -201,8 +201,9 @@ def _cmd_genus_level(args):
     # members come from the walk, so their systems need no membership check;
     # the walk also carried each member's fdelta in the family's maximum
     level = sorted(_level_pairs(desc, args.genus), key=lambda pair: pair[0].sort_key())
+    system = _systems(desc)
     return (level, lambda pair: format_semigroup(pair[0]),
-            lambda pair: _record(*pair, minsys=_rsystem(desc, pair[0])))
+            lambda pair: _record(*pair, minsys=system(pair[0])))
 
 
 def _cmd_descendants(args):
@@ -244,32 +245,41 @@ def _cmd_restrict(args):
 def _cmd_verify(args):
     import random
 
-    from .oracle import oracle_members, random_interval, random_restricted
+    from .oracle import (
+        minimal_system_from_members, oracle_members, random_interval,
+        random_restricted,
+    )
     rng = random.Random(args.seed)
+    # the fixtures' node systems are checked too, against the oracle family
+    # one genus deeper, which holds m without x for every x in m's system
     checks = [
         ("interval fixture",
-         Interval(from_generators([5, 6]), from_generators([5, 6, 7])), 20),
+         Interval(from_generators([5, 6]), from_generators([5, 6, 7])), 20, True),
         ("restricted fixture",
          Restricted(frozenset({4, 6}), from_generators([4, 6, 7])),
-         args.genus_bound),
+         args.genus_bound, True),
         ("generated fixture closure",
          Generated((from_generators([5, 7, 9, 11, 13]),
                     from_generators([4, 10, 11, 13])),
-                   from_generators([4, 5, 7])), 20),
+                   from_generators([4, 5, 7])), 20, True),
     ]
     for i in range(args.count):
         desc = random_interval(rng) if i % 2 == 0 else random_restricted(rng)
         checks.append(("random %s #%d" % (type(desc).__name__.lower(), i),
-                       desc, args.genus_bound))
+                       desc, args.genus_bound, False))
 
     def lines():
         failures = 0
-        for label, desc, bound in checks:
-            fast = set(members_of(desc, bound)[0])
+        for label, desc, bound, systems in checks:
+            nodes = tree_vertices(tree_of(desc, bound)[0])
             slow = oracle_members(desc, bound)
-            yield "%s %s (%d members)" % ("ok" if fast == slow else "FAIL", label,
-                                          len(slow))
-            failures += fast != slow
+            ok = {n.sg for n in nodes} == slow
+            if ok and systems:
+                family = oracle_members(desc, bound + 1)
+                ok = all(n.min_system == tuple(sorted(
+                    minimal_system_from_members(family, n.sg))) for n in nodes)
+            yield "%s %s (%d members)" % ("ok" if ok else "FAIL", label, len(slow))
+            failures += not ok
         if failures:
             raise DomainError("%d check(s) failed" % failures)
         yield "all checks passed (seed=%d, count=%d)" % (args.seed, args.count)

@@ -11,13 +11,18 @@ from bisect import bisect_right
 
 from . import chains
 from .core import (
-    NumSG, DomainError, _below, _canon, _drop, format_semigroup, frobenius,
-    genus, is_subset, restricted_frobenius, union_with_tail,
+    NumSG, CapacityExceeded, DomainError, _below, _canon, _drop,
+    format_semigroup, frobenius, genus, is_subset, restricted_frobenius,
+    union_with_tail,
 )
 from .descriptors import Descendants, _Record, delta_of
 from .chains import NotInVariety
 
 DEFAULT_GENUS_BOUND = 40
+
+# Walks refuse to hold more than this many members, so a family too large
+# for its genus bound fails loudly instead of exhausting memory.
+MAX_MEMBERS = 250_000
 
 
 class RTreeNode(_Record):
@@ -70,22 +75,34 @@ def _above(xs, v):
     return xs[bisect_right(xs, v):]
 
 
-def _node(base, sg: NumSG, fd: int, cut: int) -> RTreeNode:
-    """The tree node of the member sg of a family with base family base.
+def _kernel(desc):
+    """(system, cut) for walking desc: the system kernel of its base family,
+    chosen once per walk, and the restricted Frobenius number of its maximum
+    in the base maximum, -1 for a base family."""
+    return chains._systems(_base_of(desc)), _base_fdelta(desc, delta_of(desc))
+
+
+def _node(system, sg: NumSG, fd: int, cut: int) -> RTreeNode:
+    """The tree node of the member sg of a family with system kernel system.
 
     fd is sg's restricted Frobenius number in the family's own maximum, and
     cut is the restricted Frobenius number of that maximum in the base
     maximum, -1 for a base family; see tree_of for why the system is the
     base system above cut.
     """
-    return RTreeNode(sg, fd, tuple(_above(chains._rsystem(base, sg), cut)))
+    xs = system(sg)
+    return RTreeNode(sg, fd, xs if cut < 0 else _above(xs, cut))
 
 
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
-    base, cut = _base_of(desc), _base_fdelta(desc, delta_of(desc))
-    return [_node(base, _drop(node.sg, x), x, cut)
+    system, cut = _kernel(desc)
+    return [_node(system, _drop(node.sg, x), x, cut)
             for x in _above(node.min_system, node.restricted_frob)]
+
+
+def _over_budget():
+    return CapacityExceeded("walk exceeds %d members" % MAX_MEMBERS)
 
 
 def _walk(desc, genus_bound):
@@ -98,14 +115,15 @@ def _walk(desc, genus_bound):
     member the value x removed from its parent, because every value the
     parent lacks is below x.  Its system holds only values above the cut,
     and x exceeds the cut, so the children of any node come from the
-    elements of its system above its restricted Frobenius number.
+    elements of its system above its restricted Frobenius number.  A walk
+    past MAX_MEMBERS nodes raises CapacityExceeded.
     """
     top = delta_of(desc)
     if genus_bound < genus(top):
         raise DomainError("genus bound %d is below the genus %d of the maximum"
                           % (genus_bound, genus(top)))
-    base, cut = _base_of(desc), _base_fdelta(desc, top)
-    nodes = [_node(base, top, -1, cut)]
+    system, cut = _kernel(desc)
+    nodes = [_node(system, top, -1, cut)]
     complete = True
     for n in nodes:  # nodes grows as it is read: a breadth-first queue
         xs = _above(n.min_system, n.restricted_frob)
@@ -114,8 +132,10 @@ def _walk(desc, genus_bound):
         if genus(n.sg) >= genus_bound:
             complete = False
             continue
-        n.children = [_node(base, _drop(n.sg, x), x, cut) for x in xs]
+        n.children = [_node(system, _drop(n.sg, x), x, cut) for x in xs]
         nodes += n.children
+        if len(nodes) > MAX_MEMBERS:
+            raise _over_budget()
     return nodes, complete
 
 
@@ -171,19 +191,24 @@ def _level_pairs(desc, g: int) -> list:
     Frobenius number, and iteration stops early once a level comes up empty.
     Tree children of distinct parents are distinct, so no member repeats.
     Unlike _walk, it holds one level at a time and computes no system for
-    the last level.
+    the last level.  Past MAX_MEMBERS members made it raises
+    CapacityExceeded.
     """
     top = delta_of(desc)
     g0 = genus(top)
     if g < g0:
         return []
-    base = _base_of(desc)
+    system = chains._systems(_base_of(desc))
     level = [(top, _base_fdelta(desc, top))]
+    made = 1
     for _ in range(g0, g):
         level = [(_drop(sg, x), x) for sg, fd in level
-                 for x in _above(chains._rsystem(base, sg), fd)]
+                 for x in _above(system(sg), fd)]
         if not level:
             return []
+        made += len(level)
+        if made > MAX_MEMBERS:
+            raise _over_budget()
     return level
 
 
@@ -202,8 +227,9 @@ def is_pseudo_variety(desc) -> bool:
     outside Δ.  Δ = N has F(Δ) = -1, so the answer is True.
     """
     top = delta_of(desc)
-    system = _node(_base_of(desc), top, -1, _base_fdelta(desc, top)).min_system
-    return not system or system[0] > frobenius(top)
+    system, cut = _kernel(desc)
+    b = _node(system, top, -1, cut).min_system
+    return not b or b[0] > frobenius(top)
 
 
 def descendants(desc, t: NumSG) -> Descendants:

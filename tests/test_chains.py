@@ -8,7 +8,7 @@ from rvar import (
     members_of, minimal_rsystem, minimal_system_from_members, msg,
     restricted_frobenius, rmonoid_generated, rrange,
 )
-from rvar.chains import _rsystem
+from rvar.chains import _systems
 from support import (
     sg, DELTA_567, GENERATED_FIXTURE, GENERATED_MEMBERS, INTERVAL_FIXTURE,
     PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
@@ -145,7 +145,7 @@ class TestMinimalRSystem:
                  PSEUDO_FIXTURE, Restricted(frozenset(), NATURALS))
         for desc in descs:
             for m in members_of(desc, 10)[0]:
-                system = list(_rsystem(desc, m))
+                system = list(_systems(desc)(m))
                 assert system == sorted(set(system))
                 public = minimal_rsystem(desc, m)
                 assert type(public) is frozenset

@@ -211,6 +211,23 @@ class TestGenusLevel:
              "minsys": [15, 17], "fdelta": 13},
         ]
 
+    def test_structured_systems_come_from_one_kernel(self, capsys, monkeypatch):
+        # the level walk and the records each take the kernel once, not per member
+        from rvar import chains
+        calls = []
+        built = chains._systems
+
+        def counted(desc):
+            calls.append(desc)
+            return built(desc)
+        monkeypatch.setattr(chains, "_systems", counted)
+        monkeypatch.setattr(cli, "_systems", counted)
+        rc, out, _ = run(capsys, "genus-level", "--restricted", ":<1>",
+                         "--genus", "6", "--format", "structured")
+        assert rc == 0
+        assert len(out.splitlines()) == 23  # A007323
+        assert len(calls) == 2
+
     def test_below_the_maximum_is_empty(self, capsys):
         rc, out, _ = run(capsys, "genus-level", "--restricted", RESTRICTED,
                          "--genus", "3")
@@ -404,6 +421,17 @@ class TestVerify:
         assert len(out.splitlines()) == 3
         assert err == "rvar: error: 3 check(s) failed\n"
 
+    def test_fixture_systems_are_checked_against_the_oracle(self, capsys, monkeypatch):
+        import rvar.oracle
+        monkeypatch.setattr(rvar.oracle, "minimal_system_from_members",
+                            lambda members, m: frozenset({-1}))
+        rc, out, err = run(capsys, "verify", "--count", "1", "--genus-bound", "8")
+        assert rc == 2
+        assert [line.split(" (")[0] for line in out.splitlines()] == [
+            "FAIL interval fixture", "FAIL restricted fixture",
+            "FAIL generated fixture closure", "ok random interval #0"]
+        assert err == "rvar: error: 3 check(s) failed\n"
+
 
 # one small valid input per subcommand with a structured form
 SAMPLES = {
@@ -503,6 +531,21 @@ class TestErrorPaths:
         assert rc == 3
         assert out == ""
         assert err == "rvar: internal error: no maximum element\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--restricted", ":<1>"],
+        ["descendants", "<1>", "--restricted", ":<1>"],
+        ["genus-level", "--restricted", ":<1>", "--genus", "40"],
+        ["restrict", "--restricted", ":<1>", "--by", "<2,3>"],
+    ])
+    def test_member_budget_is_a_domain_error(self, capsys, monkeypatch, argv):
+        # the default genus bound 40 reaches past 10^8 members of the tree of
+        # all semigroups; the budget stops the walk first
+        from rvar import engine
+        monkeypatch.setattr(engine, "MAX_MEMBERS", 1000)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "rvar: error: walk exceeds 1000 members\n"
 
     def test_unknown_subcommand(self, capsys):
         rc, _, err = run(capsys, "bogus")

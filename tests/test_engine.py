@@ -7,12 +7,13 @@ import sys
 import pytest
 
 import rvar
+from rvar import chains
 from rvar import (
-    NATURALS, Descendants, DomainError, Interval, NotInVariety,
-    Restricted, build_tree, check_rvariety_axioms, children, delta_of,
-    descendants, genus, genus_level, is_pseudo_variety, member, members_of,
-    minimal_system_from_members, msg, remove_element, restrict_variety,
-    tree_of, tree_vertices, union_with_tail,
+    NATURALS, CapacityExceeded, Descendants, DomainError, Interval,
+    NotInVariety, Restricted, build_tree, check_rvariety_axioms, children,
+    delta_of, descendants, genus, genus_level, is_pseudo_variety, member,
+    members_of, minimal_system_from_members, msg, remove_element,
+    restrict_variety, tree_of, tree_vertices, union_with_tail,
 )
 from rvar.engine import RTreeNode, _level_pairs, _walk, fdelta
 from support import (
@@ -301,6 +302,38 @@ class TestDescendants:
         assert len(shown) == 3
         for n in shown:
             assert n.min_system == systems[n.sg]
+
+
+class TestWalkKernel:
+    def test_the_kernel_is_chosen_once_per_walk(self, monkeypatch):
+        # a walk picks its family's system kernel once, not once per node
+        views = [descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14)),
+                 descendants(RESTRICTED_FIXTURE, sg(4, 6, 11, 13))]
+        calls = []
+        built = chains._systems
+
+        def counted(desc):
+            calls.append(desc)
+            return built(desc)
+        monkeypatch.setattr(chains, "_systems", counted)
+        for desc in [INTERVAL_FIXTURE, RESTRICTED_FIXTURE, GENERATED_FIXTURE,
+                     Restricted(frozenset(), NATURALS)] + views:
+            g = genus(delta_of(desc)) + 4
+            for walk in (members_of, tree_of, _level_pairs):
+                calls.clear()
+                walk(desc, g)
+                assert calls == [desc.base if isinstance(desc, Descendants) else desc]
+
+    def test_a_walk_past_the_member_budget_is_refused(self, monkeypatch):
+        # 27 semigroups have genus at most 5 (A007323 summed)
+        n = Restricted(frozenset(), NATURALS)
+        monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 27)
+        assert len(members_of(n, 5)[0]) == 27
+        assert len(_level_pairs(n, 5)) == 12
+        monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 26)
+        for walk in (members_of, tree_of, _level_pairs):
+            with pytest.raises(CapacityExceeded, match=r"^walk exceeds 26 members$"):
+                walk(n, 5)
 
 
 class TestRestrictVariety:

@@ -25,8 +25,8 @@ from rvar import (
     check_rvariety_axioms, contains, delta_of, descendants, elements,
     enumerate_between, format_semigroup, from_generators, frobenius, genus,
     genus_level, intersect, intersect_all, is_member, is_pseudo_variety,
-    is_subset, member,
-    members_of, minimal_rsystem, minimal_vsystem, msg, oracle_members,
+    is_subset, member, members_of, minimal_rsystem,
+    minimal_system_from_members, minimal_vsystem, msg, oracle_members,
     parse_semigroup, random_semigroup, random_subsemigroup, remove_element,
     restrict_variety, restricted_closure, restricted_frobenius,
     rmonoid_generated, tree_vertices, union_with_tail, variety_closure,
@@ -242,14 +242,23 @@ class TestRMonoidLaws:
     @given(generated_descriptors(), st.integers(0, 2 ** 32))
     @settings(max_examples=40)
     def test_generated_membership_localizes(self, desc, seed):
-        # a random subsemigroup of the maximum is a member exactly when the
-        # chain pieces containing it intersect to it
+        # a probe is a member exactly when the chain links containing it
+        # intersect to it; the probes are links, their intersections, random
+        # subsemigroups of the maximum and random semigroups that may lie
+        # outside it, for f and for f = ()
         rng = random.Random(seed)
-        s = random_subsemigroup(rng, desc.delta, rng.randint(0, 4))
-        fam = chain_family(desc.f, desc.delta)
-        containing = [c for c in fam if is_subset(s, c)]
-        expected = bool(containing) and intersect_all(containing) == s
-        assert is_member(desc, s) == expected
+        for d in (desc, Generated((), desc.delta)):
+            links = sorted(chain_family(d.f, d.delta) | {d.delta},
+                           key=NumSG.sort_key)
+            probes = (links + [intersect(rng.choice(links), rng.choice(links))
+                               for _ in range(3)]
+                      + [random_subsemigroup(rng, d.delta, rng.randint(0, 4))
+                         for _ in range(3)]
+                      + [random_semigroup(rng, 6) for _ in range(2)])
+            for s in probes:
+                containing = [c for c in links if is_subset(s, c)]
+                expected = bool(containing) and intersect_all(containing) == s
+                assert is_member(d, s) == expected
 
 
 def naive_closure(off, gens, window):
@@ -439,6 +448,38 @@ class TestRestrictionLaws:
             assert complete
             assert image == {intersect(s, u) for s in mem}
             check_rvariety_axioms(image)
+
+
+@st.composite
+def walked_families(draw):
+    """(desc, bound): a finite family walked in full, or a restricted family,
+    possibly infinite, walked two genera below its maximum."""
+    if draw(st.booleans()):
+        return draw(finite_families())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    t = random_semigroup(rng, 7)
+    pool = [x for x in msg(t) if x > 1]
+    forced = rng.sample(pool, rng.randint(0, min(2, len(pool))))
+    return Restricted(frozenset(forced), t), genus(t) + 2
+
+
+class TestKernelLaws:
+    # a walk takes each node's system from its family's bit-op kernel; the
+    # brute-force minimal system over the oracle family is the reference.
+    # The oracle family goes one genus past the walk, so it holds m without
+    # x for every x in the system of a walked member m.
+    @given(walked_families(), st.integers(0, 2 ** 32))
+    @settings(max_examples=100)
+    def test_node_systems_match_the_oracle(self, family, seed):
+        desc, bound = family
+        base = oracle_members(desc, bound + 1)
+        delta = delta_of(desc)
+        top = random.Random(seed).choice(members_of(desc, bound)[0])
+        view = [s for s in base if _descends(s, top, delta)]
+        for d, mem in ((desc, base), (descendants(desc, top), view)):
+            for n in tree_vertices(build_tree(d, bound)):
+                assert n.min_system == tuple(sorted(
+                    minimal_system_from_members(mem, n.sg)))
 
 
 # every semigroup of genus <= 5, 27 in all
