@@ -3,17 +3,15 @@
 The chain from S to T adjoins max(T \\ current) until T is reached.  Relative
 to a variety descriptor, every monoid expressible as an intersection of
 members admits a unique minimal generating system; this module computes it
-for the three base descriptor families.
+for the two base descriptor families.
 """
 
-from math import gcd
-
 from .core import (
-    NumSG, DomainError, InvariantError, NotContained, _below, _bits, contains,
-    format_semigroup, from_generators, intersect_all, is_subset, msg,
-    union_with_tail,
+    NumSG, DomainError, EmptyGenerators, GcdNotOne, InvariantError, NotContained,
+    _below, _bits, contains, format_semigroup, from_generators, intersect_all,
+    is_subset, msg, union_with_tail,
 )
-from .descriptors import Interval, Restricted, Generated, _Frozen, _set, delta_of
+from .descriptors import Restricted, Generated, _Frozen, _set, delta_of
 
 
 class NotInDelta(DomainError):
@@ -40,9 +38,6 @@ class ChainRec(_Frozen):
     def __init__(self, links: tuple, fill_values: tuple):
         _set(self, "links", links)
         _set(self, "fill_values", fill_values)
-
-    def __hash__(self):
-        return hash((self.links, self.fill_values))
 
 
 def chain_to(s: NumSG, t: NumSG) -> ChainRec:
@@ -82,8 +77,6 @@ def _first_missing(m: NumSG, s: NumSG) -> int:
 
 def is_member(desc, s: NumSG) -> bool:
     """Whether s belongs to the family described by a base descriptor."""
-    if isinstance(desc, Interval):
-        return is_subset(desc.lo, s) and is_subset(s, desc.hi)
     if isinstance(desc, Restricted):
         return all(contains(s, x) for x in desc.a) and is_subset(s, desc.t)
     if isinstance(desc, Generated):
@@ -110,28 +103,20 @@ def is_member(desc, s: NumSG) -> bool:
 def rmonoid_generated(desc, a) -> NumSG:
     """Smallest member-intersection containing the set a.
 
-    For Interval and Generated descriptors the result is always a numerical
-    semigroup.  For Restricted descriptors with gcd(forced ∪ a) != 1 the
-    monoid has infinite complement and NotNumerical is raised.
+    For Generated descriptors the result is always a numerical semigroup.
+    For Restricted descriptors with gcd(forced ∪ a) != 1 the monoid has
+    infinite complement and NotNumerical is raised.
     """
     a = frozenset(a)
     delta = delta_of(desc)
     for x in a:
         if x < 0 or not contains(delta, x):
             raise NotInDelta("%d is not in %s" % (x, format_semigroup(delta)))
-    if isinstance(desc, Interval):
-        return from_generators(sorted(set(msg(desc.lo)) | {x for x in a if x}))
     if isinstance(desc, Restricted):
-        gens = sorted({x for x in desc.a | a if x})
-        if not gens:
-            raise NotNumerical("the trivial monoid {0} is not a numerical semigroup")
-        d = 0
-        for g in gens:
-            d = gcd(d, g)
-        if d != 1:
-            raise NotNumerical("generators %s have gcd %d"
-                               % (",".join(map(str, gens)), d))
-        return from_generators(gens)
+        try:
+            return from_generators([x for x in desc.a | a if x])
+        except (EmptyGenerators, GcdNotOne) as e:
+            raise NotNumerical(str(e)) from None
     if isinstance(desc, Generated):
         parts = []
         for s in desc.f:
@@ -168,19 +153,15 @@ def _systems(desc):
     callers that walk members.  The work that depends on the family alone
     is done here, once, so each call is a few mask operations.
 
-    Interval and Restricted families reduce to the minimal generators outside
-    the forced part, read off the increasing msg: for Interval(lo, hi) the
-    generators in the gaps of lo.  In a Generated family each family member
-    s not containing m contributes x_s, the least element of m missing from
-    s: the part that s gives to an intersection generated by B ⊆ m contains
-    m only if its adjoined tail starts at x_s, so every system of m holds
-    x_s, and these elements alone already generate m.  Every element of m at
-    or past the conductor of s is in s, so x_s is the lowest bit of m's
+    Restricted families reduce to the minimal generators outside the forced
+    part, read off the increasing msg.  In a Generated family each family
+    member s not containing m contributes x_s, the least element of m missing
+    from s: the part that s gives to an intersection generated by B ⊆ m
+    contains m only if its adjoined tail starts at x_s, so every system of m
+    holds x_s, and these elements alone already generate m.  Every element of
+    m at or past the conductor of s is in s, so x_s is the lowest bit of m's
     mask below the largest conductor top in f, cut by the gaps of s.
     """
-    if isinstance(desc, Interval):
-        gaps = desc.lo.gaps
-        return lambda m: tuple([x for x in msg(m) if gaps >> x & 1])
     if isinstance(desc, Restricted):
         if not desc.a:
             return msg

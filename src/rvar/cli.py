@@ -264,9 +264,10 @@ def _cmd_verify(args):
                    from_generators([4, 5, 7])), 20, True),
     ]
     for i in range(args.count):
-        desc = random_interval(rng) if i % 2 == 0 else random_restricted(rng)
-        checks.append(("random %s #%d" % (type(desc).__name__.lower(), i),
-                       desc, args.genus_bound, False))
+        kind, make = (("interval", random_interval) if i % 2 == 0
+                      else ("restricted", random_restricted))
+        checks.append(("random %s #%d" % (kind, i), make(rng),
+                       args.genus_bound, False))
 
     def lines():
         failures = 0

@@ -3,14 +3,17 @@
 A descriptor is a finite, hashable recipe for a (possibly infinite) family of
 numerical semigroups that has a maximum element, is closed under intersection,
 and is closed under adjoining the Frobenius number restricted to the maximum.
-Three base families are supported, plus a descendants view rooted at a member.
+Two base families are supported, Restricted and Generated, plus a descendants
+view rooted at a member.  Interval(lo, hi) is a constructor, not a family of
+its own: a semigroup contains lo exactly when it contains msg(lo), so the
+interval is Restricted(msg(lo), hi).
 
 Descriptors are small value classes rather than dataclasses: the
 dataclasses module pulls inspect, ast and dis into every process that
 imports the package, which costs more than most requests compute.
 """
 
-from .core import NumSG, NotContained, format_semigroup, is_subset, contains
+from .core import NumSG, NotContained, format_semigroup, is_subset, contains, msg
 
 _set = object.__setattr__
 
@@ -35,8 +38,8 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """An immutable _Record.  __init__ sets the fields with _set; each
-    subclass hashes its fields as one tuple, like a frozen dataclass."""
+    """An immutable _Record.  __init__ sets the fields with _set, and the
+    fields hash as one tuple, like a frozen dataclass."""
 
     __slots__ = ()
 
@@ -46,24 +49,11 @@ class _Frozen(_Record):
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
 
+    def __hash__(self):
+        return hash(self._fields())
+
     def __reduce__(self):
         return type(self), self._fields()
-
-
-class Interval(_Frozen):
-    """All semigroups between lo and hi inclusive."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: NumSG, hi: NumSG):
-        if not is_subset(lo, hi):
-            raise NotContained("%s is not contained in %s"
-                               % (format_semigroup(lo), format_semigroup(hi)))
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
 
 class Restricted(_Frozen):
@@ -79,9 +69,6 @@ class Restricted(_Frozen):
                                    % (x, format_semigroup(t)))
         _set(self, "a", a)
         _set(self, "t", t)
-
-    def __hash__(self):
-        return hash((self.a, self.t))
 
 
 class Generated(_Frozen):
@@ -102,9 +89,6 @@ class Generated(_Frozen):
         _set(self, "f", f)
         _set(self, "delta", delta)
 
-    def __hash__(self):
-        return hash((self.f, self.delta))
-
 
 class Descendants(_Frozen):
     """View of another descriptor, keeping only the descendants of top in its tree.
@@ -118,14 +102,17 @@ class Descendants(_Frozen):
         _set(self, "base", base)
         _set(self, "top", top)
 
-    def __hash__(self):
-        return hash((self.base, self.top))
+
+def Interval(lo: NumSG, hi: NumSG) -> Restricted:
+    """All semigroups between lo and hi inclusive: Restricted(msg(lo), hi)."""
+    if not is_subset(lo, hi):
+        raise NotContained("%s is not contained in %s"
+                           % (format_semigroup(lo), format_semigroup(hi)))
+    return Restricted(frozenset(msg(lo)), hi)
 
 
 def delta_of(desc) -> NumSG:
     """The maximum member of the described family."""
-    if isinstance(desc, Interval):
-        return desc.hi
     if isinstance(desc, Restricted):
         return desc.t
     if isinstance(desc, Generated):

@@ -124,19 +124,17 @@ def _walk(desc, genus_bound):
                           % (genus_bound, genus(top)))
     system, cut = _kernel(desc)
     nodes = [_node(system, top, -1, cut)]
-    complete = True
-    for n in nodes:  # nodes grows as it is read: a breadth-first queue
-        xs = _above(n.min_system, n.restricted_frob)
-        if not xs:
-            continue
-        if genus(n.sg) >= genus_bound:
-            complete = False
-            continue
-        n.children = [_node(system, _drop(n.sg, x), x, cut) for x in xs]
-        nodes += n.children
-        if len(nodes) > MAX_MEMBERS:
-            raise _over_budget()
-    return nodes, complete
+    start = 0
+    for _ in range(genus(top), genus_bound):  # nodes[start:] is one genus level
+        level, start = nodes[start:], len(nodes)
+        for n in level:
+            n.children = [_node(system, _drop(n.sg, x), x, cut)
+                          for x in _above(n.min_system, n.restricted_frob)]
+            nodes += n.children
+            if len(nodes) > MAX_MEMBERS:
+                raise _over_budget()
+    return nodes, not any(_above(n.min_system, n.restricted_frob)
+                          for n in nodes[start:])
 
 
 def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):

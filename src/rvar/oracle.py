@@ -120,7 +120,7 @@ def random_subsemigroup(rng, t: NumSG, steps) -> NumSG:
     return s
 
 
-def random_interval(rng, genus_max=8, depth_max=5) -> Interval:
+def random_interval(rng, genus_max=8, depth_max=5) -> Restricted:
     hi = random_semigroup(rng, genus_max)
     lo = random_subsemigroup(rng, hi, rng.randint(0, depth_max))
     return Interval(lo, hi)
@@ -136,15 +136,12 @@ def random_restricted(rng, genus_max=8, picks_max=3) -> Restricted:
 def oracle_members(desc, genus_bound):
     """Member set of a base family by raw enumeration, cut at the genus bound.
 
-    Interval and restricted families descend from the maximum; a generated
-    family is its chain family and its maximum, closed under pairwise
-    intersection.
+    A restricted family descends from the maximum; a generated family is its
+    chain family and its maximum, closed under pairwise intersection.
     """
-    if isinstance(desc, Interval):
-        return {s for s in enumerate_between(desc.lo, desc.hi, genus_bound)
-                if genus(s) <= genus_bound}
     if isinstance(desc, Restricted):
-        return enumerate_between(desc.a, desc.t, genus_bound)
+        return {s for s in enumerate_between(desc.a, desc.t, genus_bound)
+                if genus(s) <= genus_bound}
     if isinstance(desc, Generated):
         family = chain_family(desc.f, desc.delta) | {desc.delta}
         while True:

@@ -7,21 +7,22 @@ import pytest
 import rvar
 from rvar import (
     NATURALS, Descendants, Generated, Interval, NotContained, Restricted,
-    chain_to,
+    RTreeNode, chain_to,
 )
 from support import sg
 
 
 def _four_kinds():
-    # an interval and a view hold the same two fields, and so do a
-    # restricted and a generated family with nothing forced or generating
+    # two views hold the same two semigroups, and a restricted and a
+    # generated family with nothing forced or generating hold the same two
+    # fields
     lo, hi = sg(5, 6), sg(5, 6, 7)
-    return [Interval(lo, hi), Descendants(lo, hi),
+    return [Descendants(lo, hi), Descendants(hi, lo),
             Restricted((), hi), Generated((), hi)]
 
 
-FIELDS = {Interval: ("lo", "hi"), Descendants: ("base", "top"),
-          Restricted: ("a", "t"), Generated: ("f", "delta")}
+FIELDS = {Descendants: ("base", "top"), Restricted: ("a", "t"),
+          Generated: ("f", "delta")}
 
 
 class TestDescriptorValues:
@@ -37,10 +38,17 @@ class TestDescriptorValues:
     def test_equal_values_hash_alike(self):
         for a, b in zip(_four_kinds(), _four_kinds()):
             assert a is not b and a == b and hash(a) == hash(b)
+            # the fields hash as one tuple, as a frozen dataclass's do
+            assert hash(a) == hash(tuple(getattr(a, f) for f in FIELDS[type(a)]))
         assert len(set(_four_kinds() + _four_kinds())) == 4
         for desc in _four_kinds():
             assert pickle.loads(pickle.dumps(desc)) == desc
-        assert chain_to(sg(5, 7), sg(5, 6, 7)) == chain_to(sg(5, 7), sg(5, 6, 7))
+        rec = chain_to(sg(5, 7), sg(5, 6, 7))
+        assert rec == chain_to(sg(5, 7), sg(5, 6, 7))
+        assert hash(rec) == hash((rec.links, rec.fill_values))
+        # a tree node is mutable, so it is not hashable
+        with pytest.raises(TypeError):
+            hash(RTreeNode(sg(5, 6), -1, ()))
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         for desc in _four_kinds():
@@ -61,7 +69,7 @@ class TestDescriptorValues:
         g = Generated([sg(5, 7)], sg(5, 6, 7))
         assert g.f == (sg(5, 7),)
         assert Generated(iter([sg(5, 7)]), sg(5, 6, 7)) == g
-        with pytest.raises(NotContained):
+        with pytest.raises(NotContained, match=r"^<5,6,7> is not contained in <5,6>$"):
             Interval(sg(5, 6, 7), sg(5, 6))
         with pytest.raises(NotContained):
             Restricted({5}, sg(4, 6, 7))
@@ -69,10 +77,20 @@ class TestDescriptorValues:
             Generated((sg(2, 3),), sg(5, 6, 7))
 
     def test_repr_names_the_fields(self):
-        assert repr(Interval(sg(5, 6), sg(5, 6, 7))) == (
-            "Interval(lo=NumSG(<5,6>), hi=NumSG(<5,6,7>))")
+        assert repr(Restricted({6}, sg(5, 6, 7))) == (
+            "Restricted(a=frozenset({6}), t=NumSG(<5,6,7>))")
         assert repr(chain_to(sg(5, 6), sg(5, 6))) == (
             "ChainRec(links=(NumSG(<5,6>),), fill_values=())")
+
+
+class TestIntervalConstructor:
+    def test_an_interval_is_restricted_to_the_minimal_generators_of_lo(self):
+        # a semigroup contains lo exactly when it contains msg(lo)
+        desc = Interval(sg(5, 6, 13), sg(5, 6, 7))
+        assert desc == Restricted({5, 6, 13}, sg(5, 6, 7))
+        assert type(desc) is Restricted
+        assert Interval(sg(5, 6), sg(5, 6)) == Restricted({5, 6}, sg(5, 6))
+        assert Interval(NATURALS, NATURALS) == Restricted({1}, NATURALS)
 
 
 class TestLazyOracleNames:

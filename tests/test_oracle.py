@@ -82,7 +82,7 @@ class TestRandomHelpers:
 
     def test_shapes(self):
         rng = random.Random(11)
-        assert isinstance(random_interval(rng), Interval)
+        assert isinstance(random_interval(rng), Restricted)
         assert isinstance(random_restricted(rng), Restricted)
 
 
@@ -97,6 +97,17 @@ class TestOracleAgainstEngine:
         mem, complete = members_of(RESTRICTED_FIXTURE, bound)
         assert not complete
         assert set(mem) == oracle_members(RESTRICTED_FIXTURE, bound)
+
+    def test_restricted_family_below_the_genus_of_its_maximum(self):
+        # no member has genus <= bound, as the walk refuses such a bound;
+        # the interval is the same family and gets the same answer
+        desc = Restricted({5, 6}, DELTA_567)
+        assert genus(DELTA_567) == 6
+        assert oracle_members(desc, 2) == set()
+        assert oracle_members(Interval(sg(5, 6), DELTA_567), 2) == set()
+        assert oracle_members(desc, 6) == {DELTA_567}
+        with pytest.raises(DomainError):
+            members_of(desc, 2)
 
     def test_levels_match_the_oracle(self):
         raw = oracle_members(RESTRICTED_FIXTURE, 8)

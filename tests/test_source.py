@@ -169,3 +169,20 @@ def test_no_unused_imports():
         found += ["%s:%d %s" % (path.name, line, name)
                   for name, line in sorted(imported.items()) if name not in used]
     assert found == []
+
+
+def test_an_interval_is_no_family_of_its_own():
+    # Interval(lo, hi) builds Restricted(msg(lo), hi), so no module keeps a
+    # class or an isinstance branch for it beside the restricted family's
+    classes = {n.name for n in ast.parse((SRC / "descriptors.py").read_text()).body
+               if isinstance(n, ast.ClassDef)}
+    assert {"Restricted", "Generated", "Descendants"} <= classes
+    assert "Interval" not in classes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and "Interval" in ast.unparse(node.args[1])):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
