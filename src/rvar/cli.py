@@ -34,8 +34,8 @@ from .descriptors import Interval, Restricted, Generated, delta_of
 from .chains import _member_system, _systems, chain_to
 from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
 from .engine import (
-    DEFAULT_GENUS_BOUND, _level_pairs, descendants, fdelta, restriction_of,
-    tree_of, tree_vertices,
+    DEFAULT_GENUS_BOUND, _bounded_top, _level_pairs, descendants, fdelta,
+    restriction_of, tree_of, tree_vertices,
 )
 
 _CHUNK = 1 << 16
@@ -250,14 +250,14 @@ def _cmd_verify(args):
         random_restricted,
     )
     rng = random.Random(args.seed)
+    restricted = Restricted(frozenset({4, 6}), from_generators([4, 6, 7]))
+    _bounded_top(restricted, args.genus_bound)  # refused before any check runs
     # the fixtures' node systems are checked too, against the oracle family
     # one genus deeper, which holds m without x for every x in m's system
     checks = [
         ("interval fixture",
          Interval(from_generators([5, 6]), from_generators([5, 6, 7])), 20, True),
-        ("restricted fixture",
-         Restricted(frozenset({4, 6}), from_generators([4, 6, 7])),
-         args.genus_bound, True),
+        ("restricted fixture", restricted, args.genus_bound, True),
         ("generated fixture closure",
          Generated((from_generators([5, 7, 9, 11, 13]),
                     from_generators([4, 10, 11, 13])),
@@ -266,8 +266,9 @@ def _cmd_verify(args):
     for i in range(args.count):
         kind, make = (("interval", random_interval) if i % 2 == 0
                       else ("restricted", random_restricted))
-        checks.append(("random %s #%d" % (kind, i), make(rng),
-                       args.genus_bound, False))
+        # random maxima fit the bound, so no walk is refused
+        checks.append(("random %s #%d" % (kind, i),
+                       make(rng, min(8, args.genus_bound)), args.genus_bound, False))
 
     def lines():
         failures = 0

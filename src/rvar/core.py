@@ -272,7 +272,7 @@ def _drop(s: NumSG, x: int) -> NumSG:
     if x < s.conductor:
         # the Frobenius number stays a gap, so the conductor stays
         return NumSG(s.mask & ~(1 << x), s.conductor)
-    child = NumSG(_below(s, x), x + 1)
+    child = NumSG(s.mask | ((1 << x) - (1 << s.conductor)), x + 1)
     gens = s._msg
     if gens is not None and x != gens[0]:
         i = gens.index(x)

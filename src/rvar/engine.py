@@ -83,13 +83,9 @@ def _kernel(desc):
 
 
 def _node(system, sg: NumSG, fd: int, cut: int) -> RTreeNode:
-    """The tree node of the member sg of a family with system kernel system.
-
-    fd is sg's restricted Frobenius number in the family's own maximum, and
-    cut is the restricted Frobenius number of that maximum in the base
-    maximum, -1 for a base family; see tree_of for why the system is the
-    base system above cut.
-    """
+    """The tree node of the member sg: fd is its restricted Frobenius number
+    in the family's own maximum, and its system the kernel's values above
+    cut, that maximum's number in the base maximum (see tree_of)."""
     xs = system(sg)
     return RTreeNode(sg, fd, xs if cut < 0 else _above(xs, cut))
 
@@ -105,28 +101,30 @@ def _over_budget():
     return CapacityExceeded("walk exceeds %d members" % MAX_MEMBERS)
 
 
-def _walk(desc, genus_bound):
-    """Expand the tree to the bound.
-
-    Returns (nodes, complete): one RTreeNode per member with genus <= bound,
-    in breadth-first order and linked to its children, and whether no
-    expansion was cut off.  A node's restricted Frobenius number is the one
-    in the family's own maximum: -1 for the maximum, and for any other
-    member the value x removed from its parent, because every value the
-    parent lacks is below x.  Its system holds only values above the cut,
-    and x exceeds the cut, so the children of any node come from the
-    elements of its system above its restricted Frobenius number.  A walk
-    past MAX_MEMBERS nodes raises CapacityExceeded.
-    """
+def _bounded_top(desc, genus_bound) -> NumSG:
+    """The maximum of desc; a DomainError if its genus exceeds the bound."""
     top = delta_of(desc)
     if genus_bound < genus(top):
         raise DomainError("genus bound %d is below the genus %d of the maximum"
                           % (genus_bound, genus(top)))
+    return top
+
+
+def _walk(desc, genus_bound):
+    """(nodes, complete) for tree_of: one RTreeNode per member with genus
+    <= bound, in the order of _levels and linked to its children, and
+    whether no expansion was cut off.  A node's restricted Frobenius number
+    in the family's own maximum is -1 for the maximum, else the value x
+    removed from its parent, which exceeds the cut.  Past MAX_MEMBERS nodes
+    it raises CapacityExceeded.
+    """
+    top = _bounded_top(desc, genus_bound)
     system, cut = _kernel(desc)
-    nodes = [_node(system, top, -1, cut)]
-    start = 0
+    nodes, start = [_node(system, top, -1, cut)], 0
     for _ in range(genus(top), genus_bound):  # nodes[start:] is one genus level
         level, start = nodes[start:], len(nodes)
+        if not level:
+            break
         for n in level:
             n.children = [_node(system, _drop(n.sg, x), x, cut)
                           for x in _above(n.min_system, n.restricted_frob)]
@@ -138,9 +136,13 @@ def _walk(desc, genus_bound):
 
 
 def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
-    """All members with genus <= bound, plus a flag telling whether that is all of them."""
-    nodes, complete = _walk(desc, genus_bound)
-    return [n.sg for n in nodes], complete
+    """All members with genus <= bound, level by level in breadth-first
+    order, plus a flag telling whether that is all of them."""
+    system = chains._systems(_base_of(desc))
+    mem = []
+    for level in _levels(desc, system, genus_bound):
+        mem += [sg for sg, _ in level]
+    return mem, not any(_above(system(sg), fd) for sg, fd in level)
 
 
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
@@ -166,8 +168,7 @@ def build_tree(desc, genus_bound=DEFAULT_GENUS_BOUND) -> RTreeNode:
 
 
 def tree_vertices(root: RTreeNode) -> list:
-    out = []
-    stack = [root]
+    out, stack = [], [root]
     while stack:
         n = stack.pop()
         out.append(n)
@@ -180,33 +181,33 @@ def genus_level(desc, g: int) -> set:
     return {sg for sg, _ in _level_pairs(desc, g)}
 
 
-def _level_pairs(desc, g: int) -> list:
-    """(member, fd) for every member with genus exactly g, unordered, where
-    fd is the member's restricted Frobenius number in the base maximum.
-
-    Level sets are iterated from the maximum: each member of a level is
-    expanded through its minimal-system elements above its restricted
-    Frobenius number, and iteration stops early once a level comes up empty.
-    Tree children of distinct parents are distinct, so no member repeats.
-    Unlike _walk, it holds one level at a time and computes no system for
-    the last level.  Past MAX_MEMBERS members made it raises
-    CapacityExceeded.
+def _levels(desc, system, g):
+    """Yield the levels of desc's tree from its maximum to genus g, or to
+    the first empty one, as lists of (member, fd), fd the member's restricted
+    Frobenius number in the base maximum: a member without each value of
+    system(member) above fd, in increasing order, gives its children, and
+    no child repeats.  Past MAX_MEMBERS members it raises CapacityExceeded.
     """
-    top = delta_of(desc)
-    g0 = genus(top)
-    if g < g0:
-        return []
-    system = chains._systems(_base_of(desc))
-    level = [(top, _base_fdelta(desc, top))]
-    made = 1
-    for _ in range(g0, g):
+    top = _bounded_top(desc, g)
+    level, made = [(top, _base_fdelta(desc, top))], 1
+    for _ in range(genus(top), g):
+        yield level
         level = [(_drop(sg, x), x) for sg, fd in level
                  for x in _above(system(sg), fd)]
         if not level:
-            return []
+            break
         made += len(level)
         if made > MAX_MEMBERS:
             raise _over_budget()
+    yield level
+
+
+def _level_pairs(desc, g: int) -> list:
+    """Level g of _levels, holding one level at a time; [] below the maximum."""
+    level = []
+    if g >= genus(delta_of(desc)):
+        for level in _levels(desc, chains._systems(_base_of(desc)), g):
+            pass
     return level
 
 
@@ -244,18 +245,16 @@ def descendants(desc, t: NumSG) -> Descendants:
 
 def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     """(image, complete): {S ∩ u | S a member with genus(S) <= bound},
-    deduplicated, and whether the member walk was complete.
-
-    A complete image is a family again, so it is not re-checked.  Its
-    maximum is Δ ∩ u, and (S₁ ∩ u) ∩ (S₂ ∩ u) = (S₁ ∩ S₂) ∩ u.  For
-    F = max((Δ ∩ u) ∖ S), adjoining restricted Frobenius numbers walks down
-    Δ ∖ S, and every value above F is outside u, so the chain reaches a
-    member S′ with S′ ∩ u = S ∩ u; then (S′ ∪ {F}) ∩ u = (S ∩ u) ∪ {F}.
+    deduplicated, and whether the member walk was complete.  A complete
+    image is a family again (the README gives the proof), so it is not
+    re-checked.  S's mask with its tail of ones, cut by u's mask below the
+    largest conductor w, is S ∩ u below w.
     """
     mem, complete = members_of(desc, genus_bound)
     w = max(u.conductor, *(s.conductor for s in mem))
     um = _below(u, w)
-    return {_canon(m, w) for m in {_below(s, w) & um for s in mem}}, complete
+    return {_canon(m, w) for m in {(s.mask | -(1 << s.conductor)) & um
+                                   for s in mem}}, complete
 
 
 def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:

@@ -13,13 +13,10 @@ from math import gcd
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import given
     from hypothesis import strategies as st
 except ImportError:
     pytest.skip("hypothesis not installed", allow_module_level=True)
-
-settings.register_profile("rvar", deadline=None)
-settings.load_profile("rvar")
 
 from rvar import (
     NATURALS, AlreadyMember, NotClosed, Restricted, add_element,

@@ -421,6 +421,24 @@ class TestVerify:
         assert len(out.splitlines()) == 3
         assert err == "rvar: error: 3 check(s) failed\n"
 
+    def test_a_low_bound_draws_maxima_that_fit_it(self, capsys):
+        # random maxima have genus at most the bound, so no walk is refused
+        rc, out, err = run(capsys, "verify", "--seed", "7", "--count", "10",
+                           "--genus-bound", "6")
+        assert rc == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 14
+        assert all(line.startswith("ok ") for line in lines[:13])
+        assert lines[13] == "all checks passed (seed=7, count=10)"
+
+    def test_a_bound_below_the_fixture_is_refused_before_any_check(self, capsys):
+        # the restricted fixture's maximum <4,6,7> has genus 5
+        rc, out, err = run(capsys, "verify", "--seed", "7", "--genus-bound", "3")
+        assert rc == 2
+        assert out == ""
+        assert err == "rvar: error: genus bound 3 is below the genus 5 of the maximum\n"
+
     def test_fixture_systems_are_checked_against_the_oracle(self, capsys, monkeypatch):
         import rvar.oracle
         monkeypatch.setattr(rvar.oracle, "minimal_system_from_members",

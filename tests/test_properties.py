@@ -16,11 +16,8 @@ try:
 except ImportError:
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
-settings.register_profile("rvar", deadline=None)
-settings.load_profile("rvar")
-
 from rvar import (
-    LD, PL, EmptyGenerators, GcdNotOne, Generated, Interval, NATURALS,
+    LD, PL, DomainError, EmptyGenerators, GcdNotOne, Generated, Interval, NATURALS,
     NumSG, Restricted, add_element, build_tree, chain_family, chain_to,
     check_rvariety_axioms, contains, delta_of, descendants, elements,
     enumerate_between, format_semigroup, from_generators, frobenius, genus,
@@ -29,9 +26,10 @@ from rvar import (
     minimal_system_from_members, minimal_vsystem, msg, oracle_members,
     parse_semigroup, random_semigroup, random_subsemigroup, remove_element,
     restrict_variety, restricted_closure, restricted_frobenius,
-    rmonoid_generated, tree_vertices, union_with_tail, variety_closure,
+    rmonoid_generated, tree_of, tree_vertices, union_with_tail,
+    variety_closure,
 )
-from rvar.engine import restriction_of
+from rvar.engine import _level_pairs, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE
 
 
@@ -462,6 +460,55 @@ def walked_families(draw):
     pool = [x for x in msg(t) if x > 1]
     forced = rng.sample(pool, rng.randint(0, min(2, len(pool))))
     return Restricted(frozenset(forced), t), genus(t) + 2
+
+
+@st.composite
+def walk_cases(draw):
+    """(desc, bound): a Restricted or Generated family, the tree of all
+    semigroups, or a descendants view of one, and a genus bound from one
+    below its maximum's genus to four past it, so walks are refused, cut
+    off or complete."""
+    desc = draw(st.one_of(restricteds(), generated_descriptors(),
+                          st.just(Restricted(frozenset(), NATURALS))))
+    if draw(st.booleans()):
+        below = tree_vertices(build_tree(desc, genus(delta_of(desc)) + 1))
+        desc = descendants(desc, draw(st.sampled_from(below)).sg)
+    return desc, genus(delta_of(desc)) + draw(st.integers(-1, 4))
+
+
+def _breadth_first(root):
+    """The nodes of a tree level by level, each node's children in order."""
+    nodes = [root]
+    for n in nodes:  # the list grows as each node appends its children
+        nodes.extend(n.children)
+    return nodes
+
+
+class TestLevelLoopLaws:
+    # members_of and _level_pairs walk (member, fd) levels and build no tree
+    # nodes; the node walk of tree_of is the reference
+    @given(walk_cases())
+    @settings(max_examples=150)
+    def test_members_are_the_tree_nodes_in_walk_order(self, case):
+        desc, bound = case
+        if bound < genus(delta_of(desc)):
+            for walk in (members_of, tree_of):
+                with pytest.raises(DomainError, match=r"^genus bound %d is below" % bound):
+                    walk(desc, bound)
+            assert _level_pairs(desc, bound) == []
+            return
+        root, complete = tree_of(desc, bound)
+        nodes = _breadth_first(root)
+        assert members_of(desc, bound) == ([n.sg for n in nodes], complete)
+        last = [n for n in nodes if genus(n.sg) == bound]
+        pairs = _level_pairs(desc, bound)
+        assert [sg for sg, _ in pairs] == [n.sg for n in last]
+        if bound > genus(root.sg):  # below the root fd is the removed value
+            assert [fd for _, fd in pairs] == [n.restricted_frob for n in last]
+
+    def test_the_examples_repeat_from_run_to_run(self):
+        assert settings.default.derandomize
+        assert settings.default.deadline is None
 
 
 class TestKernelLaws:

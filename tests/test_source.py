@@ -106,8 +106,8 @@ def test_walk_path_makes_no_rechecks():
     # the system kernel a walk takes from chains is held to the same rule
     checked = {"remove_element", "minimal_rsystem", "_member_system", "is_member",
                "check_rvariety_axioms"}
-    walk = {"engine.py": {"_walk", "_level_pairs", "_kernel", "_node", "_above",
-                          "children", "restriction_of"},
+    walk = {"engine.py": {"_walk", "_levels", "_level_pairs", "_kernel", "_node",
+                          "_above", "children", "members_of", "restriction_of"},
             "chains.py": {"_systems"}}
     found = []
     for module, names in sorted(walk.items()):
@@ -143,6 +143,20 @@ def test_closed_forms_make_no_search():
         called = set(_called_names(_top_functions(name)[func]))
         found += ["%s calls %s" % (func, c) for c in sorted(called & calls)]
     assert found == []
+
+
+def test_member_walks_build_no_tree_nodes():
+    # members_of, restriction_of and genus-level walk (member, fd) levels
+    # through _levels; only the tree walks build RTreeNodes
+    nodes = {"_walk", "_node", "RTreeNode"}
+    funcs = _top_functions("engine.py")
+    found = sorted("%s calls %s" % (name, called)
+                   for name in ("members_of", "restriction_of", "_level_pairs", "_levels")
+                   for called in set(_called_names(funcs[name])) & nodes)
+    assert found == []
+    # the guard sees the calls it bans where they are allowed
+    assert "_node" in set(_called_names(funcs["_walk"]))
+    assert "RTreeNode" in set(_called_names(funcs["_node"]))
 
 
 def _bound_names(node):
