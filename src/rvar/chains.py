@@ -7,9 +7,9 @@ for the two base descriptor families.
 """
 
 from .core import (
-    NumSG, DomainError, EmptyGenerators, GcdNotOne, InvariantError, NotContained,
-    _below, _bits, contains, format_semigroup, from_generators, intersect_all,
-    is_subset, msg, union_with_tail,
+    NumSG, DomainError, EmptyGenerators, GcdNotOne, InvariantError, _below,
+    _bits, _require_subset, contains, format_semigroup, from_generators,
+    intersect_all, is_subset, msg, union_with_tail,
 )
 from .descriptors import Restricted, Generated, _Frozen, _set, delta_of
 
@@ -48,9 +48,7 @@ def chain_to(s: NumSG, t: NumSG) -> ChainRec:
     f was adjoined before it or is in s.  Such a union is closed, so no link
     is re-checked.  t ∖ s lies below the conductor of s.
     """
-    if not is_subset(s, t):
-        raise NotContained("%s is not contained in %s"
-                           % (format_semigroup(s), format_semigroup(t)))
+    _require_subset(s, t)
     fills = tuple(_bits(_below(t, s.conductor) & ~s.mask)[::-1])
     return ChainRec((s,) + tuple(union_with_tail(s, t, f) for f in fills), fills)
 
@@ -59,9 +57,7 @@ def chain_family(f, delta: NumSG) -> set:
     """Union of the chains of all members of f restricted to delta."""
     out = set()
     for s in f:
-        if not is_subset(s, delta):
-            raise NotContained("family member %s is not contained in %s"
-                               % (format_semigroup(s), format_semigroup(delta)))
+        _require_subset(s, delta, "family member ")
         out.update(chain_to(s, delta).links)
     return out
 
@@ -151,7 +147,7 @@ def _systems(desc):
     """The system kernel of a base descriptor: a function from a member m
     to its minimal system as a strictly increasing tuple, unchecked; for
     callers that walk members.  The work that depends on the family alone
-    is done here, once, so each call is a few mask operations.
+    is done once and kept on desc, so each call is a few mask operations.
 
     Restricted families reduce to the minimal generators outside the forced
     part, read off the increasing msg.  In a Generated family each family
@@ -162,12 +158,14 @@ def _systems(desc):
     m at or past the conductor of s is in s, so x_s is the lowest bit of m's
     mask below the largest conductor top in f, cut by the gaps of s.
     """
+    system = getattr(desc, "_system", None)
+    if system is not None:
+        return system
     if isinstance(desc, Restricted):
-        if not desc.a:
-            return msg
         forced = desc.a
-        return lambda m: tuple([x for x in msg(m) if x not in forced])
-    if isinstance(desc, Generated):
+        system = msg if not forced else (
+            lambda m: tuple([x for x in msg(m) if x not in forced]))
+    elif isinstance(desc, Generated):
         gaps = [s.gaps for s in desc.f]
         top = max([s.conductor for s in desc.f], default=0)
 
@@ -183,8 +181,10 @@ def _systems(desc):
                 xs.append(b.bit_length() - 1)
                 low ^= b
             return tuple(xs)
-        return system
-    raise TypeError("not a base variety descriptor: %r" % (desc,))
+    else:
+        raise TypeError("not a base variety descriptor: %r" % (desc,))
+    _set(desc, "_system", system)
+    return system
 
 
 def rrange(desc, m: NumSG) -> int:

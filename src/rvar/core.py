@@ -249,6 +249,13 @@ def is_subset(s: NumSG, t: NumSG) -> bool:
     return s.mask & ~t.mask & ((1 << t.conductor) - 1) == 0
 
 
+def _require_subset(s: NumSG, t: NumSG, what=""):
+    """Raise NotContained unless s ⊆ t; what goes before s in the message."""
+    if not is_subset(s, t):
+        raise NotContained("%s%s is not contained in %s"
+                           % (what, format_semigroup(s), format_semigroup(t)))
+
+
 def remove_element(s: NumSG, x: int) -> NumSG:
     """s without the minimal generator x; genus grows by exactly 1."""
     if not contains(s, x) or x <= 0:
@@ -313,9 +320,7 @@ def union_with_tail(s: NumSG, delta: NumSG, n: int) -> NumSG:
 
 def restricted_frobenius(s: NumSG, t: NumSG) -> int:
     """max(t \\ s) for s strictly contained in t."""
-    if not is_subset(s, t):
-        raise NotContained("%s is not contained in %s"
-                           % (format_semigroup(s), format_semigroup(t)))
+    _require_subset(s, t)
     if s == t:
         raise EqualSemigroups("restricted Frobenius of a semigroup in itself")
     # every member of t from conductor(s) up is in s, so look below it

@@ -13,7 +13,7 @@ dataclasses module pulls inspect, ast and dis into every process that
 imports the package, which costs more than most requests compute.
 """
 
-from .core import NumSG, NotContained, format_semigroup, is_subset, contains, msg
+from .core import NumSG, NotContained, _require_subset, format_semigroup, contains, msg
 
 _set = object.__setattr__
 
@@ -56,7 +56,13 @@ class _Frozen(_Record):
         return type(self), self._fields()
 
 
-class Restricted(_Frozen):
+class _Family(_Frozen):
+    """A family descriptor; its slots that are not fields memoize work on it."""
+
+    __slots__ = ("_walked", "_system")
+
+
+class Restricted(_Family):
     """All semigroups S with a ⊆ S ⊆ t."""
 
     __slots__ = ("a", "t")
@@ -69,9 +75,11 @@ class Restricted(_Frozen):
                                    % (x, format_semigroup(t)))
         _set(self, "a", a)
         _set(self, "t", t)
+        _set(self, "_walked", None)
+        _set(self, "_system", None)
 
 
-class Generated(_Frozen):
+class Generated(_Family):
     """The smallest such family with maximum delta containing every member of f.
 
     Equals all finite intersections of the chains of f's members restricted
@@ -83,14 +91,14 @@ class Generated(_Frozen):
     def __init__(self, f, delta: NumSG):
         f = tuple(f)
         for s in f:
-            if not is_subset(s, delta):
-                raise NotContained("family member %s is not contained in %s"
-                                   % (format_semigroup(s), format_semigroup(delta)))
+            _require_subset(s, delta, "family member ")
         _set(self, "f", f)
         _set(self, "delta", delta)
+        _set(self, "_walked", None)
+        _set(self, "_system", None)
 
 
-class Descendants(_Frozen):
+class Descendants(_Family):
     """View of another descriptor, keeping only the descendants of top in its tree.
 
     Construct through engine.descendants, which validates membership of top.
@@ -101,13 +109,13 @@ class Descendants(_Frozen):
     def __init__(self, base, top: NumSG):
         _set(self, "base", base)
         _set(self, "top", top)
+        _set(self, "_walked", None)
+        _set(self, "_system", None)
 
 
 def Interval(lo: NumSG, hi: NumSG) -> Restricted:
     """All semigroups between lo and hi inclusive: Restricted(msg(lo), hi)."""
-    if not is_subset(lo, hi):
-        raise NotContained("%s is not contained in %s"
-                           % (format_semigroup(lo), format_semigroup(hi)))
+    _require_subset(lo, hi)
     return Restricted(frozenset(msg(lo)), hi)
 
 

@@ -15,7 +15,7 @@ from .core import (
     format_semigroup, frobenius, genus, is_subset, restricted_frobenius,
     union_with_tail,
 )
-from .descriptors import Descendants, _Record, delta_of
+from .descriptors import Descendants, _Record, _set, delta_of
 from .chains import NotInVariety
 
 DEFAULT_GENUS_BOUND = 40
@@ -137,12 +137,24 @@ def _walk(desc, genus_bound):
 
 def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     """All members with genus <= bound, level by level in breadth-first
-    order, plus a flag telling whether that is all of them."""
-    system = chains._systems(_base_of(desc))
-    mem = []
-    for level in _levels(desc, system, genus_bound):
-        mem += [sg for sg, _ in level]
-    return mem, not any(_above(system(sg), fd) for sg, fd in level)
+    order, as a new list, plus a flag telling whether that is all of them."""
+    mem, complete = _members(desc, genus_bound)
+    return list(mem), complete
+
+
+def _members(desc, genus_bound):
+    """members_of with a tuple of members; desc keeps its last walk as
+    (bound, members, complete), and a walk at that bound reuses it."""
+    walked = getattr(desc, "_walked", None)
+    if walked is None or walked[0] != genus_bound:
+        system = chains._systems(_base_of(desc))
+        mem = []
+        for level in _levels(desc, system, genus_bound):
+            mem += [sg for sg, _ in level]
+        walked = (genus_bound, tuple(mem),
+                  not any(_above(system(sg), fd) for sg, fd in level))
+        _set(desc, "_walked", walked)
+    return walked[1:]
 
 
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
@@ -250,7 +262,7 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     re-checked.  S's mask with its tail of ones, cut by u's mask below the
     largest conductor w, is S ∩ u below w.
     """
-    mem, complete = members_of(desc, genus_bound)
+    mem, complete = _members(desc, genus_bound)
     w = max(u.conductor, *(s.conductor for s in mem))
     um = _below(u, w)
     return {_canon(m, w) for m in {(s.mask | -(1 << s.conductor)) & um

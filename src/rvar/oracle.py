@@ -10,8 +10,8 @@ from itertools import combinations
 
 from .core import (
     NumSG, DomainError, InvariantError, NATURALS, NotContained, _below, _canon,
-    contains, format_semigroup, genus, intersect, intersect_all, is_subset, msg,
-    restricted_frobenius, union_with_tail,
+    _require_subset, contains, format_semigroup, genus, intersect, intersect_all,
+    is_subset, msg, restricted_frobenius, union_with_tail,
 )
 from .chains import NoContainingElement, NotInVariety, chain_family
 from .descriptors import Interval, Restricted, Generated
@@ -34,9 +34,7 @@ def enumerate_between(lo, hi: NumSG, genus_bound=None):
     bare element set can be endless; DomainError is raised instead.
     """
     if isinstance(lo, NumSG):
-        if not is_subset(lo, hi):
-            raise NotContained("%s is not contained in %s"
-                               % (format_semigroup(lo), format_semigroup(hi)))
+        _require_subset(lo, hi)
         required = lambda x: contains(lo, x)
     else:
         req = frozenset(lo)

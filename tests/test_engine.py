@@ -1,6 +1,7 @@
 """Family trees, genus levels, classification, and derived views."""
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -9,13 +10,13 @@ import pytest
 import rvar
 from rvar import chains
 from rvar import (
-    NATURALS, CapacityExceeded, Descendants, DomainError, Interval,
+    NATURALS, CapacityExceeded, Descendants, DomainError, Generated, Interval,
     NotInVariety, Restricted, build_tree, check_rvariety_axioms, children,
     delta_of, descendants, genus, genus_level, is_pseudo_variety, member,
     members_of, minimal_system_from_members, msg, remove_element,
     restrict_variety, tree_of, tree_vertices, union_with_tail,
 )
-from rvar.engine import RTreeNode, _level_pairs, _walk, fdelta
+from rvar.engine import RTreeNode, _level_pairs, _walk, fdelta, restriction_of
 from support import (
     sg, DELTA_567, FINITE_FIXTURES, GENERATED_FIXTURE, GENERATED_MEMBERS,
     INTERVAL_FIXTURE, INTERVAL_MEMBERS, PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
@@ -320,20 +321,98 @@ class TestWalkKernel:
                      Restricted(frozenset(), NATURALS)] + views:
             g = genus(delta_of(desc)) + 4
             for walk in (members_of, tree_of, _level_pairs):
+                # an equal copy keeps no walk or kernel from an earlier test
+                fresh = pickle.loads(pickle.dumps(desc))
                 calls.clear()
-                walk(desc, g)
-                assert calls == [desc.base if isinstance(desc, Descendants) else desc]
+                walk(fresh, g)
+                assert calls == [fresh.base if isinstance(fresh, Descendants) else fresh]
 
     def test_a_walk_past_the_member_budget_is_refused(self, monkeypatch):
         # 27 semigroups have genus at most 5 (A007323 summed)
         n = Restricted(frozenset(), NATURALS)
         monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 27)
         assert len(members_of(n, 5)[0]) == 27
+        assert len(tree_vertices(tree_of(n, 5)[0])) == 27
         assert len(_level_pairs(n, 5)) == 12
         monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 26)
         for walk in (members_of, tree_of, _level_pairs):
+            # n keeps its walk at this bound; an equal copy starts without it
             with pytest.raises(CapacityExceeded, match=r"^walk exceeds 26 members$"):
-                walk(n, 5)
+                walk(pickle.loads(pickle.dumps(n)), 5)
+
+
+class TestMemberMemo:
+    # a descriptor keeps its last member walk, so a family restricted by
+    # many semigroups is walked once per bound
+    def _counted_levels(self, monkeypatch):
+        calls = []
+        levels = rvar.engine._levels
+
+        def counted(*args):
+            calls.append(args[0])
+            return levels(*args)
+        monkeypatch.setattr(rvar.engine, "_levels", counted)
+        return calls
+
+    def test_the_same_bound_walks_once(self, monkeypatch):
+        calls = self._counted_levels(monkeypatch)
+        desc = Interval(sg(5, 6), DELTA_567)
+        first = members_of(desc, 20)
+        assert set(first[0]) == set(INTERVAL_MEMBERS) and first[1]
+        assert len(calls) == 1
+        assert members_of(desc, 20) == first
+        restriction_of(desc, sg(5, 7, 9), 20)
+        restrict_variety(desc, NATURALS, 20)
+        assert len(calls) == 1
+        # an equal descriptor is another value, with its own walk
+        assert members_of(Interval(sg(5, 6), DELTA_567), 20) == first
+        assert len(calls) == 2
+
+    def test_another_bound_walks_again(self, monkeypatch):
+        calls = self._counted_levels(monkeypatch)
+        n = Restricted(frozenset(), NATURALS)
+        assert len(members_of(n, 3)[0]) == 8
+        assert len(members_of(n, 4)[0]) == 15
+        assert len(members_of(n, 3)[0]) == 8
+        assert len(calls) == 3
+        # a refused walk keeps nothing, and the kept walk stays
+        view = descendants(n, sg(2, 3))
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^genus bound 0 is below the genus 1 "):
+                members_of(view, 0)
+        assert view._walked is None
+        monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 10)
+        with pytest.raises(CapacityExceeded):
+            members_of(n, 4)
+        assert len(calls) == 6
+        assert len(members_of(n, 3)[0]) == 8 and len(calls) == 6
+
+    def test_a_changed_answer_does_not_change_the_next(self):
+        desc = Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)
+        mem, complete = members_of(desc, 20)
+        assert set(mem) == set(GENERATED_MEMBERS) and complete
+        kept = list(mem)
+        mem.clear()
+        assert members_of(desc, 20) == (kept, True)
+
+    def test_the_kept_walk_is_no_field(self):
+        desc = Restricted({4, 6}, sg(4, 6, 7))
+        before = (hash(desc), repr(desc), pickle.dumps(desc))
+        members_of(desc, 8)
+        chains._systems(desc)
+        assert desc._walked is not None and desc._system is not None
+        assert (hash(desc), repr(desc), pickle.dumps(desc)) == before
+        copy = pickle.loads(pickle.dumps(desc))
+        assert copy == desc and hash(copy) == hash(desc)
+        assert copy._walked is None and copy._system is None
+        with pytest.raises(AttributeError):
+            desc._walked = None
+
+    def test_the_kernel_is_built_once_per_descriptor(self):
+        desc = Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)
+        assert chains._systems(desc) is chains._systems(desc)
+        with pytest.raises(TypeError, match=r"^not a base variety descriptor"):
+            chains._systems(descendants(desc, GENERATED_FIXTURE.delta))
 
 
 class TestRestrictVariety:

@@ -4,6 +4,7 @@ Each test states an identity that must hold for every input; hypothesis
 hunts for counterexamples.  Anchored values live in the other modules.
 """
 
+import pickle
 import random
 from functools import reduce
 from math import gcd
@@ -509,6 +510,27 @@ class TestLevelLoopLaws:
     def test_the_examples_repeat_from_run_to_run(self):
         assert settings.default.derandomize
         assert settings.default.deadline is None
+
+
+class TestMemberMemoLaws:
+    # a descriptor keeps its last member walk; an equal descriptor rebuilt by
+    # pickle keeps none, so its walk is the reference.  Each bound comes
+    # twice, so the kept walk answers, is replaced, or outlives a refusal.
+    @given(walk_cases(), st.lists(st.integers(-1, 4), min_size=1, max_size=3))
+    @settings(max_examples=100)
+    def test_a_kept_walk_is_a_fresh_walk(self, case, steps):
+        desc, _ = case
+        top = genus(delta_of(desc))
+        for bound in [top + step for step in steps for _ in range(2)]:
+            if bound < top:
+                with pytest.raises(DomainError, match=r"^genus bound %d is below the "
+                                   r"genus %d of the maximum$" % (bound, top)):
+                    members_of(desc, bound)
+                continue
+            mem, complete = members_of(pickle.loads(pickle.dumps(desc)), bound)
+            assert members_of(desc, bound) == (mem, complete)
+            # every member lies in the maximum, so restricting by it keeps them
+            assert restriction_of(desc, delta_of(desc), bound) == (set(mem), complete)
 
 
 class TestKernelLaws:

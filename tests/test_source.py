@@ -107,7 +107,8 @@ def test_walk_path_makes_no_rechecks():
     checked = {"remove_element", "minimal_rsystem", "_member_system", "is_member",
                "check_rvariety_axioms"}
     walk = {"engine.py": {"_walk", "_levels", "_level_pairs", "_kernel", "_node",
-                          "_above", "children", "members_of", "restriction_of"},
+                          "_above", "children", "members_of", "_members",
+                          "restriction_of"},
             "chains.py": {"_systems"}}
     found = []
     for module, names in sorted(walk.items()):
@@ -136,7 +137,8 @@ def test_closed_forms_make_no_search():
     # is_pseudo_variety reads the answer off the maximum's tree node, and
     # chain_to writes each link as a union with a tail: neither walks the
     # family nor re-checks a step
-    banned = {("engine.py", "is_pseudo_variety"): {"_walk", "members_of", "_level_pairs"},
+    banned = {("engine.py", "is_pseudo_variety"): {"_walk", "members_of", "_members",
+                                                   "_level_pairs"},
               ("chains.py", "chain_to"): {"add_element", "restricted_frobenius"}}
     found = []
     for (name, func), calls in sorted(banned.items()):
@@ -146,12 +148,13 @@ def test_closed_forms_make_no_search():
 
 
 def test_member_walks_build_no_tree_nodes():
-    # members_of, restriction_of and genus-level walk (member, fd) levels
-    # through _levels; only the tree walks build RTreeNodes
+    # members_of, restriction_of (both through _members) and genus-level walk
+    # (member, fd) levels through _levels; only the tree walks build RTreeNodes
     nodes = {"_walk", "_node", "RTreeNode"}
     funcs = _top_functions("engine.py")
     found = sorted("%s calls %s" % (name, called)
-                   for name in ("members_of", "restriction_of", "_level_pairs", "_levels")
+                   for name in ("members_of", "_members", "restriction_of",
+                                "_level_pairs", "_levels")
                    for called in set(_called_names(funcs[name])) & nodes)
     assert found == []
     # the guard sees the calls it bans where they are allowed
