@@ -15,7 +15,7 @@ from .core import (
     msg, intersect, intersect_all, is_subset, remove_element, add_element,
     union_with_tail, restricted_frobenius, parse_semigroup, format_semigroup,
 )
-from .descriptors import Interval, Restricted, Generated, Descendants, delta_of
+from .descriptors import Interval, Restricted, Generated, delta_of
 from .chains import (
     ChainRec, NotInDelta, NotInVariety, NotNumerical, NoContainingElement,
     chain_to, chain_family, is_member, rmonoid_generated, minimal_rsystem,

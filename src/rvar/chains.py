@@ -3,11 +3,11 @@
 The chain from S to T adjoins max(T \\ current) until T is reached.  Relative
 to a variety descriptor, every monoid expressible as an intersection of
 members admits a unique minimal generating system; this module computes it
-for the two base descriptor families.
+for both descriptor families, Restricted and Generated.
 """
 
 from .core import (
-    NumSG, DomainError, EmptyGenerators, GcdNotOne, InvariantError, _below,
+    NumSG, DomainError, EmptyGenerators, GcdNotOne, _below,
     _bits, _require_subset, contains, format_semigroup, from_generators,
     intersect_all, is_subset, msg, union_with_tail,
 )
@@ -62,17 +62,8 @@ def chain_family(f, delta: NumSG) -> set:
     return out
 
 
-def _first_missing(m: NumSG, s: NumSG) -> int:
-    """Smallest element of m outside s; requires m ⊄ s."""
-    missing = s.gaps & ~m.gaps
-    if not missing:
-        raise InvariantError("no missing element: %s ⊆ %s"
-                             % (format_semigroup(m), format_semigroup(s)))
-    return (missing & -missing).bit_length() - 1
-
-
 def is_member(desc, s: NumSG) -> bool:
-    """Whether s belongs to the family described by a base descriptor."""
+    """Whether s belongs to the family described by desc."""
     if isinstance(desc, Restricted):
         return all(contains(s, x) for x in desc.a) and is_subset(s, desc.t)
     if isinstance(desc, Generated):
@@ -93,7 +84,7 @@ def is_member(desc, s: NumSG) -> bool:
             out = sm & c.gaps
             acc &= _below(c, top) | (dm & -(out & -out))
         return acc == sm
-    raise TypeError("not a base variety descriptor: %r" % (desc,))
+    raise TypeError("not a variety descriptor: %r" % (desc,))
 
 
 def rmonoid_generated(desc, a) -> NumSG:
@@ -124,7 +115,7 @@ def rmonoid_generated(desc, a) -> NumSG:
         if not parts:
             return delta
         return intersect_all(parts)
-    raise TypeError("not a base variety descriptor: %r" % (desc,))
+    raise TypeError("not a variety descriptor: %r" % (desc,))
 
 
 def minimal_rsystem(desc, m: NumSG) -> frozenset:
@@ -144,7 +135,7 @@ def _member_system(desc, m: NumSG) -> tuple:
 
 
 def _systems(desc):
-    """The system kernel of a base descriptor: a function from a member m
+    """The system kernel of a descriptor: a function from a member m
     to its minimal system as a strictly increasing tuple, unchecked; for
     callers that walk members.  The work that depends on the family alone
     is done once and kept on desc, so each call is a few mask operations.
@@ -182,7 +173,7 @@ def _systems(desc):
                 low ^= b
             return tuple(xs)
     else:
-        raise TypeError("not a base variety descriptor: %r" % (desc,))
+        raise TypeError("not a variety descriptor: %r" % (desc,))
     _set(desc, "_system", system)
     return system
 

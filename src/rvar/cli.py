@@ -31,10 +31,10 @@ from .core import (
     multiplicity, parse_semigroup, restricted_frobenius,
 )
 from .descriptors import Interval, Restricted, Generated, delta_of
-from .chains import _member_system, _systems, chain_to
+from .chains import _member_system, chain_to
 from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
 from .engine import (
-    DEFAULT_GENUS_BOUND, _bounded_top, _level_pairs, descendants, fdelta,
+    DEFAULT_GENUS_BOUND, _bounded_top, _last_level, descendants, fdelta,
     restriction_of, tree_of, tree_vertices,
 )
 
@@ -198,12 +198,11 @@ def _cmd_tree(args):
 
 def _cmd_genus_level(args):
     desc = _variety_from(args)
-    # members come from the walk, so their systems need no membership check;
-    # the walk also carried each member's fdelta in the family's maximum
-    level = sorted(_level_pairs(desc, args.genus), key=lambda pair: pair[0].sort_key())
-    system = _systems(desc)
-    return (level, lambda pair: format_semigroup(pair[0]),
-            lambda pair: _record(*pair, minsys=system(pair[0])))
+    # the walk carries each member's fdelta in the family's maximum and its
+    # system, so no system is checked or computed again
+    level = sorted(_last_level(desc, args.genus), key=lambda m: m[0].sort_key())
+    return (level, lambda m: format_semigroup(m[0]),
+            lambda m: _record(m[0], m[1], minsys=m[2]))
 
 
 def _cmd_descendants(args):

@@ -3,10 +3,11 @@
 A descriptor is a finite, hashable recipe for a (possibly infinite) family of
 numerical semigroups that has a maximum element, is closed under intersection,
 and is closed under adjoining the Frobenius number restricted to the maximum.
-Two base families are supported, Restricted and Generated, plus a descendants
-view rooted at a member.  Interval(lo, hi) is a constructor, not a family of
-its own: a semigroup contains lo exactly when it contains msg(lo), so the
-interval is Restricted(msg(lo), hi).
+Two families are supported, Restricted and Generated.  Interval(lo, hi) is
+a constructor, not a family of its own: a semigroup contains lo exactly
+when it contains msg(lo), so the interval is Restricted(msg(lo), hi).  The
+descendants of a member t form a family with maximum t, and
+engine.descendants writes it as a Restricted or Generated descriptor too.
 
 Descriptors are small value classes rather than dataclasses: the
 dataclasses module pulls inspect, ast and dis into every process that
@@ -98,21 +99,6 @@ class Generated(_Family):
         _set(self, "_system", None)
 
 
-class Descendants(_Family):
-    """View of another descriptor, keeping only the descendants of top in its tree.
-
-    Construct through engine.descendants, which validates membership of top.
-    """
-
-    __slots__ = ("base", "top")
-
-    def __init__(self, base, top: NumSG):
-        _set(self, "base", base)
-        _set(self, "top", top)
-        _set(self, "_walked", None)
-        _set(self, "_system", None)
-
-
 def Interval(lo: NumSG, hi: NumSG) -> Restricted:
     """All semigroups between lo and hi inclusive: Restricted(msg(lo), hi)."""
     _require_subset(lo, hi)
@@ -125,6 +111,4 @@ def delta_of(desc) -> NumSG:
         return desc.t
     if isinstance(desc, Generated):
         return desc.delta
-    if isinstance(desc, Descendants):
-        return desc.top
     raise TypeError("not a variety descriptor: %r" % (desc,))

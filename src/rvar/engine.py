@@ -12,10 +12,10 @@ from bisect import bisect_right
 from . import chains
 from .core import (
     NumSG, CapacityExceeded, DomainError, _below, _canon, _drop,
-    format_semigroup, frobenius, genus, is_subset, restricted_frobenius,
+    format_semigroup, frobenius, genus, intersect, msg, restricted_frobenius,
     union_with_tail,
 )
-from .descriptors import Descendants, _Record, _set, delta_of
+from .descriptors import Restricted, Generated, _Record, _set, delta_of
 from .chains import NotInVariety
 
 DEFAULT_GENUS_BOUND = 40
@@ -40,24 +40,9 @@ class RTreeNode(_Record):
         self.children = [] if children is None else children
 
 
-def _base_of(desc):
-    return desc.base if isinstance(desc, Descendants) else desc
-
-
-def member(desc, s: NumSG) -> bool:
-    """Whether s belongs to the described family."""
-    if isinstance(desc, Descendants):
-        if not member(desc.base, s):
-            return False
-        if s == desc.top:
-            return True
-        if not is_subset(s, desc.top):
-            return False
-        # s descends from top iff top is s plus a full upper tail of the maximum
-        delta = delta_of(desc.base)
-        n = chains._first_missing(desc.top, s)
-        return union_with_tail(s, delta, n) == desc.top
-    return chains.is_member(desc, s)
+# A descendants view is a Restricted or Generated descriptor (see
+# descendants), so membership is chains.is_member itself.
+member = chains.is_member
 
 
 def fdelta(s: NumSG, top: NumSG) -> int:
@@ -65,40 +50,28 @@ def fdelta(s: NumSG, top: NumSG) -> int:
     return -1 if s == top else restricted_frobenius(s, top)
 
 
-def _base_fdelta(desc, s: NumSG) -> int:
-    """Restricted Frobenius number of s in the maximum of desc's base family."""
-    return fdelta(s, delta_of(_base_of(desc)))
-
-
 def _above(xs, v):
     """The elements of the increasing sequence xs that exceed v."""
     return xs[bisect_right(xs, v):]
 
 
-def _kernel(desc):
-    """(system, cut) for walking desc: the system kernel of its base family,
-    chosen once per walk, and the restricted Frobenius number of its maximum
-    in the base maximum, -1 for a base family."""
-    return chains._systems(_base_of(desc)), _base_fdelta(desc, delta_of(desc))
+def _next_level(system, level):
+    """The next level below a level of (member, fd, system) triples: each
+    member without each value of its system above its fd, in increasing
+    order, as the triple (child, value removed, system(child))."""
+    return [(c := _drop(sg, x), x, system(c))
+            for sg, fd, xs in level for x in _above(xs, fd)]
 
 
-def _node(system, sg: NumSG, fd: int, cut: int) -> RTreeNode:
-    """The tree node of the member sg: fd is its restricted Frobenius number
-    in the family's own maximum, and its system the kernel's values above
-    cut, that maximum's number in the base maximum (see tree_of)."""
-    xs = system(sg)
-    return RTreeNode(sg, fd, xs if cut < 0 else _above(xs, cut))
+def _complete(level):
+    """Whether no member of a walk's last level has children."""
+    return not any(_above(xs, fd) for _, fd, xs in level)
 
 
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
-    system, cut = _kernel(desc)
-    return [_node(system, _drop(node.sg, x), x, cut)
-            for x in _above(node.min_system, node.restricted_frob)]
-
-
-def _over_budget():
-    return CapacityExceeded("walk exceeds %d members" % MAX_MEMBERS)
+    return [RTreeNode(*c) for c in _next_level(
+        chains._systems(desc), [(node.sg, node.restricted_frob, node.min_system)])]
 
 
 def _bounded_top(desc, genus_bound) -> NumSG:
@@ -110,29 +83,45 @@ def _bounded_top(desc, genus_bound) -> NumSG:
     return top
 
 
-def _walk(desc, genus_bound):
-    """(nodes, complete) for tree_of: one RTreeNode per member with genus
-    <= bound, in the order of _levels and linked to its children, and
-    whether no expansion was cut off.  A node's restricted Frobenius number
-    in the family's own maximum is -1 for the maximum, else the value x
-    removed from its parent, which exceeds the cut.  Past MAX_MEMBERS nodes
-    it raises CapacityExceeded.
+def _levels(desc, g):
+    """Yield the levels of desc's tree from its maximum to genus g, or to
+    the first empty one, as lists of (member, fd, system) triples: fd is the
+    member's restricted Frobenius number in the maximum, -1 for the maximum
+    itself, and system its minimal system from the family's kernel, chosen
+    once per walk.  A member's children are consecutive in the next level
+    (see _next_level), and no child repeats.  Past MAX_MEMBERS members it
+    raises CapacityExceeded.
     """
-    top = _bounded_top(desc, genus_bound)
-    system, cut = _kernel(desc)
-    nodes, start = [_node(system, top, -1, cut)], 0
-    for _ in range(genus(top), genus_bound):  # nodes[start:] is one genus level
-        level, start = nodes[start:], len(nodes)
+    top = _bounded_top(desc, g)
+    system = chains._systems(desc)
+    level, made = [(top, -1, system(top))], 1
+    for _ in range(genus(top), g):
+        yield level
+        level = _next_level(system, level)
         if not level:
             break
-        for n in level:
-            n.children = [_node(system, _drop(n.sg, x), x, cut)
-                          for x in _above(n.min_system, n.restricted_frob)]
-            nodes += n.children
-            if len(nodes) > MAX_MEMBERS:
-                raise _over_budget()
-    return nodes, not any(_above(n.min_system, n.restricted_frob)
-                          for n in nodes[start:])
+        made += len(level)
+        if made > MAX_MEMBERS:
+            raise CapacityExceeded("walk exceeds %d members" % MAX_MEMBERS)
+    yield level
+
+
+def _walk(desc, genus_bound):
+    """(nodes, complete) for tree_of: one RTreeNode per member of _levels,
+    in its order, each parent linked to its children, and whether no
+    expansion was cut off.  A parent's children are the next
+    len(_above(system, fd)) nodes of the next level.
+    """
+    nodes, parents = [], []
+    for level in _levels(desc, genus_bound):
+        made = [RTreeNode(*m) for m in level]
+        i = 0
+        for p in parents:
+            j = i + len(_above(p.min_system, p.restricted_frob))
+            p.children, i = made[i:j], j
+        nodes += made
+        parents = made
+    return nodes, _complete(level)
 
 
 def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
@@ -147,12 +136,10 @@ def _members(desc, genus_bound):
     (bound, members, complete), and a walk at that bound reuses it."""
     walked = getattr(desc, "_walked", None)
     if walked is None or walked[0] != genus_bound:
-        system = chains._systems(_base_of(desc))
         mem = []
-        for level in _levels(desc, system, genus_bound):
-            mem += [sg for sg, _ in level]
-        walked = (genus_bound, tuple(mem),
-                  not any(_above(system(sg), fd) for sg, fd in level))
+        for level in _levels(desc, genus_bound):
+            mem += [sg for sg, _, _ in level]
+        walked = (genus_bound, tuple(mem), _complete(level))
         _set(desc, "_walked", walked)
     return walked[1:]
 
@@ -161,13 +148,7 @@ def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     """(root, complete): the family tree rooted at the maximum, cut at the genus bound.
 
     Every node carries its exact minimal system, as a strictly increasing
-    tuple, also when the walk is cut off.  Under a descendants view of top
-    T the restricted Frobenius is taken in T, and the system of a member S
-    is {x in the base system of S : x > F}, where F = fdelta(T, Δ) for the
-    base maximum Δ.  Each descendant of T is T with elements above F
-    removed, so it keeps T ∩ [0, F]: in the view those elements are forced,
-    like the forced set of a restricted family, and only the base system
-    elements above F are left to generate S.  Children come in increasing
+    tuple, also when the walk is cut off.  Children come in increasing
     restricted Frobenius number, the order in which the walk adds them.
     """
     nodes, complete = _walk(desc, genus_bound)
@@ -190,69 +171,63 @@ def tree_vertices(root: RTreeNode) -> list:
 
 def genus_level(desc, g: int) -> set:
     """All members with genus exactly g."""
-    return {sg for sg, _ in _level_pairs(desc, g)}
+    return {sg for sg, _, _ in _last_level(desc, g)}
 
 
-def _levels(desc, system, g):
-    """Yield the levels of desc's tree from its maximum to genus g, or to
-    the first empty one, as lists of (member, fd), fd the member's restricted
-    Frobenius number in the base maximum: a member without each value of
-    system(member) above fd, in increasing order, gives its children, and
-    no child repeats.  Past MAX_MEMBERS members it raises CapacityExceeded.
-    """
-    top = _bounded_top(desc, g)
-    level, made = [(top, _base_fdelta(desc, top))], 1
-    for _ in range(genus(top), g):
-        yield level
-        level = [(_drop(sg, x), x) for sg, fd in level
-                 for x in _above(system(sg), fd)]
-        if not level:
-            break
-        made += len(level)
-        if made > MAX_MEMBERS:
-            raise _over_budget()
-    yield level
-
-
-def _level_pairs(desc, g: int) -> list:
+def _last_level(desc, g: int) -> list:
     """Level g of _levels, holding one level at a time; [] below the maximum."""
     level = []
     if g >= genus(delta_of(desc)):
-        for level in _levels(desc, chains._systems(_base_of(desc)), g):
+        for level in _levels(desc, g):
             pass
     return level
 
 
 def is_pseudo_variety(desc) -> bool:
     """Whether every member besides the maximum has its Frobenius number in
-    the maximum; read off the maximum's own tree node, without a walk.
+    the maximum; read off the maximum's own system, without a walk.
 
-    For the maximum Δ with system B (the base system above the view's cut,
-    as tree_of takes it), the answer is: B is empty or min(B) > F(Δ).  A
-    member S ⊆ Δ has F(S) >= F(Δ), and every integer past F(Δ) is in Δ, so
-    a counterexample S has F(S) = F(Δ) and contains every integer past it.
-    Its chain up to Δ then adjoins only values below F(Δ), every link of it
-    is a member, and its last link below Δ is Δ ∖ {r} with
-    r = min(Δ ∖ S) < F(Δ): a tree child of Δ, so r is in B.  Conversely,
-    for r in B with r < F(Δ) the child Δ ∖ {r} has Frobenius number F(Δ),
-    outside Δ.  Δ = N has F(Δ) = -1, so the answer is True.
+    For the maximum Δ with system B, the answer is: B is empty or
+    min(B) > F(Δ).  A member S ⊆ Δ has F(S) >= F(Δ), and every integer
+    past F(Δ) is in Δ, so a counterexample S has F(S) = F(Δ) and contains
+    every integer past it.  Its chain up to Δ then adjoins only values
+    below F(Δ), every link of it is a member, and its last link below Δ is
+    Δ ∖ {r} with r = min(Δ ∖ S) < F(Δ): a tree child of Δ, so r is in B.
+    Conversely, for r in B with r < F(Δ) the child Δ ∖ {r} has Frobenius
+    number F(Δ), outside Δ.  Δ = N has F(Δ) = -1, so the answer is True.
     """
     top = delta_of(desc)
-    system, cut = _kernel(desc)
-    b = _node(system, top, -1, cut).min_system
+    b = chains._systems(desc)(top)
     return not b or b[0] > frobenius(top)
 
 
-def descendants(desc, t: NumSG) -> Descendants:
-    """View of desc keeping only t and the members below it in the tree.
+def descendants(desc, t: NumSG):
+    """The family of t and the members below it in desc's tree: a
+    Restricted or Generated descriptor with maximum t, desc itself for
+    desc's maximum.  The README gives the proofs.
 
-    The view is itself a valid descriptor with maximum t; enumerating it
-    takes its own genus bound.
+    With Δ the maximum, F = fdelta(t, Δ) and P = t ∩ [0, F], a member S
+    descends from t exactly when P ⊆ S ⊆ t.  Restricted(a, Δ) gives
+    Restricted(a ∪ (msg(t) ∩ [1, F]), t), since P is generated by the
+    generators of t up to F.  Generated(f, Δ) gives Generated(f′, t), where
+    c′ in f′ is (c ∪ (Δ ∩ [min(P ∖ c), ∞))) ∩ t, or c ∩ t when P ⊆ c: the
+    least link of c's chain that contains P, intersected with t.
     """
     if not member(desc, t):
         raise NotInVariety("%s is not a member" % format_semigroup(t))
-    base = _base_of(desc)
-    return Descendants(base, t)
+    delta = delta_of(desc)
+    if t == delta:
+        return desc
+    f = restricted_frobenius(t, delta)
+    if isinstance(desc, Restricted):
+        return Restricted(desc.a.union([x for x in msg(t) if x <= f]), t)
+    p = _below(t, f + 1)
+    links = []
+    for c in desc.f:
+        out = p & c.gaps
+        links.append(intersect(
+            union_with_tail(c, delta, (out & -out).bit_length() - 1) if out else c, t))
+    return Generated(links, t)
 
 
 def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):

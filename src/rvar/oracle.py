@@ -132,7 +132,7 @@ def random_restricted(rng, genus_max=8, picks_max=3) -> Restricted:
 
 
 def oracle_members(desc, genus_bound):
-    """Member set of a base family by raw enumeration, cut at the genus bound.
+    """Member set of a family by raw enumeration, cut at the genus bound.
 
     A restricted family descends from the maximum; a generated family is its
     chain family and its maximum, closed under pairwise intersection.

@@ -6,23 +6,22 @@ import pytest
 
 import rvar
 from rvar import (
-    NATURALS, Descendants, Generated, Interval, NotContained, Restricted,
-    RTreeNode, chain_to,
+    NATURALS, Generated, Interval, NotContained, Restricted, RTreeNode,
+    chain_to,
 )
 from support import sg
 
 
 def _four_kinds():
-    # two views hold the same two semigroups, and a restricted and a
-    # generated family with nothing forced or generating hold the same two
-    # fields
+    # a restricted and a generated family with nothing forced or generating
+    # share their maximum, and so do the interval and the generated family
+    # of the same two semigroups
     lo, hi = sg(5, 6), sg(5, 6, 7)
-    return [Descendants(lo, hi), Descendants(hi, lo),
-            Restricted((), hi), Generated((), hi)]
+    return [Restricted((), hi), Generated((), hi),
+            Interval(lo, hi), Generated((lo,), hi)]
 
 
-FIELDS = {Descendants: ("base", "top"), Restricted: ("a", "t"),
-          Generated: ("f", "delta")}
+FIELDS = {Restricted: ("a", "t"), Generated: ("f", "delta")}
 
 
 class TestDescriptorValues:

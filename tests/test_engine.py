@@ -10,13 +10,13 @@ import pytest
 import rvar
 from rvar import chains
 from rvar import (
-    NATURALS, CapacityExceeded, Descendants, DomainError, Generated, Interval,
+    NATURALS, CapacityExceeded, DomainError, Generated, Interval,
     NotInVariety, Restricted, build_tree, check_rvariety_axioms, children,
     delta_of, descendants, genus, genus_level, is_pseudo_variety, member,
-    members_of, minimal_system_from_members, msg, remove_element,
-    restrict_variety, tree_of, tree_vertices, union_with_tail,
+    is_member, members_of, minimal_rsystem, minimal_system_from_members, msg,
+    remove_element, restrict_variety, tree_of, tree_vertices, union_with_tail,
 )
-from rvar.engine import RTreeNode, _level_pairs, _walk, fdelta, restriction_of
+from rvar.engine import RTreeNode, _last_level, _walk, fdelta, restriction_of
 from support import (
     sg, DELTA_567, FINITE_FIXTURES, GENERATED_FIXTURE, GENERATED_MEMBERS,
     INTERVAL_FIXTURE, INTERVAL_MEMBERS, PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
@@ -29,6 +29,12 @@ class TestMember:
         assert not member(INTERVAL_FIXTURE, sg(5, 6, 8))
         assert member(RESTRICTED_FIXTURE, sg(4, 6, 13))
         assert member(GENERATED_FIXTURE, sg(4, 9, 10, 11))
+
+    def test_member_is_the_membership_test_of_chains(self):
+        # a descendants view is a Restricted or Generated descriptor, so
+        # there is no other kind of family to dispatch on
+        assert member is is_member is chains.is_member
+        assert rvar.engine.member is chains.is_member
 
     def test_descendants_view(self):
         view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))
@@ -193,15 +199,18 @@ class TestGenusLevel:
                 assert genus_level(desc, g) == expected
 
     def test_level_pairs_carry_each_members_fdelta(self):
-        # the CLI's structured genus-level reads fdelta off these pairs
+        # the CLI's structured genus-level reads fdelta and the system off
+        # these (member, fd, system) triples
         for desc in (RESTRICTED_FIXTURE, GENERATED_FIXTURE, INTERVAL_FIXTURE,
                      Restricted(frozenset(), NATURALS)):
             top = delta_of(desc)
             for g in range(genus(top), genus(top) + 7):
-                pairs = _level_pairs(desc, g)
-                assert len({s for s, _ in pairs}) == len(pairs)
-                assert {s for s, _ in pairs} == genus_level(desc, g)
-                assert [x for _, x in pairs] == [fdelta(s, top) for s, _ in pairs]
+                level = _last_level(desc, g)
+                assert len({s for s, _, _ in level}) == len(level)
+                assert {s for s, _, _ in level} == genus_level(desc, g)
+                assert [x for _, x, _ in level] == [fdelta(s, top) for s, _, _ in level]
+                assert [xs for _, _, xs in level] == [
+                    tuple(sorted(minimal_rsystem(desc, s))) for s, _, _ in level]
 
 
 class TestIsPseudoVariety:
@@ -266,11 +275,22 @@ class TestDescendants:
         check_rvariety_axioms(mem)
 
     def test_nesting_flattens_to_the_base(self):
+        # a view is a family of the base kind, so a view of a view is one
+        # too, with the members of the direct view
         view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))
         inner = descendants(view, sg(5, 6, 14))
-        assert isinstance(inner, Descendants)
-        assert inner.base == INTERVAL_FIXTURE
-        assert inner.top == sg(5, 6, 14)
+        assert type(view) is type(inner) is Restricted
+        assert inner == descendants(INTERVAL_FIXTURE, sg(5, 6, 14))
+        assert delta_of(inner) == sg(5, 6, 14)
+        assert set(members_of(inner)[0]) == {sg(5, 6, 14), sg(5, 6, 19), sg(5, 6)}
+        outer = descendants(GENERATED_FIXTURE, sg(4, 7, 9, 10))
+        assert type(outer) is Generated
+        assert members_of(descendants(outer, sg(4, 9, 10, 11))) == \
+            members_of(descendants(GENERATED_FIXTURE, sg(4, 9, 10, 11)))
+
+    def test_the_maximum_gives_the_family_itself(self):
+        for desc, _ in FINITE_FIXTURES:
+            assert descendants(desc, delta_of(desc)) is desc
 
     def test_truncated_view_has_exact_min_systems(self):
         view = descendants(RESTRICTED_FIXTURE, sg(4, 6, 11, 13))
@@ -320,12 +340,12 @@ class TestWalkKernel:
         for desc in [INTERVAL_FIXTURE, RESTRICTED_FIXTURE, GENERATED_FIXTURE,
                      Restricted(frozenset(), NATURALS)] + views:
             g = genus(delta_of(desc)) + 4
-            for walk in (members_of, tree_of, _level_pairs):
+            for walk in (members_of, tree_of, _last_level):
                 # an equal copy keeps no walk or kernel from an earlier test
                 fresh = pickle.loads(pickle.dumps(desc))
                 calls.clear()
                 walk(fresh, g)
-                assert calls == [fresh.base if isinstance(fresh, Descendants) else fresh]
+                assert calls == [fresh]
 
     def test_a_walk_past_the_member_budget_is_refused(self, monkeypatch):
         # 27 semigroups have genus at most 5 (A007323 summed)
@@ -333,9 +353,9 @@ class TestWalkKernel:
         monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 27)
         assert len(members_of(n, 5)[0]) == 27
         assert len(tree_vertices(tree_of(n, 5)[0])) == 27
-        assert len(_level_pairs(n, 5)) == 12
+        assert len(_last_level(n, 5)) == 12
         monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 26)
-        for walk in (members_of, tree_of, _level_pairs):
+        for walk in (members_of, tree_of, _last_level):
             # n keeps its walk at this bound; an equal copy starts without it
             with pytest.raises(CapacityExceeded, match=r"^walk exceeds 26 members$"):
                 walk(pickle.loads(pickle.dumps(n)), 5)
@@ -411,8 +431,12 @@ class TestMemberMemo:
     def test_the_kernel_is_built_once_per_descriptor(self):
         desc = Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)
         assert chains._systems(desc) is chains._systems(desc)
-        with pytest.raises(TypeError, match=r"^not a base variety descriptor"):
-            chains._systems(descendants(desc, GENERATED_FIXTURE.delta))
+        # a view is a descriptor of its own, with its own kernel
+        view = descendants(desc, sg(4, 7, 9, 10))
+        assert chains._systems(view) is chains._systems(view)
+        assert chains._systems(view) is not chains._systems(desc)
+        with pytest.raises(TypeError, match=r"^not a variety descriptor"):
+            chains._systems((GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta))
 
 
 class TestRestrictVariety:

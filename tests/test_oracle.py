@@ -133,7 +133,14 @@ class TestOracleAgainstEngine:
         assert oracle_members(desc, genus(delta)) == {delta}
         assert members_of(desc, genus(delta) + 3) == ([delta], True)
 
-    def test_no_oracle_for_a_view(self):
+    def test_the_oracle_takes_a_view(self):
+        # a descendants view is a Restricted or Generated descriptor, so the
+        # oracle enumerates it like any other family
         view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))
+        assert oracle_members(view, 10) == {
+            sg(5, 6, 13, 14), sg(5, 6, 14), sg(5, 6, 13), sg(5, 6, 19), sg(5, 6)}
+        view = descendants(GENERATED_FIXTURE, sg(4, 7, 9, 10))
+        assert oracle_members(view, 20) == {
+            sg(4, 7, 9, 10), sg(4, 9, 10, 11), sg(4, 10, 11, 13)}
         with pytest.raises(TypeError):
-            oracle_members(view, 10)
+            oracle_members((INTERVAL_FIXTURE, sg(5, 6, 13, 14)), 10)

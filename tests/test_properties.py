@@ -30,7 +30,7 @@ from rvar import (
     rmonoid_generated, tree_of, tree_vertices, union_with_tail,
     variety_closure,
 )
-from rvar.engine import _level_pairs, restriction_of
+from rvar.engine import _last_level, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE
 
 
@@ -451,6 +451,68 @@ class TestRestrictionLaws:
 
 
 @st.composite
+def view_cases(draw):
+    """(desc, t, bound): an Interval, Restricted or Generated family, the
+    last sometimes with f = (), a member t of it found by the oracle within
+    two genera of the maximum, and a genus bound up to two past t's genus."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    delta = random_semigroup(rng, 6)
+    kind = draw(st.sampled_from([Interval, Restricted, Generated]))
+    if kind is Interval:
+        desc = Interval(random_subsemigroup(rng, delta, rng.randint(0, 5)), delta)
+    elif kind is Restricted:
+        pool = [x for x in msg(delta) if x > 1]
+        desc = Restricted(rng.sample(pool, rng.randint(0, min(2, len(pool)))), delta)
+    else:
+        desc = Generated([random_subsemigroup(rng, delta, rng.randint(0, 4))
+                          for _ in range(rng.randint(0, 3))], delta)
+    pool = sorted(oracle_members(desc, genus(delta) + 2), key=NumSG.sort_key)
+    t = rng.choice(pool)
+    return desc, t, genus(t) + rng.randint(0, 2)
+
+
+class TestViewConversionLaws:
+    # descendants() writes the view of t as a Restricted or Generated family
+    # with maximum t; the reference follows parents up to t in the base
+    # family's oracle, so it does not go through the conversion.  The
+    # reference goes one genus past the bound, so it holds m without x for
+    # every x in the system of a walked member m.
+    @given(view_cases())
+    @settings(max_examples=100)
+    def test_a_view_is_the_family_below_its_top(self, case):
+        desc, t, bound = case
+        delta = delta_of(desc)
+        ref = {s for s in oracle_members(desc, bound + 1) if _descends(s, t, delta)}
+        view = descendants(desc, t)
+        assert type(view) in (Restricted, Generated) and delta_of(view) == t
+        assert oracle_members(view, bound + 1) == ref
+        shown = {s for s in ref if genus(s) <= bound}
+        nodes = tree_vertices(build_tree(view, bound))
+        assert len(nodes) == len(shown) and {n.sg for n in nodes} == shown
+        for n in nodes:
+            assert n.restricted_frob == (-1 if n.sg == t else restricted_frobenius(n.sg, t))
+            assert n.min_system == tuple(sorted(minimal_system_from_members(ref, n.sg)))
+
+    @given(view_cases(), st.integers(0, 2 ** 32))
+    @settings(max_examples=60)
+    def test_nested_views_are_direct_views(self, case, seed):
+        desc, t, bound = case
+        view = descendants(desc, t)
+        inner = random.Random(seed).choice(members_of(view, bound)[0])
+        assert members_of(descendants(view, inner), bound) == \
+            members_of(descendants(desc, inner), bound)
+
+    @given(view_cases())
+    @settings(max_examples=40)
+    def test_the_view_of_the_maximum_is_the_family(self, case):
+        desc, _, _ = case
+        top = delta_of(desc)
+        view = descendants(desc, top)
+        assert members_of(view, genus(top) + 2) == members_of(
+            pickle.loads(pickle.dumps(desc)), genus(top) + 2)
+
+
+@st.composite
 def walked_families(draw):
     """(desc, bound): a finite family walked in full, or a restricted family,
     possibly infinite, walked two genera below its maximum."""
@@ -486,8 +548,8 @@ def _breadth_first(root):
 
 
 class TestLevelLoopLaws:
-    # members_of and _level_pairs walk (member, fd) levels and build no tree
-    # nodes; the node walk of tree_of is the reference
+    # members_of and _last_level walk (member, fd, system) levels and build
+    # no tree nodes; the node walk of tree_of is the reference
     @given(walk_cases())
     @settings(max_examples=150)
     def test_members_are_the_tree_nodes_in_walk_order(self, case):
@@ -496,16 +558,14 @@ class TestLevelLoopLaws:
             for walk in (members_of, tree_of):
                 with pytest.raises(DomainError, match=r"^genus bound %d is below" % bound):
                     walk(desc, bound)
-            assert _level_pairs(desc, bound) == []
+            assert _last_level(desc, bound) == []
             return
         root, complete = tree_of(desc, bound)
         nodes = _breadth_first(root)
         assert members_of(desc, bound) == ([n.sg for n in nodes], complete)
         last = [n for n in nodes if genus(n.sg) == bound]
-        pairs = _level_pairs(desc, bound)
-        assert [sg for sg, _ in pairs] == [n.sg for n in last]
-        if bound > genus(root.sg):  # below the root fd is the removed value
-            assert [fd for _, fd in pairs] == [n.restricted_frob for n in last]
+        assert _last_level(desc, bound) == [
+            (n.sg, n.restricted_frob, n.min_system) for n in last]
 
     def test_the_examples_repeat_from_run_to_run(self):
         assert settings.default.derandomize

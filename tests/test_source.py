@@ -106,9 +106,9 @@ def test_walk_path_makes_no_rechecks():
     # the system kernel a walk takes from chains is held to the same rule
     checked = {"remove_element", "minimal_rsystem", "_member_system", "is_member",
                "check_rvariety_axioms"}
-    walk = {"engine.py": {"_walk", "_levels", "_level_pairs", "_kernel", "_node",
-                          "_above", "children", "members_of", "_members",
-                          "restriction_of"},
+    walk = {"engine.py": {"_walk", "_levels", "_last_level", "_next_level",
+                          "_complete", "_above", "children", "members_of",
+                          "_members", "restriction_of"},
             "chains.py": {"_systems"}}
     found = []
     for module, names in sorted(walk.items()):
@@ -138,7 +138,7 @@ def test_closed_forms_make_no_search():
     # chain_to writes each link as a union with a tail: neither walks the
     # family nor re-checks a step
     banned = {("engine.py", "is_pseudo_variety"): {"_walk", "members_of", "_members",
-                                                   "_level_pairs"},
+                                                   "_last_level", "_levels"},
               ("chains.py", "chain_to"): {"add_element", "restricted_frobenius"}}
     found = []
     for (name, func), calls in sorted(banned.items()):
@@ -149,17 +149,36 @@ def test_closed_forms_make_no_search():
 
 def test_member_walks_build_no_tree_nodes():
     # members_of, restriction_of (both through _members) and genus-level walk
-    # (member, fd) levels through _levels; only the tree walks build RTreeNodes
-    nodes = {"_walk", "_node", "RTreeNode"}
+    # (member, fd, system) levels through _levels; only the tree walks build
+    # RTreeNodes
+    nodes = {"_walk", "children", "RTreeNode"}
     funcs = _top_functions("engine.py")
     found = sorted("%s calls %s" % (name, called)
                    for name in ("members_of", "_members", "restriction_of",
-                                "_level_pairs", "_levels")
+                                "_last_level", "_levels", "_next_level")
                    for called in set(_called_names(funcs[name])) & nodes)
     assert found == []
     # the guard sees the calls it bans where they are allowed
-    assert "_node" in set(_called_names(funcs["_walk"]))
-    assert "RTreeNode" in set(_called_names(funcs["_node"]))
+    assert "RTreeNode" in set(_called_names(funcs["_walk"]))
+    assert "RTreeNode" in set(_called_names(funcs["children"]))
+
+
+def test_one_level_loop():
+    # trees and member walks share the one level loop, which alone holds the
+    # member budget and makes children; a second loop would have to read
+    # MAX_MEMBERS or call _drop itself
+    funcs = _top_functions("engine.py")
+    readers = sorted(name for name, f in funcs.items()
+                     if any(isinstance(n, ast.Name) and n.id == "MAX_MEMBERS"
+                            for n in ast.walk(f)))
+    assert readers == ["_levels"]
+    droppers = sorted(name for name, f in funcs.items()
+                      if "_drop" in set(_called_names(f)))
+    assert droppers == ["_next_level"]
+    walk = set(_called_names(funcs["_walk"]))
+    assert "_levels" in walk and "_drop" not in walk
+    assert "_levels" in set(_called_names(funcs["_members"]))
+    assert "_levels" in set(_called_names(funcs["_last_level"]))
 
 
 def _bound_names(node):
@@ -189,17 +208,19 @@ def test_no_unused_imports():
 
 
 def test_an_interval_is_no_family_of_its_own():
-    # Interval(lo, hi) builds Restricted(msg(lo), hi), so no module keeps a
-    # class or an isinstance branch for it beside the restricted family's
+    # Interval(lo, hi) builds Restricted(msg(lo), hi), and descendants()
+    # builds a Restricted or Generated family, so no module keeps a class or
+    # an isinstance branch for an interval or a view beside those two
     classes = {n.name for n in ast.parse((SRC / "descriptors.py").read_text()).body
                if isinstance(n, ast.ClassDef)}
-    assert {"Restricted", "Generated", "Descendants"} <= classes
-    assert "Interval" not in classes
+    assert {"Restricted", "Generated"} <= classes
+    assert not {"Interval", "Descendants"} & classes
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance"
-                    and "Interval" in ast.unparse(node.args[1])):
+                    and {"Interval", "Descendants"} & {
+                        n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
