@@ -63,28 +63,9 @@ def chain_family(f, delta: NumSG) -> set:
 
 
 def is_member(desc, s: NumSG) -> bool:
-    """Whether s belongs to the family described by desc."""
-    if isinstance(desc, Restricted):
-        return all(contains(s, x) for x in desc.a) and is_subset(s, desc.t)
-    if isinstance(desc, Generated):
-        # s is a member iff it is the intersection of the chain links that
-        # contain it.  The links of c's chain are c ∪ (Δ ∩ [n, ∞)), so the
-        # least one containing s starts its tail at n = min(s ∖ c); with b
-        # the lowest bit of s ∖ c that tail is Δ & -b, and b = 0 when s ⊆ c
-        # leaves c itself.  Δ, the last link of every chain, stands for the
-        # family when f is empty.  No conductor exceeds top, so the masks
-        # below it decide.
-        delta = desc.delta
-        if not is_subset(s, delta):
-            return False
-        top = max([s.conductor] + [c.conductor for c in desc.f])
-        sm, dm = _below(s, top), _below(delta, top)
-        acc = dm
-        for c in desc.f:
-            out = sm & c.gaps
-            acc &= _below(c, top) | (dm & -(out & -out))
-        return acc == sm
-    raise TypeError("not a variety descriptor: %r" % (desc,))
+    """Whether s belongs to the family described by desc: the membership
+    test of its kernel (see _systems)."""
+    return _systems(desc)[0](s)
 
 
 def rmonoid_generated(desc, a) -> NumSG:
@@ -129,53 +110,99 @@ def minimal_rsystem(desc, m: NumSG) -> frozenset:
 
 def _member_system(desc, m: NumSG) -> tuple:
     """minimal_rsystem as a strictly increasing tuple, after the same check."""
-    if not is_member(desc, m):
+    member, system = _systems(desc)
+    if not member(m):
         raise NotInVariety("%s is not a member" % format_semigroup(m))
-    return _systems(desc)(m)
+    return system(m)
 
 
 def _systems(desc):
-    """The system kernel of a descriptor: a function from a member m
-    to its minimal system as a strictly increasing tuple, unchecked; for
-    callers that walk members.  The work that depends on the family alone
-    is done once and kept on desc, so each call is a few mask operations.
+    """(member, system): the kernel of a descriptor, its membership test
+    and its system function, from a member m to its minimal system as a
+    strictly increasing tuple, unchecked; walks take the system once and
+    call it on every member.  Both are built once per descriptor and kept
+    on it, so each call is a few mask operations on the work that depends
+    on the family alone."""
+    kernel = getattr(desc, "_system", None)
+    if kernel is None:
+        if isinstance(desc, Restricted):
+            kernel = _restricted_kernel(desc)
+        elif isinstance(desc, Generated):
+            kernel = _generated_kernel(desc)
+        else:
+            raise TypeError("not a variety descriptor: %r" % (desc,))
+        _set(desc, "_system", kernel)
+    return kernel
 
-    Restricted families reduce to the minimal generators outside the forced
-    part, read off the increasing msg.  In a Generated family each family
-    member s not containing m contributes x_s, the least element of m missing
-    from s: the part that s gives to an intersection generated by B ⊆ m
-    contains m only if its adjoined tail starts at x_s, so every system of m
-    holds x_s, and these elements alone already generate m.  Every element of
-    m at or past the conductor of s is in s, so x_s is the lowest bit of m's
-    mask below the largest conductor top in f, cut by the gaps of s.
+
+def _restricted_kernel(desc):
+    """The kernel of Restricted(a, t).  s is a member iff s ⊆ t and every
+    forced element is in s.  The forced elements are tested one by one: a
+    mask of them would be as long as the largest, which nothing bounds.
+    A member's system is its minimal generators outside a, read off the
+    increasing msg: the forced elements are in every member, so they
+    generate nothing new.
     """
-    system = getattr(desc, "_system", None)
-    if system is not None:
-        return system
-    if isinstance(desc, Restricted):
-        forced = desc.a
-        system = msg if not forced else (
-            lambda m: tuple([x for x in msg(m) if x not in forced]))
-    elif isinstance(desc, Generated):
-        gaps = [s.gaps for s in desc.f]
-        top = max([s.conductor for s in desc.f], default=0)
+    forced, t = desc.a, desc.t
 
-        def system(m):
-            mm = _below(m, top)
-            low = 0
-            for g in gaps:
-                out = mm & g
-                low |= out & -out
-            xs = []
-            while low:
-                b = low & -low
-                xs.append(b.bit_length() - 1)
-                low ^= b
-            return tuple(xs)
-    else:
-        raise TypeError("not a variety descriptor: %r" % (desc,))
-    _set(desc, "_system", system)
-    return system
+    def member(s):
+        return is_subset(s, t) and all(contains(s, x) for x in forced)
+
+    system = msg if not forced else (
+        lambda m: tuple([x for x in msg(m) if x not in forced]))
+    return member, system
+
+
+def _generated_kernel(desc):
+    """The kernel of Generated(f, Δ), with top the largest conductor of
+    a chain link: the largest in f, or that of Δ, the one link, for f = ().
+
+    Membership: s is a member iff s ⊆ Δ and s is the intersection of Δ
+    and, for each c in f, the least link of c's chain that contains s:
+    c ∪ (Δ ∩ [x, ∞)) with x = min(s ∖ c), or c when s ⊆ c (the README
+    proves it).  Every link contains [top, ∞), so the intersection does,
+    and s equals it at and above top iff s ⊇ Δ ∩ [top, conductor(s)) =
+    [top, conductor(s)), that is iff conductor(s) <= top.  Below top,
+    s ∖ c lies in the gaps of c, so x is the lowest bit b of s & gaps(c),
+    and the link is c | (Δ & -b), c itself when b = 0: one pass over the
+    masks of Δ and of each c below top, which are made once.  For f = ()
+    it leaves s = Δ.
+
+    Systems: each family member c not containing m contributes x_c, the
+    least element of m missing from c: the part that c gives to an
+    intersection generated by B ⊆ m contains m only if its adjoined tail
+    starts at x_c, so every system of m holds x_c, and these elements
+    alone already generate m.  x_c is the same lowest bit, of m below top
+    cut by the gaps of c.
+    """
+    delta = desc.delta
+    top = max([c.conductor for c in desc.f], default=delta.conductor)
+    dc, dg, dm = delta.conductor, delta.gaps, _below(delta, top)
+    links = [(c.gaps, _below(c, top)) for c in desc.f]
+
+    def member(s):
+        if not dc <= s.conductor <= top or s.mask & dg:
+            return False
+        sm = _below(s, top)
+        acc = dm
+        for g, cm in links:
+            out = sm & g
+            acc &= cm | (dm & -(out & -out))
+        return acc == sm
+
+    def system(m):
+        mm = _below(m, top)
+        low = 0
+        for g, _ in links:
+            out = mm & g
+            low |= out & -out
+        xs = []
+        while low:
+            b = low & -low
+            xs.append(b.bit_length() - 1)
+            low ^= b
+        return tuple(xs)
+    return member, system
 
 
 def rrange(desc, m: NumSG) -> int:

@@ -107,14 +107,20 @@ class NumSG:
 
     # total order used only for deterministic output
     def sort_key(self):
-        """A key that orders exactly like (genus, small).
+        """(genus, msg), a key that orders exactly like (genus, small).
 
-        Within a genus, the least element where two semigroups differ is a
-        gap of the larger one, so gap sets compare with 0 read as their top
-        bit; every gap lies below 2 * genus.
+        At equal genus neither small(S) nor small(T) is a prefix of the
+        other: the longer would have a gap past the other's conductor.  Let
+        x be the first entry of small(S) that differs from T's and is the
+        smaller one; then x is in S and not in T, and S and T agree below x.
+        x is a minimal generator of S, since T holds every sum of smaller
+        nonzero members of S, and below x the generators of S and T are
+        those of their shared members.  So msg(T) follows that shared prefix
+        with a generator larger than x, or stops there; it cannot stop,
+        since T would then be generated by elements of S and lie inside S
+        at equal genus.
         """
-        g = genus(self)
-        return (g, int(format(self.gaps, "0%db" % (2 * g))[::-1], 2))
+        return (genus(self), msg(self))
 
 
 def _bits(m):

@@ -71,7 +71,7 @@ def _complete(level):
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
     return [RTreeNode(*c) for c in _next_level(
-        chains._systems(desc), [(node.sg, node.restricted_frob, node.min_system)])]
+        chains._systems(desc)[1], [(node.sg, node.restricted_frob, node.min_system)])]
 
 
 def _bounded_top(desc, genus_bound) -> NumSG:
@@ -93,7 +93,7 @@ def _levels(desc, g):
     raises CapacityExceeded.
     """
     top = _bounded_top(desc, g)
-    system = chains._systems(desc)
+    system = chains._systems(desc)[1]
     level, made = [(top, -1, system(top))], 1
     for _ in range(genus(top), g):
         yield level
@@ -107,39 +107,46 @@ def _levels(desc, g):
 
 
 def _walk(desc, genus_bound):
-    """(nodes, complete) for tree_of: one RTreeNode per member of _levels,
-    in its order, each parent linked to its children, and whether no
-    expansion was cut off.  A parent's children are the next
-    len(_above(system, fd)) nodes of the next level.
+    """(nodes, complete) for tree_of: a new RTreeNode per member of the
+    walk that desc keeps (see _walked), in its order, each parent linked
+    to its children, and whether no expansion was cut off.  A parent's
+    children are the next len(_above(system, fd)) nodes after those of the
+    parents before it, since each level lists its parents' children in
+    their order; the last level's are past the end.
     """
-    nodes, parents = [], []
-    for level in _levels(desc, genus_bound):
-        made = [RTreeNode(*m) for m in level]
-        i = 0
-        for p in parents:
-            j = i + len(_above(p.min_system, p.restricted_frob))
-            p.children, i = made[i:j], j
-        nodes += made
-        parents = made
-    return nodes, _complete(level)
+    mem, fds, systems, complete = _walked(desc, genus_bound)
+    nodes = [RTreeNode(m, fd, xs) for m, fd, xs in zip(mem, fds, systems)]
+    i, n = 1, len(nodes)
+    for p in nodes:
+        if i == n:
+            break
+        j = i + len(_above(p.min_system, p.restricted_frob))
+        p.children, i = nodes[i:j], j
+    return nodes, complete
 
 
 def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     """All members with genus <= bound, level by level in breadth-first
     order, as a new list, plus a flag telling whether that is all of them."""
-    mem, complete = _members(desc, genus_bound)
+    mem, _, _, complete = _walked(desc, genus_bound)
     return list(mem), complete
 
 
-def _members(desc, genus_bound):
-    """members_of with a tuple of members; desc keeps its last walk as
-    (bound, members, complete), and a walk at that bound reuses it."""
+def _walked(desc, genus_bound):
+    """(members, fds, systems, complete): the triples of _levels in its
+    order as three parallel tuples, and whether the walk is complete.
+    desc keeps its last walk with its bound, and a walk at that bound
+    reuses it; a refused walk keeps nothing.
+    """
     walked = getattr(desc, "_walked", None)
     if walked is None or walked[0] != genus_bound:
-        mem = []
+        mem, fds, systems = [], [], []
         for level in _levels(desc, genus_bound):
-            mem += [sg for sg, _, _ in level]
-        walked = (genus_bound, tuple(mem), _complete(level))
+            # zip(*level) is the level's members, fds and systems
+            for kept, part in zip((mem, fds, systems), zip(*level)):
+                kept += part
+        walked = (genus_bound, tuple(mem), tuple(fds), tuple(systems),
+                  _complete(level))
         _set(desc, "_walked", walked)
     return walked[1:]
 
@@ -197,7 +204,7 @@ def is_pseudo_variety(desc) -> bool:
     number F(Δ), outside Δ.  Δ = N has F(Δ) = -1, so the answer is True.
     """
     top = delta_of(desc)
-    b = chains._systems(desc)(top)
+    b = chains._systems(desc)[1](top)
     return not b or b[0] > frobenius(top)
 
 
@@ -237,7 +244,7 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     re-checked.  S's mask with its tail of ones, cut by u's mask below the
     largest conductor w, is S ∩ u below w.
     """
-    mem, complete = _members(desc, genus_bound)
+    mem, _, _, complete = _walked(desc, genus_bound)
     w = max(u.conductor, *(s.conductor for s in mem))
     um = _below(u, w)
     return {_canon(m, w) for m in {(s.mask | -(1 << s.conductor)) & um

@@ -3,11 +3,13 @@
 import pytest
 
 from rvar import (
-    NATURALS, NotContained, NotInDelta, NotInVariety, NotNumerical,
-    Restricted, chain_family, chain_to, delta_of, genus, is_member, is_subset,
-    members_of, minimal_rsystem, minimal_system_from_members, msg,
-    restricted_frobenius, rmonoid_generated, rrange,
+    NATURALS, Generated, NotContained, NotInDelta, NotInVariety, NotNumerical,
+    Restricted, chain_family, chain_to, delta_of, enumerate_between, genus,
+    is_member, is_subset, members_of, minimal_rsystem,
+    minimal_system_from_members, msg, oracle_members, restricted_frobenius,
+    rmonoid_generated, rrange, tree_of,
 )
+from rvar import chains
 from rvar.chains import _systems
 from support import (
     sg, DELTA_567, GENERATED_FIXTURE, GENERATED_MEMBERS, INTERVAL_FIXTURE,
@@ -93,6 +95,93 @@ class TestIsMember:
         assert not is_member(RESTRICTED_FIXTURE, sg(6, 7, 8, 9, 10, 11))
 
 
+# every semigroup of genus at most 7, the probes of the kernel tests
+POOL = sorted(enumerate_between((), NATURALS, 7), key=lambda s: s.sort_key())
+
+
+def _agrees_with_the_oracle(desc):
+    """is_member(desc, s) is membership in the oracle family, over POOL."""
+    family = oracle_members(desc, 7)
+    return [s for s in POOL if is_member(desc, s) != (s in family)]
+
+
+class TestMembershipKernel:
+    # the membership test that each descriptor's kernel carries, on the
+    # edge cases of its closed form, against the brute-force oracle
+    def test_a_generated_family_without_f_is_its_maximum(self):
+        for delta in (NATURALS, sg(2, 3), sg(3, 5, 7), DELTA_567):
+            desc = Generated((), delta)
+            assert _agrees_with_the_oracle(desc) == []
+            assert [s for s in POOL if is_member(desc, s)] == [delta]
+            assert minimal_rsystem(desc, delta) == frozenset()
+
+    def test_conductors_past_every_link(self):
+        # a member of Generated(f, Δ) with f nonempty lies in every link,
+        # so its conductor is at most the largest conductor in f; the
+        # probes past it, subsets of Δ among them, are all refused
+        descs = [GENERATED_FIXTURE,
+                 Generated((sg(3, 5), sg(4, 5, 7)), sg(3, 4, 5)),
+                 Generated((sg(4, 5, 6), sg(3, 7)), sg(3, 4, 5)),
+                 Generated((sg(2, 5),), NATURALS),
+                 Generated((sg(2, 5), sg(3, 4)), NATURALS)]
+        for desc in descs:
+            top = max(c.conductor for c in desc.f)
+            assert all(s.conductor <= top for s in oracle_members(desc, 7))
+            past = [s for s in POOL if s.conductor > top]
+            assert any(is_subset(s, delta_of(desc)) for s in past)
+            assert [s for s in past if is_member(desc, s)] == []
+            assert _agrees_with_the_oracle(desc) == []
+
+    def test_forced_zero_and_forced_elements_past_the_conductor(self):
+        # 0 is in every semigroup, and a forced element at or past the
+        # conductor of s is in s, so neither is a gap of s
+        descs = [Restricted({0}, NATURALS), Restricted({0, 4}, sg(2, 3)),
+                 Restricted({3, 9, 12}, NATURALS), Restricted({0, 5, 8}, sg(3, 5, 7)),
+                 Restricted({7, 8}, sg(2, 7))]
+        for desc in descs:
+            assert _agrees_with_the_oracle(desc) == []
+        n = Restricted({0, 9, 12}, NATURALS)
+        for s in (sg(3, 4, 5), sg(5, 6, 7, 8, 9), sg(9, 10, 11, 12, 13, 14, 15, 16, 17)):
+            assert s.conductor <= 9 and is_member(n, s)
+        assert not is_member(n, sg(5, 6, 7, 8))  # 9 is its Frobenius number
+        assert is_member(Restricted({0}, NATURALS), sg(2, 3))
+
+    def test_forced_elements_far_past_every_conductor(self):
+        # forced elements are tested one by one, so their size costs
+        # nothing; every semigroup holds 10**12, so this is N's family
+        big = Restricted({10**12, 10**12 + 1}, NATURALS)
+        whole = Restricted((), NATURALS)
+        for s in (NATURALS, sg(2, 3), sg(5, 7, 9)):
+            assert is_member(big, s)
+            assert minimal_rsystem(big, s) == frozenset(msg(s))
+        assert not is_member(Restricted({10**12}, sg(3, 4)), sg(2, 3))
+        assert members_of(big, 7) == members_of(whole, 7)
+        assert tree_of(big, 5)[0] == tree_of(whole, 5)[0]
+
+    def test_a_non_descriptor_is_refused(self):
+        for desc in ((GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta), None, NATURALS):
+            with pytest.raises(TypeError, match=r"^not a variety descriptor"):
+                is_member(desc, sg(4, 5, 7))
+            with pytest.raises(TypeError, match=r"^not a variety descriptor"):
+                minimal_rsystem(desc, sg(4, 5, 7))
+
+    def test_membership_and_systems_build_one_kernel(self, monkeypatch):
+        builds = []
+        for name in ("_restricted_kernel", "_generated_kernel"):
+            build = getattr(chains, name)
+            monkeypatch.setattr(chains, name,
+                                lambda desc, build=build: builds.append(desc) or build(desc))
+        for desc in (Restricted({4, 6}, sg(4, 6, 7)), Restricted((), sg(3, 4, 5)),
+                     Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)):
+            builds.clear()
+            for m in members_of(desc, 8)[0]:
+                for _ in range(2):
+                    assert is_member(desc, m)
+                    assert minimal_rsystem(desc, m) == frozenset(_systems(desc)[1](m))
+            assert not is_member(desc, NATURALS)
+            assert builds == [desc]
+
+
 class TestRMonoidGenerated:
     def test_generated_anchors(self):
         assert rmonoid_generated(GENERATED_FIXTURE, {4, 5, 7}) == sg(4, 5, 7)
@@ -145,7 +234,7 @@ class TestMinimalRSystem:
                  PSEUDO_FIXTURE, Restricted(frozenset(), NATURALS))
         for desc in descs:
             for m in members_of(desc, 10)[0]:
-                system = list(_systems(desc)(m))
+                system = list(_systems(desc)[1](m))
                 assert system == sorted(set(system))
                 public = minimal_rsystem(desc, m)
                 assert type(public) is frozenset

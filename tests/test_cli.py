@@ -150,6 +150,14 @@ class TestTree:
                        "  n2 -> n1;\n"
                        "}\n")
 
+    def test_a_large_forced_element_is_cheap(self, capsys):
+        # every semigroup holds 10**12, so the tree is that of N
+        rc, out, _ = run(capsys, "tree", "--restricted", ":<1>",
+                         "--genus-bound", "4")
+        assert rc == 0
+        assert run(capsys, "tree", "--restricted", "1000000000000:<1>",
+                   "--genus-bound", "4") == (0, out, "")
+
     def test_dot_truncated(self, capsys):
         rc, out, _ = run(capsys, "tree", "--restricted", RESTRICTED,
                          "--genus-bound", "8", "--format", "dot")

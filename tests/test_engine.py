@@ -407,6 +407,28 @@ class TestMemberMemo:
         assert len(calls) == 6
         assert len(members_of(n, 3)[0]) == 8 and len(calls) == 6
 
+    def test_trees_read_the_kept_walk(self, monkeypatch):
+        # after members_of, a tree at the same bound, and the view of the
+        # maximum, make no level of their own, yet share no node or list
+        for desc, bound in ((Restricted({4, 6}, sg(4, 6, 7)), 10),
+                            (Interval(sg(5, 6), DELTA_567), 20),
+                            (Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta), 20)):
+            members_of(desc, bound)
+            calls = []
+            step = rvar.engine._next_level
+            monkeypatch.setattr(rvar.engine, "_next_level",
+                                lambda *args: calls.append(args) or step(*args))
+            trees = [build_tree(desc, bound), build_tree(desc, bound),
+                     build_tree(descendants(desc, delta_of(desc)), bound)]
+            assert calls == []
+            monkeypatch.undo()
+            nodes = [tree_vertices(root) for root in trees]
+            assert len({id(n) for ns in nodes for n in ns}) == 3 * len(nodes[0])
+            assert len({id(n.children) for ns in nodes for n in ns}) == 3 * len(nodes[0])
+            fresh = build_tree(pickle.loads(pickle.dumps(desc)), bound)
+            assert all(root == fresh for root in trees)
+            assert {n.sg for n in nodes[0]} == set(members_of(desc, bound)[0])
+
     def test_a_changed_answer_does_not_change_the_next(self):
         desc = Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)
         mem, complete = members_of(desc, 20)

@@ -108,8 +108,8 @@ def test_walk_path_makes_no_rechecks():
                "check_rvariety_axioms"}
     walk = {"engine.py": {"_walk", "_levels", "_last_level", "_next_level",
                           "_complete", "_above", "children", "members_of",
-                          "_members", "restriction_of"},
-            "chains.py": {"_systems"}}
+                          "_walked", "restriction_of"},
+            "chains.py": {"_systems", "_restricted_kernel", "_generated_kernel"}}
     found = []
     for module, names in sorted(walk.items()):
         funcs = _top_functions(module)
@@ -137,7 +137,7 @@ def test_closed_forms_make_no_search():
     # is_pseudo_variety reads the answer off the maximum's tree node, and
     # chain_to writes each link as a union with a tail: neither walks the
     # family nor re-checks a step
-    banned = {("engine.py", "is_pseudo_variety"): {"_walk", "members_of", "_members",
+    banned = {("engine.py", "is_pseudo_variety"): {"_walk", "members_of", "_walked",
                                                    "_last_level", "_levels"},
               ("chains.py", "chain_to"): {"add_element", "restricted_frobenius"}}
     found = []
@@ -148,13 +148,13 @@ def test_closed_forms_make_no_search():
 
 
 def test_member_walks_build_no_tree_nodes():
-    # members_of, restriction_of (both through _members) and genus-level walk
+    # members_of, restriction_of (both through _walked) and genus-level walk
     # (member, fd, system) levels through _levels; only the tree walks build
     # RTreeNodes
     nodes = {"_walk", "children", "RTreeNode"}
     funcs = _top_functions("engine.py")
     found = sorted("%s calls %s" % (name, called)
-                   for name in ("members_of", "_members", "restriction_of",
+                   for name in ("members_of", "_walked", "restriction_of",
                                 "_last_level", "_levels", "_next_level")
                    for called in set(_called_names(funcs[name])) & nodes)
     assert found == []
@@ -166,7 +166,9 @@ def test_member_walks_build_no_tree_nodes():
 def test_one_level_loop():
     # trees and member walks share the one level loop, which alone holds the
     # member budget and makes children; a second loop would have to read
-    # MAX_MEMBERS or call _drop itself
+    # MAX_MEMBERS or call _drop itself.  The walk that a descriptor keeps is
+    # the one route to the loop besides the unkept genus level, and trees
+    # read it
     funcs = _top_functions("engine.py")
     readers = sorted(name for name, f in funcs.items()
                      if any(isinstance(n, ast.Name) and n.id == "MAX_MEMBERS"
@@ -175,10 +177,11 @@ def test_one_level_loop():
     droppers = sorted(name for name, f in funcs.items()
                       if "_drop" in set(_called_names(f)))
     assert droppers == ["_next_level"]
+    walkers = sorted(name for name, f in funcs.items()
+                     if "_levels" in set(_called_names(f)))
+    assert walkers == ["_last_level", "_walked"]
     walk = set(_called_names(funcs["_walk"]))
-    assert "_levels" in walk and "_drop" not in walk
-    assert "_levels" in set(_called_names(funcs["_members"]))
-    assert "_levels" in set(_called_names(funcs["_last_level"]))
+    assert "_walked" in walk and "_drop" not in walk
 
 
 def _bound_names(node):
