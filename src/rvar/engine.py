@@ -7,11 +7,11 @@ elements of its minimal system that exceed that number, which is what makes
 genus-by-genus enumeration possible without revisiting vertices.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from . import chains
 from .core import (
-    NumSG, CapacityExceeded, DomainError, _below, _canon, _drop,
+    NumSG, CapacityExceeded, DomainError, _below, _bits, _canon, _drop,
     format_semigroup, frobenius, genus, intersect, msg, restricted_frobenius,
     union_with_tail,
 )
@@ -63,11 +63,6 @@ def _next_level(system, level):
             for sg, fd, xs in level for x in _above(xs, fd)]
 
 
-def _complete(level):
-    """Whether no member of a walk's last level has children."""
-    return not any(_above(xs, fd) for _, fd, xs in level)
-
-
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
     return [RTreeNode(*c) for c in _next_level(
@@ -110,45 +105,89 @@ def _walk(desc, genus_bound):
     """(nodes, complete) for tree_of: a new RTreeNode per member of the
     walk that desc keeps (see _walked), in its order, each parent linked
     to its children, and whether no expansion was cut off.  A parent's
-    children are the next len(_above(system, fd)) nodes after those of the
-    parents before it, since each level lists its parents' children in
-    their order; the last level's are past the end.
+    children are as many nodes as its child count, next after those of
+    the parents before it, since each level lists its parents' children
+    in their order; the last level's are past the end.
     """
-    mem, fds, systems, complete = _walked(desc, genus_bound)
+    mem, fds, systems, counts, complete = _walked(desc, genus_bound)
     nodes = [RTreeNode(m, fd, xs) for m, fd, xs in zip(mem, fds, systems)]
     i, n = 1, len(nodes)
-    for p in nodes:
+    for p, k in zip(nodes, counts):
         if i == n:
             break
-        j = i + len(_above(p.min_system, p.restricted_frob))
-        p.children, i = nodes[i:j], j
+        p.children = nodes[i:i + k]
+        i += k
     return nodes, complete
 
 
 def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
     """All members with genus <= bound, level by level in breadth-first
     order, as a new list, plus a flag telling whether that is all of them."""
-    mem, _, _, complete = _walked(desc, genus_bound)
+    mem, _, _, _, complete = _walked(desc, genus_bound)
     return list(mem), complete
 
 
 def _walked(desc, genus_bound):
-    """(members, fds, systems, complete): the triples of _levels in its
-    order as three parallel tuples, and whether the walk is complete.
-    desc keeps its last walk with its bound, and a walk at that bound
-    reuses it; a refused walk keeps nothing.
+    """(members, fds, systems, counts, complete): the triples of _levels
+    in its order as three parallel tuples, each member's child count (the
+    number of its system's elements above its fd) as a fourth, and
+    whether the walk is complete, that is whether no member of its last
+    level has children.  desc keeps its last walk with its bound, and a
+    walk at that bound reuses it; a refused walk keeps nothing.  A
+    descendants view may be born with a walk cut from its family's (see
+    _cut).
     """
     walked = getattr(desc, "_walked", None)
     if walked is None or walked[0] != genus_bound:
-        mem, fds, systems = [], [], []
+        mem, fds, systems, counts = [], [], [], []
         for level in _levels(desc, genus_bound):
+            below = [len(xs) - bisect_right(xs, fd) for _, fd, xs in level]
             # zip(*level) is the level's members, fds and systems
             for kept, part in zip((mem, fds, systems), zip(*level)):
                 kept += part
+            counts += below
         walked = (genus_bound, tuple(mem), tuple(fds), tuple(systems),
-                  _complete(level))
+                  tuple(counts), not any(below))
         _set(desc, "_walked", walked)
     return walked[1:]
+
+
+def _cut(walked, t, delta):
+    """The walk that the view of t keeps, cut from the walk kept by its
+    family, with maximum delta ≠ t; None when t lies past the walk's
+    bound.
+
+    t's path from delta removes the values of delta ∖ t in increasing
+    order, and each is the fd of one child among its parent's, which are
+    consecutive and in increasing fd.  A node's children follow those of
+    the nodes before it, so s, the sum of the counts before the current
+    node, places them.  Each level of t's subtree is then one range of
+    the walk: the children of the range above.  Below t the fds and
+    counts stay, and the systems keep their elements above t's fd
+    fdelta(t, delta), which becomes -1 (the README gives the proofs).
+    The subtree is complete when its last range has no children.
+    """
+    bound, mem, fds, systems, counts, _ = walked
+    if genus(t) > bound:
+        return None
+    x = s = 0  # a node on t's path, and the sum of the counts before it
+    for v in _bits(_below(delta, t.conductor) & ~t.mask):
+        y = bisect_left(fds, v, s + 1, s + 1 + counts[x])
+        s, x = s + sum(counts[x:y]), y
+    cut = ([], [], [], [])
+    a, b = x, x + 1  # a level of the subtree; s sums the counts before a
+    while True:
+        for kept, part in zip(cut, (mem, fds, systems, counts)):
+            kept += part[a:b]
+        c, lo = sum(counts[a:b]), s + 1
+        if not c or lo >= len(mem):
+            break
+        s += c + sum(counts[b:lo])
+        a, b = lo, lo + c
+    sub, sub_fds, sub_systems, sub_counts = cut
+    f, sub_fds[0] = sub_fds[0], -1
+    return (bound, tuple(sub), tuple(sub_fds),
+            tuple([_above(xs, f) for xs in sub_systems]), tuple(sub_counts), not c)
 
 
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
@@ -211,7 +250,9 @@ def is_pseudo_variety(desc) -> bool:
 def descendants(desc, t: NumSG):
     """The family of t and the members below it in desc's tree: a
     Restricted or Generated descriptor with maximum t, desc itself for
-    desc's maximum.  The README gives the proofs.
+    desc's maximum.  The README gives the proofs.  When desc keeps a walk
+    that holds t, the view keeps t's subtree of it (see _cut), so its
+    walks at that bound neither walk again nor build its kernel.
 
     With Δ the maximum, F = fdelta(t, Δ) and P = t ∩ [0, F], a member S
     descends from t exactly when P ⊆ S ⊆ t.  Restricted(a, Δ) gives
@@ -227,14 +268,18 @@ def descendants(desc, t: NumSG):
         return desc
     f = restricted_frobenius(t, delta)
     if isinstance(desc, Restricted):
-        return Restricted(desc.a.union([x for x in msg(t) if x <= f]), t)
-    p = _below(t, f + 1)
-    links = []
-    for c in desc.f:
-        out = p & c.gaps
-        links.append(intersect(
-            union_with_tail(c, delta, (out & -out).bit_length() - 1) if out else c, t))
-    return Generated(links, t)
+        view = Restricted(desc.a.union([x for x in msg(t) if x <= f]), t)
+    else:
+        p = _below(t, f + 1)
+        links = []
+        for c in desc.f:
+            out = p & c.gaps
+            links.append(intersect(
+                union_with_tail(c, delta, (out & -out).bit_length() - 1) if out else c, t))
+        view = Generated(links, t)
+    if desc._walked is not None:
+        _set(view, "_walked", _cut(desc._walked, t, delta))
+    return view
 
 
 def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
@@ -244,7 +289,7 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     re-checked.  S's mask with its tail of ones, cut by u's mask below the
     largest conductor w, is S ∩ u below w.
     """
-    mem, _, _, complete = _walked(desc, genus_bound)
+    mem, _, _, _, complete = _walked(desc, genus_bound)
     w = max(u.conductor, *(s.conductor for s in mem))
     um = _below(u, w)
     return {_canon(m, w) for m in {(s.mask | -(1 << s.conductor)) & um

@@ -395,32 +395,43 @@ class TestMemberMemo:
         assert len(members_of(n, 4)[0]) == 15
         assert len(members_of(n, 3)[0]) == 8
         assert len(calls) == 3
-        # a refused walk keeps nothing, and the kept walk stays
+        # a refused walk keeps nothing, and the kept walk stays: the view
+        # of the walked n is born with its cut of n's walk and keeps that,
+        # and the view of a fresh copy of n keeps none
         view = descendants(n, sg(2, 3))
-        for _ in range(2):
-            with pytest.raises(DomainError, match=r"^genus bound 0 is below the genus 1 "):
-                members_of(view, 0)
-        assert view._walked is None
+        fresh = descendants(pickle.loads(pickle.dumps(n)), sg(2, 3))
+        seeded = view._walked
+        assert seeded is not None and fresh._walked is None
+        for refused in (view, fresh):
+            for _ in range(2):
+                with pytest.raises(DomainError, match=r"^genus bound 0 is below the genus 1 "):
+                    members_of(refused, 0)
+        assert view._walked is seeded and fresh._walked is None
         monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 10)
         with pytest.raises(CapacityExceeded):
             members_of(n, 4)
-        assert len(calls) == 6
-        assert len(members_of(n, 3)[0]) == 8 and len(calls) == 6
+        assert len(calls) == 8
+        assert len(members_of(n, 3)[0]) == 8 and len(calls) == 8
 
     def test_trees_read_the_kept_walk(self, monkeypatch):
-        # after members_of, a tree at the same bound, and the view of the
-        # maximum, make no level of their own, yet share no node or list
+        # after members_of, a tree at the same bound, the view of the
+        # maximum and the view of each member below it make no level and no
+        # kernel of their own, yet share no node or list
         for desc, bound in ((Restricted({4, 6}, sg(4, 6, 7)), 10),
                             (Interval(sg(5, 6), DELTA_567), 20),
                             (Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta), 20)):
-            members_of(desc, bound)
+            mem, _ = members_of(desc, bound)
+            assert len(mem) > 1
             calls = []
             step = rvar.engine._next_level
             monkeypatch.setattr(rvar.engine, "_next_level",
                                 lambda *args: calls.append(args) or step(*args))
             trees = [build_tree(desc, bound), build_tree(desc, bound),
                      build_tree(descendants(desc, delta_of(desc)), bound)]
+            views = [descendants(desc, t) for t in mem[1:]]
+            below = [build_tree(view, bound) for view in views]
             assert calls == []
+            assert all(view._system is None for view in views)
             monkeypatch.undo()
             nodes = [tree_vertices(root) for root in trees]
             assert len({id(n) for ns in nodes for n in ns}) == 3 * len(nodes[0])
@@ -428,6 +439,15 @@ class TestMemberMemo:
             fresh = build_tree(pickle.loads(pickle.dumps(desc)), bound)
             assert all(root == fresh for root in trees)
             assert {n.sg for n in nodes[0]} == set(members_of(desc, bound)[0])
+            # a view of a fresh copy walks its own subtree, the reference
+            copy = pickle.loads(pickle.dumps(desc))
+            for t, tree in zip(mem[1:], below):
+                view = descendants(copy, t)
+                assert view._walked is None
+                fresh = build_tree(view, bound)
+                assert tree == fresh
+                assert not ({id(n) for n in tree_vertices(tree)}
+                            & {id(n) for n in tree_vertices(fresh)})
 
     def test_a_changed_answer_does_not_change_the_next(self):
         desc = Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)

@@ -513,6 +513,72 @@ class TestViewConversionLaws:
 
 
 @st.composite
+def cut_cases(draw):
+    """(desc, bounds, seed): an Interval, Restricted or Generated family,
+    the last sometimes with f = (), and the genus bounds at which its walk
+    is cut off or first complete, in that order, the first when it has
+    members past its maximum's genus and the second when it is finite."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    delta = random_semigroup(rng, 6)
+    kind = draw(st.sampled_from([Interval, Restricted, Generated]))
+    if kind is Interval:
+        desc = Interval(random_subsemigroup(rng, delta, rng.randint(0, 5)), delta)
+    elif kind is Restricted:
+        pool = [x for x in msg(delta) if x > 1]
+        desc = Restricted(rng.sample(pool, rng.randint(0, min(2, len(pool)))), delta)
+    else:
+        desc = Generated([random_subsemigroup(rng, delta, rng.randint(0, 4))
+                          for _ in range(rng.randint(0, 3))], delta)
+    top = genus(delta)
+    bounds = []
+    for bound in range(top, top + 7):
+        if members_of(pickle.loads(pickle.dumps(desc)), bound)[1]:
+            if bound > top:
+                bounds.append(rng.randrange(top, bound))
+            bounds.append(bound)
+            break
+    else:
+        bounds.append(top + rng.randint(0, 2))
+    return desc, bounds, rng.randrange(2 ** 32)
+
+
+def _fresh_walk(desc, bound):
+    """The walk that an equal descriptor with no kept walk keeps at bound."""
+    copy = pickle.loads(pickle.dumps(desc))
+    members_of(copy, bound)
+    return copy._walked
+
+
+class TestViewCutLaws:
+    # a view of a member of a kept walk is born with its subtree cut from
+    # that walk; an equal view rebuilt by pickle keeps none, so its own walk
+    # is the reference for members, fds, systems, child counts and the
+    # complete flag
+    @given(cut_cases())
+    @settings(max_examples=80)
+    def test_a_cut_walk_is_the_fresh_walk_of_the_view(self, case):
+        desc, bounds, seed = case
+        rng = random.Random(seed)
+        for bound in bounds:
+            members_of(desc, bound)
+            mem = desc._walked[1]
+            for t in mem:
+                view = descendants(desc, t)
+                assert view._walked == _fresh_walk(view, bound)
+                inner = rng.choice(view._walked[1])
+                nested = descendants(view, inner)
+                assert nested._walked == _fresh_walk(nested, bound)
+                assert members_of(nested, bound) == members_of(
+                    descendants(desc, inner), bound)
+            # a member past the bound is not in the walk, so its view keeps none
+            past = [s for s in members_of(pickle.loads(pickle.dumps(desc)), bound + 1)[0]
+                    if genus(s) > bound]
+            for t in past:
+                assert descendants(desc, t)._walked is None
+            assert desc._walked[1] is mem
+
+
+@st.composite
 def walked_families(draw):
     """(desc, bound): a finite family walked in full, or a restricted family,
     possibly infinite, walked two genera below its maximum."""

@@ -107,8 +107,8 @@ def test_walk_path_makes_no_rechecks():
     checked = {"remove_element", "minimal_rsystem", "_member_system", "is_member",
                "check_rvariety_axioms"}
     walk = {"engine.py": {"_walk", "_levels", "_last_level", "_next_level",
-                          "_complete", "_above", "children", "members_of",
-                          "_walked", "restriction_of"},
+                          "_above", "children", "members_of", "_walked",
+                          "_cut", "restriction_of"},
             "chains.py": {"_systems", "_restricted_kernel", "_generated_kernel"}}
     found = []
     for module, names in sorted(walk.items()):
@@ -182,6 +182,24 @@ def test_one_level_loop():
     assert walkers == ["_last_level", "_walked"]
     walk = set(_called_names(funcs["_walk"]))
     assert "_walked" in walk and "_drop" not in walk
+
+
+def test_kept_walks_are_read_not_remade():
+    # the kept walk holds each member's child count, so a tree links its
+    # nodes by counts alone, and a view's walk is cut from its family's
+    # without a level, a child or a kernel of its own
+    funcs = _top_functions("engine.py")
+    found = sorted("%s calls %s" % (name, called)
+                   for name, banned in (("_walk", {"_above", "bisect_right"}),
+                                        ("_cut", {"_levels", "_next_level",
+                                                  "_drop", "_systems"}))
+                   for called in set(_called_names(funcs[name])) & banned)
+    assert found == []
+    # the guard sees the calls it bans where they are made
+    assert "bisect_right" in set(_called_names(funcs["_walked"]))
+    assert "_above" in set(_called_names(funcs["_cut"]))
+    assert {"_systems", "_next_level"} <= set(_called_names(funcs["_levels"]))
+    assert "_cut" in set(_called_names(funcs["descendants"]))
 
 
 def _bound_names(node):
