@@ -7,9 +7,9 @@ for both descriptor families, Restricted and Generated.
 """
 
 from .core import (
-    NumSG, DomainError, EmptyGenerators, GcdNotOne, _below,
-    _bits, _require_subset, contains, format_semigroup, from_generators,
-    intersect_all, is_subset, msg, union_with_tail,
+    NumSG, DomainError, EmptyGenerators, GcdNotOne, _below, _bits, _canon,
+    _require_subset, contains, format_semigroup, from_generators, is_subset,
+    msg, union_with_tail,
 )
 from .descriptors import Restricted, Generated, _Frozen, _set, delta_of
 
@@ -69,7 +69,7 @@ def is_member(desc, s: NumSG) -> bool:
 
 
 def rmonoid_generated(desc, a) -> NumSG:
-    """Smallest member-intersection containing the set a.
+    """Smallest member-intersection containing the set a, from desc's kernel.
 
     For Generated descriptors the result is always a numerical semigroup.
     For Restricted descriptors with gcd(forced ∪ a) != 1 the monoid has
@@ -80,23 +80,7 @@ def rmonoid_generated(desc, a) -> NumSG:
     for x in a:
         if x < 0 or not contains(delta, x):
             raise NotInDelta("%d is not in %s" % (x, format_semigroup(delta)))
-    if isinstance(desc, Restricted):
-        try:
-            return from_generators([x for x in desc.a | a if x])
-        except (EmptyGenerators, GcdNotOne) as e:
-            raise NotNumerical(str(e)) from None
-    if isinstance(desc, Generated):
-        parts = []
-        for s in desc.f:
-            if all(contains(s, x) for x in a):
-                parts.append(s)
-            else:
-                x_s = min(x for x in a if not contains(s, x))
-                parts.append(union_with_tail(s, desc.delta, x_s))
-        if not parts:
-            return delta
-        return intersect_all(parts)
-    raise TypeError("not a variety descriptor: %r" % (desc,))
+    return _systems(desc)[2](a)
 
 
 def minimal_rsystem(desc, m: NumSG) -> frozenset:
@@ -105,24 +89,25 @@ def minimal_rsystem(desc, m: NumSG) -> frozenset:
     m must be a member; it is checked here, because m may come from outside
     the program.
     """
-    return frozenset(_member_system(desc, m))
+    return frozenset(_checked(desc, m)[1](m))
 
 
-def _member_system(desc, m: NumSG) -> tuple:
-    """minimal_rsystem as a strictly increasing tuple, after the same check."""
-    member, system = _systems(desc)
-    if not member(m):
+def _checked(desc, m: NumSG):
+    """The kernel of desc, after a check that m, which may come from
+    outside the program, is a member; walks take the kernel unchecked."""
+    kernel = _systems(desc)
+    if not kernel[0](m):
         raise NotInVariety("%s is not a member" % format_semigroup(m))
-    return system(m)
+    return kernel
 
 
 def _systems(desc):
-    """(member, system): the kernel of a descriptor, its membership test
-    and its system function, from a member m to its minimal system as a
-    strictly increasing tuple, unchecked; walks take the system once and
-    call it on every member.  Both are built once per descriptor and kept
-    on it, so each call is a few mask operations on the work that depends
-    on the family alone."""
+    """(member, system, monoid, view): the kernel of a descriptor, the one
+    place that knows its kind.  system(m) is a member's minimal system as
+    a strictly increasing tuple, unchecked; monoid(a) is rmonoid_generated
+    unchecked; view(t, F) writes descendants(desc, t) for a member t below
+    the maximum, with F = fdelta(t, maximum).  Built once per descriptor
+    and kept on it, so each call is a few mask operations."""
     kernel = getattr(desc, "_system", None)
     if kernel is None:
         if isinstance(desc, Restricted):
@@ -141,7 +126,8 @@ def _restricted_kernel(desc):
     mask of them would be as long as the largest, which nothing bounds.
     A member's system is its minimal generators outside a, read off the
     increasing msg: the forced elements are in every member, so they
-    generate nothing new.
+    generate nothing new.  The view of t also forces P = t ∩ [0, F]:
+    Restricted(a ∪ (msg(t) ∩ [1, F]), t), as msg(t) ∩ [1, F] generates P.
     """
     forced, t = desc.a, desc.t
 
@@ -150,23 +136,33 @@ def _restricted_kernel(desc):
 
     system = msg if not forced else (
         lambda m: tuple([x for x in msg(m) if x not in forced]))
-    return member, system
+
+    def monoid(a):
+        try:
+            return from_generators([x for x in forced | a if x])
+        except (EmptyGenerators, GcdNotOne) as e:
+            raise NotNumerical(str(e)) from None
+
+    def view(u, f):
+        return Restricted(forced.union([x for x in msg(u) if x <= f]), u)
+    return member, system, monoid, view
 
 
 def _generated_kernel(desc):
     """The kernel of Generated(f, Δ), with top the largest conductor of
     a chain link: the largest in f, or that of Δ, the one link, for f = ().
 
-    Membership: s is a member iff s ⊆ Δ and s is the intersection of Δ
-    and, for each c in f, the least link of c's chain that contains s:
-    c ∪ (Δ ∩ [x, ∞)) with x = min(s ∖ c), or c when s ⊆ c (the README
-    proves it).  Every link contains [top, ∞), so the intersection does,
-    and s equals it at and above top iff s ⊇ Δ ∩ [top, conductor(s)) =
-    [top, conductor(s)), that is iff conductor(s) <= top.  Below top,
-    s ∖ c lies in the gaps of c, so x is the lowest bit b of s & gaps(c),
-    and the link is c | (Δ & -b), c itself when b = 0: one pass over the
-    masks of Δ and of each c below top, which are made once.  For f = ()
-    it leaves s = Δ.
+    One form serves membership, monoids and views (the README proves
+    it): the least link of c's chain that contains X ⊆ Δ is c ∪ (Δ ∩
+    [x, ∞)) with x = min(X ∖ c), or c when X ⊆ c.  Every link contains
+    [top, ∞), and below top X ∖ c lies in the gaps of c, so x is the
+    lowest bit b of X & gaps(c), and the link is c | (Δ & -b).  close(X)
+    is the intersection of Δ and these links over c in f below top, one
+    pass over masks made once; for f = () it is Δ.  The monoid of a is
+    close(a), whose elements at or past top are in every link.  s is a
+    member iff close(s) = s, which also puts s in Δ: iff conductor(s) <=
+    top, as close(s) ⊇ [top, ∞), and the masks below top agree.  The view of t is Generated(f′, t), where c′ in f′ is
+    the least link of c's chain that contains P = t ∩ [0, F], cut by t.
 
     Systems: each family member c not containing m contributes x_c, the
     least element of m missing from c: the part that c gives to an
@@ -177,18 +173,21 @@ def _generated_kernel(desc):
     """
     delta = desc.delta
     top = max([c.conductor for c in desc.f], default=delta.conductor)
-    dc, dg, dm = delta.conductor, delta.gaps, _below(delta, top)
+    dc, dm = delta.conductor, _below(delta, top)
     links = [(c.gaps, _below(c, top)) for c in desc.f]
 
-    def member(s):
-        if not dc <= s.conductor <= top or s.mask & dg:
-            return False
-        sm = _below(s, top)
+    def close(xm, links=links):
         acc = dm
         for g, cm in links:
-            out = sm & g
+            out = xm & g
             acc &= cm | (dm & -(out & -out))
-        return acc == sm
+        return acc
+
+    def member(s):
+        if not dc <= s.conductor <= top:
+            return False
+        sm = _below(s, top)
+        return close(sm) == sm
 
     def system(m):
         mm = _below(m, top)
@@ -202,7 +201,14 @@ def _generated_kernel(desc):
             xs.append(b.bit_length() - 1)
             low ^= b
         return tuple(xs)
-    return member, system
+
+    def monoid(a):
+        return _canon(close(sum([1 << x for x in a if x < top])), top)
+
+    def view(t, f):
+        tm, pm = _below(t, top), _below(t, f + 1)
+        return Generated([_canon(tm & close(pm, [link]), top) for link in links], t)
+    return member, system, monoid, view
 
 
 def rrange(desc, m: NumSG) -> int:

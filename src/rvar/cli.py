@@ -31,7 +31,7 @@ from .core import (
     multiplicity, parse_semigroup, restricted_frobenius,
 )
 from .descriptors import Interval, Restricted, Generated, delta_of
-from .chains import _member_system, chain_to
+from .chains import _checked, chain_to
 from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
 from .engine import (
     DEFAULT_GENUS_BOUND, _bounded_top, _last_level, descendants, fdelta,
@@ -55,10 +55,10 @@ def _parse_ints(text):
         tok = tok.strip()
         if not tok:
             continue
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError("bad integer %r" % tok) from None
+        # an optional '-' and decimal digits; int() alone also takes '1_0'
+        if not tok.removeprefix("-").isdecimal():
+            raise ParseError("bad integer %r" % tok)
+        out.append(int(tok))
     return out
 
 
@@ -187,7 +187,7 @@ def _cmd_chain(args):
 def _cmd_minsys(args):
     desc = _variety_from(args)
     s = parse_semigroup(args.sg)
-    system = _member_system(desc, s)
+    system = _checked(desc, s)[1](s)
     return [s], lambda s: _csv(system), lambda s: _record(
         s, fdelta(s, delta_of(desc)), minsys=system)
 

@@ -349,7 +349,8 @@ def parse_semigroup(text: str) -> NumSG:
     gens = []
     for tok in body.split(","):
         tok = tok.strip()
-        if not tok.isdigit():
+        # isdigit would pass '²', which int() refuses
+        if not tok.isdecimal():
             raise ParseError("bad generator token %r in %r" % (tok, raw))
         gens.append(int(tok))
     return from_generators(gens)

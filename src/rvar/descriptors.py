@@ -6,8 +6,8 @@ and is closed under adjoining the Frobenius number restricted to the maximum.
 Two families are supported, Restricted and Generated.  Interval(lo, hi) is
 a constructor, not a family of its own: a semigroup contains lo exactly
 when it contains msg(lo), so the interval is Restricted(msg(lo), hi).  The
-descendants of a member t form a family with maximum t, and
-engine.descendants writes it as a Restricted or Generated descriptor too.
+descendants of a member t form a family with maximum t, which the
+family's kernel (chains._systems) writes as a descriptor of its own kind.
 
 Descriptors are small value classes rather than dataclasses: the
 dataclasses module pulls inspect, ast and dis into every process that

@@ -12,11 +12,9 @@ from bisect import bisect_left, bisect_right
 from . import chains
 from .core import (
     NumSG, CapacityExceeded, DomainError, _below, _bits, _canon, _drop,
-    format_semigroup, frobenius, genus, intersect, msg, restricted_frobenius,
-    union_with_tail,
+    frobenius, genus, restricted_frobenius,
 )
-from .descriptors import Restricted, Generated, _Record, _set, delta_of
-from .chains import NotInVariety
+from .descriptors import _Record, _set, delta_of
 
 DEFAULT_GENUS_BOUND = 40
 
@@ -249,34 +247,17 @@ def is_pseudo_variety(desc) -> bool:
 
 def descendants(desc, t: NumSG):
     """The family of t and the members below it in desc's tree: a
-    Restricted or Generated descriptor with maximum t, desc itself for
-    desc's maximum.  The README gives the proofs.  When desc keeps a walk
-    that holds t, the view keeps t's subtree of it (see _cut), so its
-    walks at that bound neither walk again nor build its kernel.
-
-    With Δ the maximum, F = fdelta(t, Δ) and P = t ∩ [0, F], a member S
-    descends from t exactly when P ⊆ S ⊆ t.  Restricted(a, Δ) gives
-    Restricted(a ∪ (msg(t) ∩ [1, F]), t), since P is generated by the
-    generators of t up to F.  Generated(f, Δ) gives Generated(f′, t), where
-    c′ in f′ is (c ∪ (Δ ∩ [min(P ∖ c), ∞))) ∩ t, or c ∩ t when P ⊆ c: the
-    least link of c's chain that contains P, intersected with t.
+    descriptor of desc's kind with maximum t, written by desc's kernel
+    (see chains._systems), desc itself for desc's maximum.  The README
+    gives the proofs.  When desc keeps a walk that holds t, the view
+    keeps t's subtree of it (see _cut), so its walks at that bound
+    neither walk again nor build its kernel.
     """
-    if not member(desc, t):
-        raise NotInVariety("%s is not a member" % format_semigroup(t))
+    kernel = chains._checked(desc, t)
     delta = delta_of(desc)
     if t == delta:
         return desc
-    f = restricted_frobenius(t, delta)
-    if isinstance(desc, Restricted):
-        view = Restricted(desc.a.union([x for x in msg(t) if x <= f]), t)
-    else:
-        p = _below(t, f + 1)
-        links = []
-        for c in desc.f:
-            out = p & c.gaps
-            links.append(intersect(
-                union_with_tail(c, delta, (out & -out).bit_length() - 1) if out else c, t))
-        view = Generated(links, t)
+    view = kernel[3](t, restricted_frobenius(t, delta))
     if desc._walked is not None:
         _set(view, "_walked", _cut(desc._walked, t, delta))
     return view

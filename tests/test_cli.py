@@ -533,6 +533,22 @@ class TestErrorPaths:
         assert rc == 1
         assert err == "rvar: error: bad generator token 'x' in '<5,6,x>'\n"
 
+    def test_a_non_ascii_digit_is_a_parse_error(self, capsys):
+        # str.isdigit passes '²', which int() refuses with a traceback
+        assert run(capsys, "msg", "<5,²>") == (
+            1, "", "rvar: error: bad generator token '²' in '<5,²>'\n")
+
+    def test_integer_lists_take_decimal_digits_only(self, capsys):
+        # int() alone would read '1_0' as 10; parse_semigroup refuses it too
+        assert run(capsys, "closure", "--kind", "pl", "1_0,11") == (
+            1, "", "rvar: error: bad integer '1_0'\n")
+        assert run(capsys, "tree", "--restricted", "4,+6:<4,6,7>") == (
+            1, "", "rvar: error: bad integer '+6'\n")
+        # a negative forced element parses, and the family refuses it
+        rc, out, err = run(capsys, "tree", "--restricted=-1:<4,6,7>")
+        assert (rc, out) == (2, "")
+        assert err == "rvar: error: forced element -1 is not in <4,6,7>\n"
+
     def test_domain_error_not_contained(self, capsys):
         rc, _, err = run(capsys, "tree", "--interval", "<5,7>:<5,6>")
         assert rc == 2

@@ -27,7 +27,7 @@ from rvar import (
     minimal_system_from_members, minimal_vsystem, msg, oracle_members,
     parse_semigroup, random_semigroup, random_subsemigroup, remove_element,
     restrict_variety, restricted_closure, restricted_frobenius,
-    rmonoid_generated, tree_of, tree_vertices, union_with_tail,
+    rmonoid_generated, smallest_containing, tree_of, tree_vertices, union_with_tail,
     variety_closure,
 )
 from rvar.engine import _last_level, restriction_of
@@ -254,6 +254,46 @@ class TestRMonoidLaws:
                 containing = [c for c in links if is_subset(s, c)]
                 expected = bool(containing) and intersect_all(containing) == s
                 assert is_member(d, s) == expected
+
+
+@st.composite
+def monoid_cases(draw):
+    """(desc, a, bound): a family, a set a of elements of its maximum, and
+    a genus bound that the oracle walks to hold the least member containing
+    a.  A Generated family, sometimes with f = (), is finite, and a may be
+    empty, hold 0 or reach past the largest conductor in f.  A Restricted
+    family forces elements of msg(s) for a semigroup s inside its maximum,
+    and a holds the rest of msg(s), so gcd(forced ∪ a) = 1 and the answer
+    is s, of bounded genus; 0 and larger elements of s ride along."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    delta = random_semigroup(rng, 6)
+    if draw(st.booleans()):
+        desc = Generated([random_subsemigroup(rng, delta, rng.randint(0, 4))
+                          for _ in range(rng.randint(0, 3))], delta)
+        top = max([c.conductor for c in desc.f], default=delta.conductor)
+        pool = list(elements(delta, top + 2))
+        a = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+        return desc, a, genus(intersect_all(list(desc.f) + [delta]))
+    steps = rng.randint(0, 3)
+    s = random_subsemigroup(rng, delta, steps)
+    gens = msg(s)
+    forced = rng.sample(gens, rng.randint(0, len(gens)))
+    extra = list(elements(s, s.conductor + 2))
+    a = ([x for x in gens if x not in forced]
+         + rng.sample(extra, rng.randint(0, min(3, len(extra)))))
+    return Restricted(forced, delta), a, genus(delta) + steps
+
+
+class TestRMonoidOracle:
+    # the kernel's monoid against the intersection of the oracle's members
+    # that contain a; a Generated family is walked to the genus of its least
+    # member, the intersection of its maximum and of f
+    @given(monoid_cases())
+    @settings(max_examples=150)
+    def test_the_monoid_is_the_least_containing_member(self, case):
+        desc, a, bound = case
+        expected = smallest_containing(oracle_members(desc, bound), a)
+        assert rmonoid_generated(desc, a) == expected
 
 
 def naive_closure(off, gens, window):

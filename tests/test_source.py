@@ -104,12 +104,14 @@ def test_walk_path_makes_no_rechecks():
     # built itself, so the checked forms for outside input stay off its path;
     # a complete restriction image is a family by proof, so it is not re-checked;
     # the system kernel a walk takes from chains is held to the same rule
-    checked = {"remove_element", "minimal_rsystem", "_member_system", "is_member",
+    checked = {"remove_element", "minimal_rsystem", "_checked", "is_member",
                "check_rvariety_axioms"}
     walk = {"engine.py": {"_walk", "_levels", "_last_level", "_next_level",
                           "_above", "children", "members_of", "_walked",
                           "_cut", "restriction_of"},
             "chains.py": {"_systems", "_restricted_kernel", "_generated_kernel"}}
+    assert checked - {"check_rvariety_axioms"} <= (
+        set(_top_functions("chains.py")) | set(_top_functions("core.py")))
     found = []
     for module, names in sorted(walk.items()):
         funcs = _top_functions(module)
@@ -245,3 +247,29 @@ def test_an_interval_is_no_family_of_its_own():
                             for k in ("Interval", "Descendants"))):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_the_kind_is_decided_once():
+    # a family's kernel is the one place that knows what its kind does, so
+    # only the maximum and the kernel's choice branch on the kind; the
+    # oracle is the reference, so it keeps its own branches
+    kinds = {"Restricted", "Generated"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance"
+                        and kinds & {n.id for n in ast.walk(node.args[1])
+                                     if isinstance(n, ast.Name)}):
+                    found.append((path.name, getattr(top, "name", None)))
+    assert sorted(found) == [("chains.py", "_systems"), ("chains.py", "_systems"),
+                             ("descriptors.py", "delta_of"),
+                             ("descriptors.py", "delta_of")]
+    engine = ast.parse((SRC / "engine.py").read_text())
+    assert not kinds & {name for node in ast.walk(engine)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        for name in _bound_names(node)}
