@@ -212,7 +212,8 @@ def _cmd_descendants(args):
 
 def _cmd_closure(args):
     if (args.gens is None) == (args.vsystem is None):
-        raise ParseError("give either generator list or --vsystem, not both")
+        raise ParseError("give a generator list or --vsystem" if args.gens is None
+                         else "give either generator list or --vsystem, not both")
     if args.vsystem is not None:
         if args.inside is not None:
             raise ParseError("--inside only applies to a generator list")
@@ -221,6 +222,8 @@ def _cmd_closure(args):
         return [m], lambda m: _csv(system), lambda m: {
             "sg": format_semigroup(m), "kind": args.kind, "vsystem": system}
     gens = _parse_ints(args.gens)
+    if not gens:
+        raise ParseError("empty generator list in %r" % args.gens)
     if args.inside is not None:
         out = restricted_closure(args.kind, gens, parse_semigroup(args.inside))
     else:

@@ -3,23 +3,19 @@
 A semigroup is in the "ld" family when a + b - 1 stays inside for all
 nonzero members a, b, and in the "pl" family when a + b + 1 does.  Both
 families are intersection-closed and contain N, so every set of positive
-integers has a smallest family member containing it: its closure.
+integers has a smallest family member containing it: its closure, read off
+its Apéry set.  A minimal system of the kind is read off msg.
 """
 
 from .core import (
-    NumSG, DomainError, CapacityExceeded, NotClosed, NotContained, _below,
-    _bits, _canon, _valid_generators, contains, elements, format_semigroup,
-    intersect, multiplicity,
+    NumSG, DomainError, NotClosed, NotContained, _below, _capped, _sieve,
+    _valid_generators, contains, elements, format_semigroup, intersect, msg,
 )
 
 LD = "ld"
 PL = "pl"
 KINDS = (LD, PL)
 _OFFSETS = {LD: -1, PL: 1}
-
-# A sweep over n entries costs about n**2 / 64 word operations, so wider
-# windows are refused: ("pl", [256]) needs 130,560 entries, ("pl", [257]) 131,584.
-MAX_WINDOW = 1 << 17
 
 
 def _offset(kind):
@@ -30,50 +26,40 @@ def _offset(kind):
                           % (kind, "/".join(KINDS))) from None
 
 
-def _window(top):
-    if top > MAX_WINDOW:
-        raise CapacityExceeded("closure window of %d entries exceeds %d"
-                               % (top, MAX_WINDOW))
-    return top
-
-
-def _sweep(off, seeds, top):
-    """Nonzero members below top, and the needed ones, of the closure of seeds.
-
-    seeds increase, and the closure holds every integer from top up.  x is a
-    member when it is a seed or its sums bit is set, and needed when that bit
-    is clear; sums with x as the larger summand exceed x, so taking x least
-    first is exact.  After a run of g = seeds[0] members every integer is g
-    plus a member, so the sweep stops there.
-    """
-    g, seed = seeds[0], set(seeds)
-    members = sums = run = 0
-    needed = []
-    for x in range(g, top):
-        if not sums >> x & 1:
-            if x not in seed:
-                run = 0
-                continue
-            needed.append(x)
-        run += 1
-        members |= 1 << x
-        if run == g:
-            return members | ((1 << top) - (2 << x)), needed
-        sums |= members << x | members << (x + off)
-    return members, needed
-
-
 def variety_closure(kind, gens) -> NumSG:
     """Smallest semigroup of the given kind containing gens.
 
-    The closure contains g = min(gens) and g + g + offset, so its conductor
-    is at most that of <g, 2g + offset>, (g - 1)(2g + offset - 1)
-    (Sylvester): one sweep below it is exact.  g = 1 gives 0 and N.
+    Read off its Apéry set for g = min(gens), the least member of each class
+    mod g, settled least first (Nijenhuis 1979).  Such a member, unless a
+    generator, is v + s + e with e in {0, offset} and v, s nonzero members
+    below it; and v, s are g or Apéry elements, else w + w' + e, g + w' + e or
+    2g + e, for w, w' the Apéry elements of their classes, would be a smaller
+    member of its class.  So each settled value, g first, is summed with every
+    value settled so far, itself included.  The conductor is max(Apéry) - g + 1
+    (Selmer), at most that of <g, 2g + offset> (Sylvester): capped up front.
     """
     off = _offset(kind)
     gens = _valid_generators(gens)
-    top = _window((gens[0] - 1) * (2 * gens[0] + off - 1))
-    return _canon(_sweep(off, gens, top)[0] | 1, top)
+    g = gens[0]
+    bound = (g - 1) * (2 * g + off - 1)
+    _capped(bound, "the %s closure of %s" % (kind, ",".join(map(str, gens))))
+    # best: the least value found so far in each unsettled class; least: the
+    # same in every class, bound + g (above every Apéry element) when none is.
+    # g settles first, standing in for 0 in its class
+    best, steps = {x % g: x for x in reversed(gens)}, []
+    least = [best.get(r, bound + g) for r in range(g)]
+    while best:
+        v = best.pop(min(best, key=best.get))
+        steps.append(v)
+        # every sum exceeds v, so no settled class takes a new value
+        for x in [v + s + e for e in (0, off) for s in steps]:
+            if x < least[x % g]:
+                least[x % g] = best[x % g] = x
+    # Apéry elements plus multiples of g; _canon drops bits past the conductor
+    apery = bytearray(v // 8 + 1)
+    for w in steps:
+        apery[w >> 3] |= 1 << (w & 7)
+    return _sieve(int.from_bytes(apery, "little") | 1, [g], v - g + 1)
 
 
 def _kind_defect(off, s: NumSG):
@@ -108,20 +94,22 @@ def restricted_closure(kind, a, t: NumSG) -> NumSG:
 def minimal_vsystem(kind, m: NumSG) -> frozenset:
     """Least set of positive integers whose closure of the kind is m.
 
-    The sweep over the nonzero members of m below the window derives the
-    closure of them, which is m exactly when m is closed; _kind_defect then
-    only words the error.  For a closed m a member x is needed exactly when
-    it is neither a + b nor a + b + offset for nonzero members a, b < x:
-    the needed values of the sweep.  Past conductor + multiplicity every
-    member is a sum, as in msg.
+    m is closed exactly when x + y + offset is in m for x, y in msg(m), since
+    a + b + offset = (x + y + offset) + a' + b' for a = x + a', b = y + b'.
+    Then a member is needed exactly when it is no a + b or a + b + offset of
+    nonzero members a, b below it: a member of msg(m) that is no x + b +
+    offset, x in msg(m) and b a nonzero member other than 1 (for ld on N,
+    1 + 1 - 1 is 1 itself).  The same sums take every y in msg(m) as b, so
+    they decide closedness; _kind_defect only words the error.
     """
     off = _offset(kind)
-    top = _window(m.conductor + multiplicity(m) + 1)
-    nonzero = _below(m, top) & ~1
-    members, needed = _sweep(off, _bits(nonzero), top)
-    if members != nonzero:
+    gens = msg(m)
+    nonzero = _below(m, gens[-1] + 1) & ~3  # the b above 1
+    sums = 0
+    for x in gens:
+        sums |= nonzero << (x + off)
+    if sums & m.gaps:
         a, b = _kind_defect(off, m)
         raise NotClosed("%d + %d %s 1 = %d escapes %s"
-                        % (a, b, "-" if off < 0 else "+", a + b + off,
-                           format_semigroup(m)))
-    return frozenset(needed)
+                        % (a, b, "-+"[off > 0], a + b + off, format_semigroup(m)))
+    return frozenset(x for x in gens if not sums >> x & 1)

@@ -155,6 +155,12 @@ def _valid_generators(gens) -> list:
     return sorted(set(gens))
 
 
+def _capped(top, what):
+    """Refuse a sieve of top entries for what past MAX_SIEVE, before any work."""
+    if top > MAX_SIEVE:
+        raise CapacityExceeded("sieve for %s exceeds %d entries" % (what, MAX_SIEVE))
+
+
 def from_generators(gens) -> NumSG:
     """Canonical numerical semigroup generated by gens; requires gcd 1."""
     gens = _valid_generators(gens)
@@ -170,13 +176,14 @@ def from_generators(gens) -> NumSG:
         d = e
     if d != 1:
         raise GcdNotOne("gcd(%s) = %d, not 1" % (",".join(map(str, gens)), d))
-    if top > MAX_SIEVE:
-        raise CapacityExceeded("sieve for <%s> exceeds %d entries"
-                               % (",".join(map(str, gens)), MAX_SIEVE))
-    # bit i of reachable <=> i < top is a nonnegative combination of gens;
+    _capped(top, "<%s>" % ",".join(map(str, gens)))
+    return _sieve(1, gens, top)
+
+
+def _sieve(reachable, gens, top) -> NumSG:
+    """reachable + <gens> below top, and all of [top, ∞), as a semigroup."""
     # closing under +g, then +2g, +4g, ... closes under every multiple of g
     window = (1 << top) - 1
-    reachable = 1
     for g in gens:
         step = g
         while step < top:

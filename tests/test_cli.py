@@ -364,12 +364,37 @@ class TestClosure:
         assert rc == 1
         assert "either generator list or --vsystem" in err
 
-    def test_window_follows_the_least_generator(self, capsys):
+    def test_neither_gens_nor_vsystem(self, capsys):
+        rc, out, err = run(capsys, "closure", "--kind", "pl")
+        assert (rc, out) == (1, "")
+        assert err == "rvar: error: give a generator list or --vsystem\n"
+
+    def test_empty_generator_list_is_a_parse_error(self, capsys):
+        # as for `rvar msg "<>"`: exit 1, not the library's EmptyGenerators
+        for text in (",", ""):
+            rc, out, err = run(capsys, "closure", "--kind", "pl", text)
+            assert (rc, out) == (1, "")
+            assert err == "rvar: error: empty generator list in %r\n" % text
+
+    def test_sieve_bound_follows_the_least_generator(self, capsys):
         rc, out, _ = run(capsys, "closure", "--kind", "ld", "5,2000")
         assert (rc, out) == (0, "<5,9,13,17,21>\n")
-        rc, out, err = run(capsys, "closure", "--kind", "pl", "300")
+        rc, out, err = run(capsys, "closure", "--kind", "pl", "1415")
         assert (rc, out) == (2, "")
-        assert "closure window of 179400 entries exceeds 131072" in err
+        assert err == ("rvar: error: sieve for the pl closure of 1415 "
+                       "exceeds 4000000 entries\n")
+
+    def test_pl_300(self, capsys):
+        # msg of the pl closure of {g}: g and k(g + 1) - 1 for 2 <= k <= g
+        gens = [300] + [k * 301 - 1 for k in range(2, 301)]
+        rc, out, _ = run(capsys, "closure", "--kind", "pl", "300")
+        assert (rc, out) == (0, "<%s>\n" % ",".join(map(str, gens)))
+        rc, out, _ = run(capsys, "closure", "--kind", "pl", "300",
+                         "--format", "structured")
+        assert rc == 0
+        assert json.loads(out) == {"frobenius": 89999, "genus": 45149,
+                                   "kind": "pl", "msg": gens,
+                                   "sg": "<%s>" % ",".join(map(str, gens))}
 
     def test_unclosed_vsystem_is_a_domain_error(self, capsys):
         rc, _, err = run(capsys, "closure", "--kind", "ld",

@@ -4,8 +4,9 @@ import pytest
 
 from rvar import (
     LD, PL, NATURALS, CapacityExceeded, DomainError, EmptyGenerators,
-    InvalidGenerator, NotClosed, NotContained, closures, contains, frobenius,
-    minimal_vsystem, msg, restricted_closure, variety_closure,
+    InvalidGenerator, NotClosed, NotContained, closures, contains, elements,
+    frobenius, genus, minimal_vsystem, msg, restricted_closure,
+    variety_closure,
 )
 from support import sg
 
@@ -51,27 +52,43 @@ class TestVarietyClosure:
         assert variety_closure(LD, [5, 2000]) == sg(5, 9, 13, 17, 21)
         assert variety_closure(PL, [4, 10 ** 30]) == variety_closure(PL, [4])
 
-    def test_least_generator_sets_the_window(self, monkeypatch):
-        # pl's window for g is (g - 1) * 2g: 130,560 entries for 256 fits in
-        # MAX_WINDOW, 131,584 for 257 does not, and is refused before any sweep
-        tops = []
-
-        def sweep(off, seeds, top):
-            tops.append(top)
-            return 0, []
-
-        monkeypatch.setattr(closures, "_sweep", sweep)
-        variety_closure(PL, [256, 300])
-        variety_closure(LD, [257])
-        assert tops == [130560, closures.MAX_WINDOW]
-        with pytest.raises(CapacityExceeded,
-                           match="^closure window of 131584 entries exceeds 131072$"):
-            variety_closure(PL, [257])
-        # the window check also comes before minimal_vsystem's closedness check
-        with pytest.raises(CapacityExceeded,
-                           match="^closure window of 131075 entries exceeds 131072$"):
+    def test_least_generator_sets_the_sieve_bound(self, monkeypatch):
+        # a closure is refused exactly when Sylvester's bound for g = min(gens),
+        # (g - 1)(2g + offset - 1), exceeds MAX_SIEVE = 4,000,000: pl [1414]
+        # needs 3,995,964 entries, pl [1415] 4,001,620, ld [1415] 3,998,792
+        # and ld [1416] 4,004,450
+        sieved = []
+        monkeypatch.setattr(closures, "_sieve",
+                            lambda mask, gens, top: sieved.append(top))
+        for kind, g in ((PL, 1415), (LD, 1416)):
+            with pytest.raises(CapacityExceeded,
+                               match="^sieve for the %s closure of %d,5000 "
+                                     "exceeds 4000000 entries$" % (kind, g)):
+                variety_closure(kind, [5000, g])
+        assert sieved == []  # refused before the search
+        monkeypatch.undo()
+        # within the bound: the closed forms below, at the largest g allowed
+        assert variety_closure(PL, [1414]).conductor == 1414 ** 2
+        assert variety_closure(LD, [1415]).conductor == 1414 ** 2 + 1
+        # minimal_vsystem has no cap of its own: its input is already built
+        with pytest.raises(NotClosed, match=r"^2 \+ 2 \+ 1 = 5 escapes <2,131073>$"):
             minimal_vsystem(PL, sg(2, 131073))
-        assert tops == [130560, closures.MAX_WINDOW]
+
+    @pytest.mark.parametrize("g", [257, 300])
+    def test_single_generator_closed_forms(self, g):
+        # pl: the blocks kg + j, 0 <= j < k, conductor g^2, genus (g-1)(g+2)/2;
+        # ld: the blocks kg - j, 0 <= j < k, conductor (g-1)^2 + 1, genus g(g-1)/2
+        for kind, members, conductor, gaps in (
+                (PL, {k * g + j for k in range(g) for j in range(k)},
+                 g * g, (g - 1) * (g + 2) // 2),
+                (LD, {k * g - j for k in range(g) for j in range(k)},
+                 (g - 1) ** 2 + 1, g * (g - 1) // 2)):
+            v = variety_closure(kind, [g])
+            assert v.conductor == conductor
+            assert set(elements(v, conductor - 1)) == {0} | {
+                x for x in members if x < conductor}
+            assert genus(v) == gaps
+            assert minimal_vsystem(kind, v) == frozenset({g})
 
     def test_errors(self):
         # the same checks and messages as from_generators

@@ -12,24 +12,25 @@ from math import gcd
 import pytest
 
 try:
-    from hypothesis import assume, given, settings
+    from hypothesis import assume, example, given, settings
     from hypothesis import strategies as st
 except ImportError:
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from rvar import (
     LD, PL, DomainError, EmptyGenerators, GcdNotOne, Generated, Interval, NATURALS,
-    NumSG, Restricted, add_element, build_tree, chain_family, chain_to,
+    NotClosed, NumSG, Restricted, add_element, build_tree, chain_family, chain_to,
     check_rvariety_axioms, contains, delta_of, descendants, elements,
     enumerate_between, format_semigroup, from_generators, frobenius, genus,
     genus_level, intersect, intersect_all, is_member, is_pseudo_variety,
-    is_subset, member, members_of, minimal_rsystem,
+    is_subset, member, members_of, minimal_rsystem, multiplicity,
     minimal_system_from_members, minimal_vsystem, msg, oracle_members,
     parse_semigroup, random_semigroup, random_subsemigroup, remove_element,
     restrict_variety, restricted_closure, restricted_frobenius,
     rmonoid_generated, smallest_containing, tree_of, tree_vertices, union_with_tail,
     variety_closure,
 )
+from rvar.closures import _kind_defect
 from rvar.engine import _last_level, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE
 
@@ -311,6 +312,22 @@ def naive_closure(off, gens, window):
         got |= new
 
 
+def naive_vsystem(off, m):
+    """The members x <= conductor + multiplicity of m that are no a + b or
+    a + b + off of nonzero members a, b < x, by a pair scan."""
+    nonzero = [x for x in elements(m, m.conductor + multiplicity(m)) if x]
+    sums = {s for a in nonzero for b in nonzero if a <= b
+            for s in (a + b, a + b + off) if b < s}
+    return {x for x in nonzero if x not in sums}
+
+
+def naive_escape(off, m):
+    """Whether a + b + off leaves m for some nonzero members a, b; past the
+    conductor every sum stays inside."""
+    nonzero = [x for x in elements(m, m.conductor) if x]
+    return any(not contains(m, a + b + off) for a in nonzero for b in nonzero)
+
+
 class TestClosureLaws:
     @given(KIND, st.lists(st.integers(2, 12), min_size=1, max_size=3))
     def test_closure_is_the_least_closed_set(self, kind, gens):
@@ -360,6 +377,29 @@ class TestClosureLaws:
                 assert variety_closure(kind, rest) != v
             except EmptyGenerators:
                 pass
+
+    @given(KIND, st.lists(st.integers(1, 10), min_size=1, max_size=3))
+    @example(LD, [1])
+    @example(PL, [1])
+    def test_minimal_system_is_its_definition(self, kind, gens):
+        v = variety_closure(kind, gens)
+        assert minimal_vsystem(kind, v) == naive_vsystem(-1 if kind == LD else 1, v)
+
+    @given(KIND, semigroups(max_gen=16))
+    def test_not_closed_exactly_on_an_escape(self, kind, s):
+        # closedness is decided from the pairs of minimal generators alone
+        off = -1 if kind == LD else 1
+        if not naive_escape(off, s):
+            assert variety_closure(kind, msg(s)) == s
+            minimal_vsystem(kind, s)
+            return
+        a, b = _kind_defect(off, s)
+        assert contains(s, a) and contains(s, b) and a and b
+        assert not contains(s, a + b + off)
+        with pytest.raises(NotClosed) as caught:
+            minimal_vsystem(kind, s)
+        assert str(caught.value) == "%d + %d %s 1 = %d escapes %s" % (
+            a, b, "-" if off < 0 else "+", a + b + off, format_semigroup(s))
 
     @given(KIND, framed_generators())
     def test_restricted_closure_is_the_framed_intersection(self, kind, framed):
