@@ -7,9 +7,9 @@ for both descriptor families, Restricted and Generated.
 """
 
 from .core import (
-    NumSG, DomainError, EmptyGenerators, GcdNotOne, _below, _bits, _canon,
-    _require_subset, contains, format_semigroup, from_generators, is_subset,
-    msg, union_with_tail,
+    NumSG, CapacityExceeded, DomainError, EmptyGenerators, GcdNotOne, _below,
+    _bits, _canon, _require_subset, contains, format_semigroup,
+    from_generators, is_subset, msg, union_with_tail,
 )
 from .descriptors import Restricted, Generated, _Frozen, _set, delta_of
 
@@ -30,6 +30,12 @@ class NoContainingElement(DomainError):
     pass
 
 
+# chain_to refuses a chain whose links may hold more mask bits than this:
+# each is at most as wide as the conductor c of s, and c > |t ∖ s|, so
+# links × c bounds the bits and also the links (to 32,768).
+MAX_CHAIN_BITS = 1 << 30
+
+
 class ChainRec(_Frozen):
     """links[0] ⊊ links[1] ⊊ ... ⊊ links[-1]; fill_values[i] joins links[i] to links[i+1]."""
 
@@ -46,10 +52,16 @@ def chain_to(s: NumSG, t: NumSG) -> ChainRec:
     The values adjoined are the elements of t ∖ s in decreasing order, and
     the link after adjoining f is s ∪ (t ∩ [f, ∞)): every element of t above
     f was adjoined before it or is in s.  Such a union is closed, so no link
-    is re-checked.  t ∖ s lies below the conductor of s.
+    is re-checked.  t ∖ s lies below the conductor of s.  Past
+    MAX_CHAIN_BITS it raises CapacityExceeded before it builds a link.
     """
     _require_subset(s, t)
-    fills = tuple(_bits(_below(t, s.conductor) & ~s.mask)[::-1])
+    new = _below(t, s.conductor) & ~s.mask
+    links = new.bit_count() + 1
+    if links * s.conductor > MAX_CHAIN_BITS:
+        raise CapacityExceeded("chain of %d links up to %d bits wide exceeds %d bits"
+                               % (links, s.conductor, MAX_CHAIN_BITS))
+    fills = tuple(_bits(new)[::-1])
     return ChainRec((s,) + tuple(union_with_tail(s, t, f) for f in fills), fills)
 
 
@@ -63,9 +75,10 @@ def chain_family(f, delta: NumSG) -> set:
 
 
 def is_member(desc, s: NumSG) -> bool:
-    """Whether s belongs to the family described by desc: the membership
+    """Whether s belongs to the family described by desc: True when the
+    walk that desc keeps holds s (see _kept_system), else the membership
     test of its kernel (see _systems)."""
-    return _systems(desc)[0](s)
+    return _kept_system(desc, s) is not None or _systems(desc)[0](s)
 
 
 def rmonoid_generated(desc, a) -> NumSG:
@@ -89,16 +102,32 @@ def minimal_rsystem(desc, m: NumSG) -> frozenset:
     m must be a member; it is checked here, because m may come from outside
     the program.
     """
-    return frozenset(_checked(desc, m)[1](m))
+    return frozenset(_checked(desc, m))
 
 
-def _checked(desc, m: NumSG):
-    """The kernel of desc, after a check that m, which may come from
-    outside the program, is a member; walks take the kernel unchecked."""
-    kernel = _systems(desc)
-    if not kernel[0](m):
-        raise NotInVariety("%s is not a member" % format_semigroup(m))
-    return kernel
+def _checked(desc, m: NumSG) -> tuple:
+    """m's minimal system, after a check that m, which may come from
+    outside the program, is a member: the one desc's kept walk holds,
+    as a walk yields only members, else the kernel's."""
+    system = _kept_system(desc, m)
+    if system is None:
+        kernel = _systems(desc)
+        if not kernel[0](m):
+            raise NotInVariety("%s is not a member" % format_semigroup(m))
+        system = kernel[1](m)
+    return system
+
+
+def _kept_system(desc, m: NumSG):
+    """m's system in the walk that desc keeps (see engine._walked), None
+    when it holds no m, from a member → system map that the first lookup
+    builds and a new walk drops."""
+    walked = getattr(desc, "_walked", None)
+    if walked is None:
+        return None
+    if desc._by_member is None:
+        _set(desc, "_by_member", dict(zip(walked[1], walked[3])))
+    return desc._by_member.get(m)
 
 
 def _systems(desc):

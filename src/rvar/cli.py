@@ -187,7 +187,7 @@ def _cmd_chain(args):
 def _cmd_minsys(args):
     desc = _variety_from(args)
     s = parse_semigroup(args.sg)
-    system = _checked(desc, s)[1](s)
+    system = _checked(desc, s)
     return [s], lambda s: _csv(system), lambda s: _record(
         s, fdelta(s, delta_of(desc)), minsys=system)
 

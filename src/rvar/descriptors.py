@@ -58,9 +58,16 @@ class _Frozen(_Record):
 
 
 class _Family(_Frozen):
-    """A family descriptor; its slots that are not fields memoize work on it."""
+    """A family descriptor.  Its slots that are not fields memoize work on
+    it, start as None and are ignored by equality, hash and pickling: its
+    kept walk (engine._walked), its kernel (chains._systems) and the
+    member → system map over that walk (chains._kept_system)."""
 
-    __slots__ = ("_walked", "_system")
+    __slots__ = ("_walked", "_system", "_by_member")
+
+    def _forget(self):
+        for slot in _Family.__slots__:
+            _set(self, slot, None)
 
 
 class Restricted(_Family):
@@ -76,8 +83,7 @@ class Restricted(_Family):
                                    % (x, format_semigroup(t)))
         _set(self, "a", a)
         _set(self, "t", t)
-        _set(self, "_walked", None)
-        _set(self, "_system", None)
+        self._forget()
 
 
 class Generated(_Family):
@@ -95,8 +101,7 @@ class Generated(_Family):
             _require_subset(s, delta, "family member ")
         _set(self, "f", f)
         _set(self, "delta", delta)
-        _set(self, "_walked", None)
-        _set(self, "_system", None)
+        self._forget()
 
 
 def Interval(lo: NumSG, hi: NumSG) -> Restricted:

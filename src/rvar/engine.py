@@ -131,7 +131,8 @@ def _walked(desc, genus_bound):
     number of its system's elements above its fd) as a fourth, and
     whether the walk is complete, that is whether no member of its last
     level has children.  desc keeps its last walk with its bound, and a
-    walk at that bound reuses it; a refused walk keeps nothing.  A
+    walk at that bound reuses it; a new walk drops the map over the old
+    (see chains._kept_system), and a refused walk keeps nothing.  A
     descendants view may be born with a walk cut from its family's (see
     _cut).
     """
@@ -147,6 +148,7 @@ def _walked(desc, genus_bound):
         walked = (genus_bound, tuple(mem), tuple(fds), tuple(systems),
                   tuple(counts), not any(below))
         _set(desc, "_walked", walked)
+        _set(desc, "_by_member", None)
     return walked[1:]
 
 
@@ -253,11 +255,11 @@ def descendants(desc, t: NumSG):
     keeps t's subtree of it (see _cut), so its walks at that bound
     neither walk again nor build its kernel.
     """
-    kernel = chains._checked(desc, t)
+    chains._checked(desc, t)
     delta = delta_of(desc)
     if t == delta:
         return desc
-    view = kernel[3](t, restricted_frobenius(t, delta))
+    view = chains._systems(desc)[3](t, restricted_frobenius(t, delta))
     if desc._walked is not None:
         _set(view, "_walked", _cut(desc._walked, t, delta))
     return view

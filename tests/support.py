@@ -4,7 +4,9 @@ Three finite families are pinned down completely (member lists frozen as
 minimal generating sets) plus one infinite family used for level queries.
 """
 
-from rvar import Interval, Restricted, Generated, from_generators
+from rvar import (
+    NATURALS, Interval, Restricted, Generated, enumerate_between, from_generators,
+)
 
 
 def sg(*gens):
@@ -53,3 +55,6 @@ FINITE_FIXTURES = (
     (GENERATED_FIXTURE, GENERATED_MEMBERS),
     (PSEUDO_FIXTURE, PSEUDO_MEMBERS),
 )
+
+# every semigroup of genus at most 7, the probes of the kernel tests
+POOL = sorted(enumerate_between((), NATURALS, 7), key=lambda s: s.sort_key())

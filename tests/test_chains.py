@@ -3,17 +3,18 @@
 import pytest
 
 from rvar import (
-    NATURALS, Generated, NotContained, NotInDelta, NotInVariety, NotNumerical,
-    Restricted, chain_family, chain_to, delta_of, enumerate_between, genus,
-    is_member, is_subset, members_of, minimal_rsystem,
+    NATURALS, CapacityExceeded, Generated, Interval, NotContained, NotInDelta,
+    NotInVariety, NotNumerical, Restricted, chain_family, chain_to, delta_of,
+    descendants, genus, is_member, is_subset, members_of, minimal_rsystem,
     minimal_system_from_members, msg, oracle_members, restricted_frobenius,
     rmonoid_generated, rrange, tree_of,
 )
+import rvar
 from rvar import chains
 from rvar.chains import _systems
 from support import (
     sg, DELTA_567, GENERATED_FIXTURE, GENERATED_MEMBERS, INTERVAL_FIXTURE,
-    PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
+    POOL, PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
 )
 
 
@@ -38,6 +39,29 @@ class TestChainTo:
         rec = chain_to(DELTA_567, DELTA_567)
         assert rec.links == (DELTA_567,)
         assert rec.fill_values == ()
+
+    def test_chains_past_the_bit_bound_are_refused_before_any_link(self, monkeypatch):
+        # the bound is on links × conductor of s: five links of <5,6>, whose
+        # conductor is 20, take up to 100 bits
+        assert chains.MAX_CHAIN_BITS == 1 << 30
+        monkeypatch.setattr(chains, "MAX_CHAIN_BITS", 100)
+        assert len(chain_to(sg(5, 6), DELTA_567).links) == 5
+        monkeypatch.setattr(chains, "MAX_CHAIN_BITS", 99)
+
+        def built(*args):
+            raise AssertionError("a link was built")
+        monkeypatch.setattr(chains, "union_with_tail", built)
+        with pytest.raises(CapacityExceeded, match=r"^chain of 5 links up to 20 bits "
+                           r"wide exceeds 99 bits$"):
+            chain_to(sg(5, 6), DELTA_567)
+        monkeypatch.setattr(chains, "MAX_CHAIN_BITS", 1 << 30)
+        # <216,217> in N: 23,221 links up to 46,440 bits, just past 2^30;
+        # few links can be wide too: 20,000 links of about 4·10⁶ bits
+        for s, t, links in ((sg(216, 217), NATURALS, 23221),
+                            (sg(2, 3999999), sg(2, 3960001), 20000)):
+            with pytest.raises(CapacityExceeded, match=r"^chain of %d links up to %d "
+                               % (links, s.conductor)):
+                chain_to(s, t)
 
     def test_requires_containment(self):
         with pytest.raises(NotContained):
@@ -94,9 +118,6 @@ class TestIsMember:
         assert not is_member(RESTRICTED_FIXTURE, sg(4, 7, 9, 10))
         assert not is_member(RESTRICTED_FIXTURE, sg(6, 7, 8, 9, 10, 11))
 
-
-# every semigroup of genus at most 7, the probes of the kernel tests
-POOL = sorted(enumerate_between((), NATURALS, 7), key=lambda s: s.sort_key())
 
 
 def _agrees_with_the_oracle(desc):
@@ -180,6 +201,56 @@ class TestMembershipKernel:
                     assert minimal_rsystem(desc, m) == frozenset(_systems(desc)[1](m))
             assert not is_member(desc, NATURALS)
             assert builds == [desc]
+
+    def test_walked_members_bypass_the_kernel(self, monkeypatch):
+        # once a walk is kept, its members' membership and systems are read
+        # off it, for a family and for a view cut from its walk: neither the
+        # kernel's membership test nor its system function runs
+        calls = []
+        for name in ("_restricted_kernel", "_generated_kernel"):
+            def counted(desc, build=getattr(chains, name)):
+                member, system, monoid, view = build(desc)
+                return (lambda s: calls.append(("member", s)) or member(s),
+                        lambda m: calls.append(("system", m)) or system(m), monoid, view)
+            monkeypatch.setattr(chains, name, counted)
+        for desc in (Restricted({4, 6}, sg(4, 6, 7)), Interval(sg(5, 6), DELTA_567),
+                     Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)):
+            mem = members_of(desc, 10)[0]
+            view = descendants(desc, mem[1])
+            for d in (desc, view):
+                calls.clear()
+                _, walked, _, systems, _, _ = d._walked
+                for m, system in zip(walked, systems):
+                    assert is_member(d, m)
+                    assert minimal_rsystem(d, m) == frozenset(system)
+                assert calls == []
+            assert view._system is None
+            # the guard sees a lookup that misses the walk
+            assert not is_member(desc, NATURALS)
+            assert calls == [("member", NATURALS)]
+
+    def test_the_member_map_follows_the_kept_walk(self, monkeypatch):
+        desc = Restricted({4, 6}, sg(4, 6, 7))
+        # no walk, no map; a walk builds none, the first lookup does
+        assert is_member(desc, sg(4, 6, 7)) and desc._by_member is None
+        members_of(desc, 8)
+        assert desc._by_member is None
+        assert minimal_rsystem(desc, sg(4, 6, 7)) == frozenset({7})
+        held = desc._by_member
+        assert held == dict(zip(desc._walked[1], desc._walked[3]))
+        # a walk at the same bound keeps it, and a refused walk too
+        members_of(desc, 8)
+        monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 10)
+        with pytest.raises(CapacityExceeded):
+            members_of(desc, 12)
+        assert desc._by_member is held
+        monkeypatch.undo()
+        # a walk at another bound drops it, and the next lookup maps that walk
+        members_of(desc, 7)
+        assert desc._by_member is None
+        assert is_member(desc, sg(4, 6, 7))
+        assert desc._by_member == dict(zip(desc._walked[1], desc._walked[3]))
+        assert len(desc._by_member) < len(held)
 
 
 class TestRMonoidGenerated:

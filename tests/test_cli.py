@@ -108,6 +108,13 @@ class TestChain:
                             "fdelta": 7}
         assert [r["fdelta"] for r in rows] == [None, 19, 14, 13, 7]
 
+    def test_a_chain_past_the_bound_is_refused_before_any_output(self, capsys):
+        # 499,501 links, each up to the conductor 999,000 of <1000,1001> wide
+        rc, out, err = run(capsys, "chain", "<1000,1001>", "--inside", "<1>")
+        assert (rc, out) == (2, "")
+        assert err == ("rvar: error: chain of 499501 links up to 999000 bits wide "
+                       "exceeds 1073741824 bits\n")
+
 
 class TestTree:
     def test_interval_text(self, capsys):

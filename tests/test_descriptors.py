@@ -9,6 +9,7 @@ from rvar import (
     NATURALS, Generated, Interval, NotContained, Restricted, RTreeNode,
     chain_to,
 )
+from rvar.descriptors import _Family
 from support import sg
 
 
@@ -80,6 +81,28 @@ class TestDescriptorValues:
             "Restricted(a=frozenset({6}), t=NumSG(<5,6,7>))")
         assert repr(chain_to(sg(5, 6), sg(5, 6))) == (
             "ChainRec(links=(NumSG(<5,6>),), fill_values=())")
+
+
+class TestMemoSlots:
+    # every slot of a family that is not a field memoizes work on it: the
+    # kept walk, the kernel and the member → system map over the walk
+    def test_memo_slots_start_empty_and_are_no_fields(self):
+        slots = _Family.__slots__
+        assert slots == ("_walked", "_system", "_by_member")
+        lo, hi = sg(5, 6), sg(5, 6, 7)
+        for make in (lambda: Restricted({5}, hi), lambda: Generated((lo,), hi),
+                     lambda: Interval(lo, hi)):
+            desc = make()
+            assert [getattr(desc, slot) for slot in slots] == [None] * len(slots)
+            before = (hash(desc), repr(desc), pickle.dumps(desc))
+            mem = rvar.members_of(desc, 10)[0]
+            assert rvar.minimal_rsystem(desc, mem[-1]) is not None
+            assert None not in [getattr(desc, slot) for slot in slots]
+            assert (hash(desc), repr(desc), pickle.dumps(desc)) == before
+            assert desc == make() and hash(desc) == hash(make())
+            copy = pickle.loads(pickle.dumps(desc))
+            assert copy == desc
+            assert [getattr(copy, slot) for slot in slots] == [None] * len(slots)
 
 
 class TestIntervalConstructor:

@@ -19,7 +19,7 @@ except ImportError:
 
 from rvar import (
     LD, PL, DomainError, EmptyGenerators, GcdNotOne, Generated, Interval, NATURALS,
-    NotClosed, NumSG, Restricted, add_element, build_tree, chain_family, chain_to,
+    NotClosed, NotInVariety, NumSG, Restricted, add_element, build_tree, chain_family, chain_to,
     check_rvariety_axioms, contains, delta_of, descendants, elements,
     enumerate_between, format_semigroup, from_generators, frobenius, genus,
     genus_level, intersect, intersect_all, is_member, is_pseudo_variety,
@@ -32,7 +32,7 @@ from rvar import (
 )
 from rvar.closures import _kind_defect
 from rvar.engine import _last_level, restriction_of
-from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE
+from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE, POOL
 
 
 @st.composite
@@ -656,6 +656,37 @@ class TestViewCutLaws:
             for t in past:
                 assert descendants(desc, t)._walked is None
             assert desc._walked[1] is mem
+
+
+class TestKeptSystemLaws:
+    # once a walk is kept, membership and systems of its members are read
+    # off it; an equal descriptor rebuilt by pickle keeps no walk, so its
+    # kernel is the reference.  Views are cut from the kept walk, and each
+    # walk replaces the one before it.
+    @given(cut_cases())
+    @settings(max_examples=60)
+    def test_lookups_agree_with_a_fresh_kernel(self, case):
+        desc, bounds, seed = case
+        rng = random.Random(seed)
+        for bound in (*bounds, bounds[0] + 1, bounds[0]):
+            mem = members_of(desc, bound)[0]
+            for d in (desc, descendants(desc, rng.choice(mem))):
+                fresh = pickle.loads(pickle.dumps(d))
+                walked = d._walked[1]
+                for m in walked:
+                    assert is_member(d, m) and is_member(fresh, m)
+                    assert minimal_rsystem(d, m) == minimal_rsystem(fresh, m)
+                # the map holds the current walk, not one before it
+                assert d._by_member == dict(zip(walked, d._walked[3]))
+                for s in POOL:
+                    if is_member(fresh, s):
+                        assert is_member(d, s)
+                        assert minimal_rsystem(d, s) == minimal_rsystem(fresh, s)
+                        continue
+                    assert not is_member(d, s)
+                    with pytest.raises(NotInVariety, match=r" is not a member$"):
+                        minimal_rsystem(d, s)
+                assert fresh._walked is None
 
 
 @st.composite
