@@ -76,9 +76,9 @@ def chain_family(f, delta: NumSG) -> set:
 
 def is_member(desc, s: NumSG) -> bool:
     """Whether s belongs to the family described by desc: True when the
-    walk that desc keeps holds s (see _kept_system), else the membership
+    walk that desc keeps holds s (see _position), else the membership
     test of its kernel (see _systems)."""
-    return _kept_system(desc, s) is not None or _systems(desc)[0](s)
+    return _position(desc, s) is not None or _systems(desc)[0](s)
 
 
 def rmonoid_generated(desc, a) -> NumSG:
@@ -109,24 +109,24 @@ def _checked(desc, m: NumSG) -> tuple:
     """m's minimal system, after a check that m, which may come from
     outside the program, is a member: the one desc's kept walk holds,
     as a walk yields only members, else the kernel's."""
-    system = _kept_system(desc, m)
-    if system is None:
-        kernel = _systems(desc)
-        if not kernel[0](m):
-            raise NotInVariety("%s is not a member" % format_semigroup(m))
-        system = kernel[1](m)
-    return system
+    i = _position(desc, m)
+    if i is not None:
+        return desc._walked[3][i]
+    kernel = _systems(desc)
+    if not kernel[0](m):
+        raise NotInVariety("%s is not a member" % format_semigroup(m))
+    return kernel[1](m)
 
 
-def _kept_system(desc, m: NumSG):
-    """m's system in the walk that desc keeps (see engine._walked), None
-    when it holds no m, from a member → system map that the first lookup
-    builds and a new walk drops."""
+def _position(desc, m: NumSG):
+    """m's position in the walk that desc keeps (see engine._walked),
+    None when it holds no m, from a member → position map that the
+    first lookup builds and a new walk drops."""
     walked = getattr(desc, "_walked", None)
     if walked is None:
         return None
     if desc._by_member is None:
-        _set(desc, "_by_member", dict(zip(walked[1], walked[3])))
+        _set(desc, "_by_member", dict(zip(walked[1], range(len(walked[1])))))
     return desc._by_member.get(m)
 
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage or parse problem, 2 domain error (invalid
 semigroup arithmetic, non-member arguments, undecidable-within-bound),
-3 internal error (a failed invariant check: a fault of the program).
+3 internal error (a failed invariant check: a fault of the program),
+141 stdout closed by its reader (128 + SIGPIPE, as a shell reports a
+pipe's writer killed by that signal).
 Output is deterministic: members sort by (genus, small elements), JSON keys
 are sorted, trees list children by increasing removed element.
 
@@ -11,18 +13,21 @@ returns (items, text, record): an iterable of items and two functions of
 one item.  For --format text or dot main writes text(item), a string or,
 for a tree, an iterable of lines, so no tree is held as one string.  For
 --format structured it writes json.dumps(record(item), sort_keys=True),
-one line per item.  Only the function of the chosen format runs, so text
-output computes no field it does not print.  Lines go out in writes of
-about _CHUNK characters, not one per line: with unbuffered stdout each
-write is a system call.  verify has only the text format: its items are
-its lines, made as its checks run, and a failed check ends them with a
-domain error.
+one line per item; a tree's record is its JSON text already, written
+with an explicit stack (see _tree_json), since json.dumps recurses once
+per level and fails on a tree a few hundred levels deep.  Only the
+function of the chosen format runs, so text output computes no field it
+does not print.  Lines go out in writes of about _CHUNK characters, not
+one per line: with unbuffered stdout each write is a system call.
+verify has only the text format: its items are its lines, made as its
+checks run, and a failed check ends them with a domain error.
 
 json and random are imported only where they are used, so a text request
 starts without them.
 """
 
 import argparse
+import os
 import sys
 
 from .core import (
@@ -93,9 +98,28 @@ def _record(s, fdelta, **more):
 
 # ---------------------------------------------------------------- trees
 
-def _node_record(n):
-    return _record(n.sg, n.restricted_frob, minsys=n.min_system,
-                   children=[_node_record(c) for c in n.children])
+def _tree_json(root):
+    """json.dumps(record, sort_keys=True) of the record of root's subtree,
+    a node's _record with its minsys and its children's records, written
+    with an explicit stack, so no depth reaches the recursion limit.  With
+    sorted keys "children" comes first: a node is '{"children": [', its
+    children joined by ', ', then '], ' and the rest of its record."""
+    import json
+    out, stack = [], [root]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            out.append(n)
+            continue
+        out.append('{"children": [')
+        rest = json.dumps(_record(n.sg, n.restricted_frob, minsys=n.min_system),
+                          sort_keys=True)
+        stack.append("], " + rest[1:])
+        for j, c in enumerate(reversed(n.children)):
+            if j:
+                stack.append(", ")
+            stack.append(c)
+    return "".join(out)
 
 
 def _tree_text(root, complete, bound):
@@ -129,8 +153,8 @@ def _any_tree(desc, args):
     render = _tree_dot if args.format == "dot" else _tree_text
     return ([tree_of(desc, bound)],
             lambda tree: render(*tree, bound),
-            lambda tree: {"complete": tree[1], "genus_bound": bound,
-                          "tree": _node_record(tree[0])})
+            lambda tree: '{"complete": %s, "genus_bound": %d, "tree": %s}'
+            % ("true" if tree[1] else "false", bound, _tree_json(tree[0])))
 
 
 # ------------------------------------------------------------- subcommands
@@ -251,6 +275,8 @@ def _cmd_verify(args):
         minimal_system_from_members, oracle_members, random_interval,
         random_restricted,
     )
+    if args.count < 0:
+        raise ParseError("--count must be at least 0, not %d" % args.count)
     rng = random.Random(args.seed)
     restricted = Restricted(frozenset({4, 6}), from_generators([4, 6, 7]))
     _bounded_top(restricted, args.genus_bound)  # refused before any check runs
@@ -424,9 +450,16 @@ def main(argv=None) -> int:
         items, text, record = args.handler(args)
         if args.format == "structured":
             import json
-            text = lambda item: json.dumps(record(item), sort_keys=True)
+            text = lambda item: (out if isinstance(out := record(item), str)
+                                 else json.dumps(out, sort_keys=True))
         _write(items, text)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader of stdout is gone; with fd 1 on the null device the
+        # interpreter's own flush at exit finds no broken pipe to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as e:
         print("rvar: error: %s" % e, file=sys.stderr)
         return 1

@@ -61,7 +61,7 @@ class _Family(_Frozen):
     """A family descriptor.  Its slots that are not fields memoize work on
     it, start as None and are ignored by equality, hash and pickling: its
     kept walk (engine._walked), its kernel (chains._systems) and the
-    member → system map over that walk (chains._kept_system)."""
+    member → position map over that walk (chains._position)."""
 
     __slots__ = ("_walked", "_system", "_by_member")
 

@@ -7,11 +7,11 @@ elements of its minimal system that exceed that number, which is what makes
 genus-by-genus enumeration possible without revisiting vertices.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from . import chains
 from .core import (
-    NumSG, CapacityExceeded, DomainError, _below, _bits, _canon, _drop,
+    NumSG, CapacityExceeded, DomainError, _below, _canon, _drop,
     frobenius, genus, restricted_frobenius,
 )
 from .descriptors import _Record, _set, delta_of
@@ -132,7 +132,7 @@ def _walked(desc, genus_bound):
     whether the walk is complete, that is whether no member of its last
     level has children.  desc keeps its last walk with its bound, and a
     walk at that bound reuses it; a new walk drops the map over the old
-    (see chains._kept_system), and a refused walk keeps nothing.  A
+    (see chains._position), and a refused walk keeps nothing.  A
     descendants view may be born with a walk cut from its family's (see
     _cut).
     """
@@ -152,30 +152,21 @@ def _walked(desc, genus_bound):
     return walked[1:]
 
 
-def _cut(walked, t, delta):
-    """The walk that the view of t keeps, cut from the walk kept by its
-    family, with maximum delta ≠ t; None when t lies past the walk's
-    bound.
+def _cut(walked, i):
+    """The walk kept by the view of the member at position i > 0 of
+    walked, its family's kept walk: that member's subtree.
 
-    t's path from delta removes the values of delta ∖ t in increasing
-    order, and each is the fd of one child among its parent's, which are
-    consecutive and in increasing fd.  A node's children follow those of
-    the nodes before it, so s, the sum of the counts before the current
-    node, places them.  Each level of t's subtree is then one range of
-    the walk: the children of the range above.  Below t the fds and
-    counts stay, and the systems keep their elements above t's fd
-    fdelta(t, delta), which becomes -1 (the README gives the proofs).
-    The subtree is complete when its last range has no children.
+    A node's children follow those of the nodes before it, so s, the sum
+    of the counts before a node, places them at s + 1.  Each level of
+    the subtree is then one range of the walk: the children of the range
+    above.  Below its root the fds and counts stay, and the systems keep
+    their elements above the root's fd, which becomes -1 (the README
+    gives the proofs).  The subtree is complete when its last range has
+    no children.
     """
     bound, mem, fds, systems, counts, _ = walked
-    if genus(t) > bound:
-        return None
-    x = s = 0  # a node on t's path, and the sum of the counts before it
-    for v in _bits(_below(delta, t.conductor) & ~t.mask):
-        y = bisect_left(fds, v, s + 1, s + 1 + counts[x])
-        s, x = s + sum(counts[x:y]), y
     cut = ([], [], [], [])
-    a, b = x, x + 1  # a level of the subtree; s sums the counts before a
+    a, b, s = i, i + 1, sum(counts[:i])  # a level; s sums the counts before a
     while True:
         for kept, part in zip(cut, (mem, fds, systems, counts)):
             kept += part[a:b]
@@ -255,13 +246,15 @@ def descendants(desc, t: NumSG):
     keeps t's subtree of it (see _cut), so its walks at that bound
     neither walk again nor build its kernel.
     """
-    chains._checked(desc, t)
+    i = chains._position(desc, t)
+    if i is None:
+        chains._checked(desc, t)
     delta = delta_of(desc)
     if t == delta:
         return desc
     view = chains._systems(desc)[3](t, restricted_frobenius(t, delta))
-    if desc._walked is not None:
-        _set(view, "_walked", _cut(desc._walked, t, delta))
+    if i is not None:
+        _set(view, "_walked", _cut(desc._walked, i))
     return view
 
 

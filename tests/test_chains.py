@@ -237,7 +237,7 @@ class TestMembershipKernel:
         assert desc._by_member is None
         assert minimal_rsystem(desc, sg(4, 6, 7)) == frozenset({7})
         held = desc._by_member
-        assert held == dict(zip(desc._walked[1], desc._walked[3]))
+        assert held == {m: i for i, m in enumerate(desc._walked[1])}
         # a walk at the same bound keeps it, and a refused walk too
         members_of(desc, 8)
         monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 10)
@@ -249,7 +249,7 @@ class TestMembershipKernel:
         members_of(desc, 7)
         assert desc._by_member is None
         assert is_member(desc, sg(4, 6, 7))
-        assert desc._by_member == dict(zip(desc._walked[1], desc._walked[3]))
+        assert desc._by_member == {m: i for i, m in enumerate(desc._walked[1])}
         assert len(desc._by_member) < len(held)
 
 

@@ -3,11 +3,17 @@
 import argparse
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
-from rvar import InvariantError, cli
+from rvar import (
+    NATURALS, Interval, InvariantError, cli, descendants, format_semigroup,
+    from_generators, genus, msg, tree_of,
+)
 
 INTERVAL = "<5,6>:<5,6,7>"
 GENERATED = "<5,7,9,11,13>;<4,10,11,13>:<4,5,7>"
@@ -201,6 +207,38 @@ class TestTree:
         got = set(collect(doc["tree"]))
         assert got == {("<5,6,7>", -1), ("<5,6,13,14>", 7), ("<5,6,14>", 13),
                        ("<5,6,19>", 14), ("<5,6>", 19), ("<5,6,13>", 14)}
+
+    @pytest.mark.parametrize("k, view", [(1201, False), (3001, True)])
+    def test_a_deep_tree_has_a_structured_form(self, capsys, k, view):
+        # the family from <2,k> up to N, k odd, is one path, a level per
+        # member: 600 and 1,500 levels deep at these bounds
+        bound = k // 2
+        argv = ["--interval", "<2,%d>:<1>" % k, "--genus-bound", str(bound),
+                "--format", "structured"]
+        desc = Interval(from_generators([2, k]), NATURALS)
+        if view:
+            argv = ["descendants", "<2,5>", *argv]
+            desc = descendants(desc, from_generators([2, 5]))
+        else:
+            argv = ["tree", *argv]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, "")
+        root, complete = tree_of(desc, bound)
+
+        def record(n):
+            return {"sg": format_semigroup(n.sg), "msg": list(msg(n.sg)),
+                    "genus": genus(n.sg), "fdelta": n.restricted_frob,
+                    "minsys": n.min_system,
+                    "children": [record(c) for c in n.children]}
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            want = json.dumps({"complete": complete, "genus_bound": bound,
+                               "tree": record(root)}, sort_keys=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out == want + "\n"
+        assert out.count('"children"') == bound - genus(root.sg) + 1 >= 600
 
     def test_output_is_deterministic(self, capsys):
         first = run(capsys, "tree", "--generated", GENERATED)
@@ -452,6 +490,16 @@ class TestVerify:
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1] == "all checks passed (seed=0, count=4)"
 
+    def test_a_negative_count_is_a_usage_error(self, capsys):
+        rc, out, err = run(capsys, "verify", "--count", "-1")
+        assert (rc, out) == (1, "")
+        assert err == "rvar: error: --count must be at least 0, not -1\n"
+        # no random family is drawn at --count 0, but the fixtures are checked
+        rc, out, err = run(capsys, "verify", "--count", "0", "--genus-bound", "8")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1] == "all checks passed (seed=0, count=0)"
+        assert len(out.splitlines()) == 4
+
     def test_a_failed_check_is_a_domain_error(self, capsys, monkeypatch):
         import rvar.oracle
         monkeypatch.setattr(rvar.oracle, "oracle_members", lambda desc, bound: set())
@@ -620,6 +668,25 @@ class TestErrorPaths:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err == "rvar: error: walk exceeds 1000 members\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["msg", "<5,6>"],
+        ["tree", "--restricted", ":<1>", "--genus-bound", "13"],
+    ])
+    def test_a_closed_stdout_exits_quietly(self, argv):
+        # the reader of stdout is gone before the first write, as when
+        # `rvar tree ... | head -1` has read its line
+        r, w = os.pipe()
+        os.close(r)
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "rvar.cli", *argv], stdout=w,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(w)
+        assert (done.returncode, done.stderr) == (141, "")
 
     def test_unknown_subcommand(self, capsys):
         rc, _, err = run(capsys, "bogus")

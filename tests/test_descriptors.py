@@ -1,5 +1,7 @@
 """Descriptor values and the package root's lazily loaded oracle names."""
 
+import ast
+import pathlib
 import pickle
 
 import pytest
@@ -127,6 +129,20 @@ class TestLazyOracleNames:
         for name in ("oracle_members", "minimal_system_from_members", "random_interval",
                      "Interval", "build_tree"):
             assert name in names
+
+    def test_every_public_oracle_function_is_named(self):
+        # the lazy names are a hand-kept list: it names every public
+        # function of rvar.oracle, and nothing besides them and the module
+        import rvar.oracle
+        body = ast.parse(pathlib.Path(rvar.oracle.__file__).read_text()).body
+        public = {n.name for n in body if isinstance(n, ast.FunctionDef)
+                  and not n.name.startswith("_")}
+        assert len(public) >= 9
+        names = dir(rvar)
+        for name in sorted(public):
+            assert getattr(rvar, name) is getattr(rvar.oracle, name)
+            assert name in names
+        assert rvar._ORACLE_NAMES == public | {"oracle"}
 
     def test_an_unknown_name_raises(self):
         with pytest.raises(AttributeError):

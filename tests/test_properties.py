@@ -677,7 +677,7 @@ class TestKeptSystemLaws:
                     assert is_member(d, m) and is_member(fresh, m)
                     assert minimal_rsystem(d, m) == minimal_rsystem(fresh, m)
                 # the map holds the current walk, not one before it
-                assert d._by_member == dict(zip(walked, d._walked[3]))
+                assert d._by_member == {m: i for i, m in enumerate(walked)}
                 for s in POOL:
                     if is_member(fresh, s):
                         assert is_member(d, s)

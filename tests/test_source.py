@@ -186,22 +186,57 @@ def test_one_level_loop():
     assert "_walked" in walk and "_drop" not in walk
 
 
+def test_a_bare_checkout_runs_its_tests():
+    # pyproject puts src on pytest's path, so `python -m pytest` at the
+    # root of a checkout needs no install and no PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_descriptors.py::TestLazyOracleNames"],
+        cwd=SRC.parents[1], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " passed" in done.stdout
+
+
 def test_kept_walks_are_read_not_remade():
     # the kept walk holds each member's child count, so a tree links its
     # nodes by counts alone, and a view's walk is cut from its family's
-    # without a level, a child or a kernel of its own
+    # without a level, a child or a kernel of its own; the member map gives
+    # the cut its start, so the cut searches for nothing
     funcs = _top_functions("engine.py")
     found = sorted("%s calls %s" % (name, called)
                    for name, banned in (("_walk", {"_above", "bisect_right"}),
                                         ("_cut", {"_levels", "_next_level",
-                                                  "_drop", "_systems"}))
+                                                  "_drop", "_systems",
+                                                  "bisect_left", "_bits",
+                                                  "genus"}))
                    for called in set(_called_names(funcs[name])) & banned)
     assert found == []
+    assert [a.arg for a in funcs["_cut"].args.args] == ["walked", "i"]
     # the guard sees the calls it bans where they are made
     assert "bisect_right" in set(_called_names(funcs["_walked"]))
     assert "_above" in set(_called_names(funcs["_cut"]))
     assert {"_systems", "_next_level"} <= set(_called_names(funcs["_levels"]))
-    assert "_cut" in set(_called_names(funcs["descendants"]))
+    assert "genus" in set(_called_names(funcs["_levels"]))
+    # descendants passes _cut the position that the member map gives
+    body = funcs["descendants"]
+    positions = {t.id for n in ast.walk(body) if isinstance(n, ast.Assign)
+                 and isinstance(n.value, ast.Call)
+                 and ast.unparse(n.value.func) == "chains._position"
+                 for t in n.targets}
+    cuts = [n for n in ast.walk(body) if isinstance(n, ast.Call)
+            and ast.unparse(n.func) == "_cut"]
+    assert len(cuts) == 1 and ast.unparse(cuts[0].args[1]) in positions
+    # and the map is read in one place, the lookup that is_member and
+    # _checked make too
+    readers = sorted(name for module in ("chains.py", "engine.py", "cli.py")
+                     for name, f in _top_functions(module).items()
+                     if any(isinstance(n, ast.Attribute) and n.attr == "_by_member"
+                            for n in ast.walk(f)))
+    assert readers == ["_position"]
+    chains_funcs = _top_functions("chains.py")
+    for name in ("is_member", "_checked"):
+        assert "_position" in set(_called_names(chains_funcs[name]))
 
 
 def _bound_names(node):
