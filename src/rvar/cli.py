@@ -8,6 +8,12 @@ pipe's writer killed by that signal).
 Output is deterministic: members sort by (genus, small elements), JSON keys
 are sorted, trees list children by increasing removed element.
 
+A subcommand is declared once, beside its handler:
+@_command(name, help, *arguments) registers the handler with its help line
+and its arguments, each a function that adds itself to the subparser, and
+build_parser is one loop over the registry.  The three family flags share
+one destination, a (kind, text) pair that _variety_from reads.
+
 Every subcommand has one output path.  Its handler does the work and
 returns (items, text, record): an iterable of items and two functions of
 one item.  For --format text or dot main writes text(item), a string or,
@@ -68,19 +74,14 @@ def _parse_ints(text):
 
 
 def _variety_from(args):
-    if args.interval is not None:
-        text, flag = args.interval, "--interval"
-    elif args.restricted is not None:
-        text, flag = args.restricted, "--restricted"
-    else:
-        text, flag = args.generated, "--generated"
+    kind, text = args.family
     if ":" not in text:
-        raise ParseError("%s expects a ':' before the outer semigroup" % flag)
+        raise ParseError("--%s expects a ':' before the outer semigroup" % kind)
     left, right = text.rsplit(":", 1)
     outer = parse_semigroup(right)
-    if flag == "--interval":
+    if kind == "interval":
         return Interval(parse_semigroup(left), outer)
-    if flag == "--restricted":
+    if kind == "restricted":
         return Restricted(frozenset(_parse_ints(left)), outer)
     parts = [p for p in left.split(";") if p.strip()]
     return Generated(tuple(parse_semigroup(p) for p in parts), outer)
@@ -159,6 +160,39 @@ def _any_tree(desc, args):
 
 # ------------------------------------------------------------- subcommands
 
+_COMMANDS = []
+
+
+def _command(name, line, *arguments):
+    """Register the decorated handler as subcommand name, with its help line
+    and its arguments, each a function that adds itself to the subparser."""
+    def register(handler):
+        _COMMANDS.append((name, line, arguments, handler))
+        return handler
+    return register
+
+
+def _arg(*flags, **kw):
+    return lambda p: p.add_argument(*flags, **kw)
+
+
+def _variety(p):
+    # the three flags share one destination: each tags its text with its kind
+    g = p.add_mutually_exclusive_group(required=True)
+    for kind, metavar in (("interval", "LO:HI"), ("restricted", "ELEMS:T"),
+                          ("generated", "S1;S2:DELTA")):
+        g.add_argument("--" + kind, metavar=metavar, dest="family",
+                       type=lambda text, kind=kind: (kind, text))
+
+
+_sg = _arg("sg")
+_inside = _arg("--inside", metavar="T")
+_bound = _arg("--genus-bound", type=int, default=DEFAULT_GENUS_BOUND, metavar="N")
+_format = _arg("--format", choices=["text", "structured"])
+_dot = _arg("--format", choices=["text", "dot", "structured"])
+
+
+@_command("info", "summary of one semigroup", _sg, _format)
 def _cmd_info(args):
     def text(s):
         return ("sg: %s\nmultiplicity: %d\nfrobenius: %d\ngenus: %d\nsmall: %s"
@@ -170,11 +204,14 @@ def _cmd_info(args):
         "genus": genus(s), "small": list(s.small)}
 
 
+@_command("msg", "minimal generating set", _sg, _format)
 def _cmd_msg(args):
     return [parse_semigroup(args.sg)], lambda s: _csv(msg(s)), lambda s: {
         "sg": format_semigroup(s), "msg": list(msg(s))}
 
 
+@_command("frobenius", "Frobenius number, restricted with --inside",
+          _sg, _inside, _format)
 def _cmd_frobenius(args):
     s = parse_semigroup(args.sg)
     if args.inside is None:
@@ -185,11 +222,13 @@ def _cmd_frobenius(args):
         "sg": format_semigroup(s), "inside": format_semigroup(t), "fdelta": val}
 
 
+@_command("genus", "number of gaps", _sg, _format)
 def _cmd_genus(args):
     return [parse_semigroup(args.sg)], lambda s: str(genus(s)), lambda s: {
         "sg": format_semigroup(s), "genus": genus(s)}
 
 
+@_command("intersect", "intersection of semigroups", _arg("sgs", nargs="+"), _format)
 def _cmd_intersect(args):
     out = intersect_all([parse_semigroup(t) for t in args.sgs])
     return [out], format_semigroup, lambda s: {
@@ -197,6 +236,8 @@ def _cmd_intersect(args):
         "frobenius": frobenius(s), "genus": genus(s)}
 
 
+@_command("chain", "adjunction chain from SG up to --inside", _sg,
+          _arg("--inside", metavar="T", required=True), _format)
 def _cmd_chain(args):
     rec = chain_to(parse_semigroup(args.sg), parse_semigroup(args.inside))
 
@@ -208,6 +249,8 @@ def _cmd_chain(args):
     return zip(rec.links, (None,) + rec.fill_values), text, lambda link: _record(*link)
 
 
+@_command("minsys", "minimal generating system within a family",
+          _sg, _variety, _format)
 def _cmd_minsys(args):
     desc = _variety_from(args)
     s = parse_semigroup(args.sg)
@@ -216,10 +259,13 @@ def _cmd_minsys(args):
         s, fdelta(s, delta_of(desc)), minsys=system)
 
 
+@_command("tree", "family tree rooted at the maximum", _variety, _bound, _dot)
 def _cmd_tree(args):
     return _any_tree(_variety_from(args), args)
 
 
+@_command("genus-level", "members with an exact genus", _variety,
+          _arg("--genus", type=int, required=True, metavar="G"), _format)
 def _cmd_genus_level(args):
     desc = _variety_from(args)
     # the walk carries each member's fdelta in the family's maximum and its
@@ -229,11 +275,18 @@ def _cmd_genus_level(args):
             lambda m: _record(m[0], m[1], minsys=m[2]))
 
 
+@_command("descendants", "subtree hanging from one member",
+          _sg, _variety, _bound, _dot)
 def _cmd_descendants(args):
     desc = _variety_from(args)
     return _any_tree(descendants(desc, parse_semigroup(args.sg)), args)
 
 
+@_command("closure", "smallest ld/pl semigroup containing gens",
+          _arg("--kind", choices=list(KINDS), required=True),
+          _arg("gens", nargs="?", metavar="A1,A2,..."), _inside,
+          _arg("--vsystem", metavar="SG", help="emit the minimal system of SG instead"),
+          _format)
 def _cmd_closure(args):
     if (args.gens is None) == (args.vsystem is None):
         raise ParseError("give a generator list or --vsystem" if args.gens is None
@@ -257,6 +310,8 @@ def _cmd_closure(args):
         "frobenius": frobenius(s), "genus": genus(s)}
 
 
+@_command("restrict", "intersect every member with --by", _variety,
+          _arg("--by", metavar="U", required=True), _bound, _format)
 def _cmd_restrict(args):
     desc = _variety_from(args)
     u = parse_semigroup(args.by)
@@ -268,6 +323,9 @@ def _cmd_restrict(args):
             lambda s: _record(s, fdelta(s, top)))
 
 
+@_command("verify", "cross-check fast paths against brute force",
+          _arg("--seed", type=int, default=0), _arg("--count", type=int, default=20),
+          _arg("--genus-bound", type=int, default=12, metavar="N"))
 def _cmd_verify(args):
     import random
 
@@ -318,108 +376,17 @@ def _cmd_verify(args):
 
 # -------------------------------------------------------------- the parser
 
-def _add_format(p, dot=False):
-    choices = ["text", "dot", "structured"] if dot else ["text", "structured"]
-    p.add_argument("--format", choices=choices, default="text")
-
-
-def _add_variety(p):
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--interval", metavar="LO:HI")
-    g.add_argument("--restricted", metavar="ELEMS:T")
-    g.add_argument("--generated", metavar="S1;S2:DELTA")
-
-
-def _add_bound(p):
-    p.add_argument("--genus-bound", type=int, default=DEFAULT_GENUS_BOUND,
-                   metavar="N")
-
-
 def build_parser():
     parser = _Parser(prog="rvar",
                      description="Families of numerical semigroups: trees, "
                                  "chains, closures.")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("info", help="summary of one semigroup")
-    p.add_argument("sg")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_info)
-
-    p = sub.add_parser("msg", help="minimal generating set")
-    p.add_argument("sg")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_msg)
-
-    p = sub.add_parser("frobenius", help="Frobenius number, restricted with --inside")
-    p.add_argument("sg")
-    p.add_argument("--inside", metavar="T")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_frobenius)
-
-    p = sub.add_parser("genus", help="number of gaps")
-    p.add_argument("sg")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_genus)
-
-    p = sub.add_parser("intersect", help="intersection of semigroups")
-    p.add_argument("sgs", nargs="+")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_intersect)
-
-    p = sub.add_parser("chain", help="adjunction chain from SG up to --inside")
-    p.add_argument("sg")
-    p.add_argument("--inside", metavar="T", required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_chain)
-
-    p = sub.add_parser("minsys", help="minimal generating system within a family")
-    p.add_argument("sg")
-    _add_variety(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_minsys)
-
-    p = sub.add_parser("tree", help="family tree rooted at the maximum")
-    _add_variety(p)
-    _add_bound(p)
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_tree)
-
-    p = sub.add_parser("genus-level", help="members with an exact genus")
-    _add_variety(p)
-    p.add_argument("--genus", type=int, required=True, metavar="G")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_genus_level)
-
-    p = sub.add_parser("descendants", help="subtree hanging from one member")
-    p.add_argument("sg")
-    _add_variety(p)
-    _add_bound(p)
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_descendants)
-
-    p = sub.add_parser("closure", help="smallest ld/pl semigroup containing gens")
-    p.add_argument("--kind", choices=list(KINDS), required=True)
-    p.add_argument("gens", nargs="?", metavar="A1,A2,...")
-    p.add_argument("--inside", metavar="T")
-    p.add_argument("--vsystem", metavar="SG",
-                   help="emit the minimal system of SG instead")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_closure)
-
-    p = sub.add_parser("restrict", help="intersect every member with --by")
-    _add_variety(p)
-    p.add_argument("--by", metavar="U", required=True)
-    _add_bound(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_restrict)
-
-    p = sub.add_parser("verify", help="cross-check fast paths against brute force")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--genus-bound", type=int, default=12, metavar="N")
-    p.set_defaults(handler=_cmd_verify, format="text")
-
+    for name, line, arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=line)
+        for add in arguments:
+            add(p)
+        # every --format defaults to text, and verify, which has none, writes text
+        p.set_defaults(handler=handler, format="text")
     return parser
 
 

@@ -37,6 +37,29 @@ class RTreeNode(_Record):
         self.min_system = min_system
         self.children = [] if children is None else children
 
+    # equality and repr hold pending nodes in a list, not on the call stack,
+    # so a tree of any depth has them
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _shape(self) == _shape(other)
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, str):
+                out.append(n)
+                continue
+            out.append("%s(sg=%r, restricted_frob=%r, min_system=%r, children=["
+                       % (type(n).__qualname__, n.sg, n.restricted_frob, n.min_system))
+            stack.append("])")
+            for j, c in enumerate(reversed(n.children)):
+                if j:
+                    stack.append(", ")
+                stack.append(c)
+        return "".join(out)
+
 
 # A descendants view is a Restricted or Generated descriptor (see
 # descendants), so membership is chains.is_member itself.
@@ -195,6 +218,13 @@ def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
 def build_tree(desc, genus_bound=DEFAULT_GENUS_BOUND) -> RTreeNode:
     """The root of tree_of(desc, genus_bound)."""
     return tree_of(desc, genus_bound)[0]
+
+
+def _shape(root):
+    """Each node of root's tree in tree_vertices order, as its class and
+    fields with its child count: equal shapes are equal trees."""
+    return [(n.__class__, n.sg, n.restricted_frob, n.min_system, len(n.children))
+            for n in tree_vertices(root)]
 
 
 def tree_vertices(root: RTreeNode) -> list:

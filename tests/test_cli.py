@@ -556,6 +556,63 @@ SAMPLES = {
 }
 
 
+# The command line as data, apart from how argparse lays out its help: each
+# subcommand in order with its help line, and each of its arguments, -h
+# aside, as (option strings, or a positional's name), required, default,
+# choices, nargs and metavar.  The family flags form one required group.
+_ = None
+SG = ("sg", True, _, _, _, _)
+FAMILY = [(("--interval",), False, _, _, _, "LO:HI"),
+          (("--restricted",), False, _, _, _, "ELEMS:T"),
+          (("--generated",), False, _, _, _, "S1;S2:DELTA")]
+BOUND = (("--genus-bound",), False, 40, _, _, "N")
+TEXT = (("--format",), False, "text", ("text", "structured"), _, _)
+DOT = (("--format",), False, "text", ("text", "dot", "structured"), _, _)
+INSIDE = (("--inside",), False, _, _, _, "T")
+SURFACE = [
+    ("info", "summary of one semigroup", [SG, TEXT]),
+    ("msg", "minimal generating set", [SG, TEXT]),
+    ("frobenius", "Frobenius number, restricted with --inside", [SG, INSIDE, TEXT]),
+    ("genus", "number of gaps", [SG, TEXT]),
+    ("intersect", "intersection of semigroups", [("sgs", True, _, _, "+", _), TEXT]),
+    ("chain", "adjunction chain from SG up to --inside",
+     [SG, (("--inside",), True, _, _, _, "T"), TEXT]),
+    ("minsys", "minimal generating system within a family", [SG, *FAMILY, TEXT]),
+    ("tree", "family tree rooted at the maximum", [*FAMILY, BOUND, DOT]),
+    ("genus-level", "members with an exact genus",
+     [*FAMILY, (("--genus",), True, _, _, _, "G"), TEXT]),
+    ("descendants", "subtree hanging from one member", [SG, *FAMILY, BOUND, DOT]),
+    ("closure", "smallest ld/pl semigroup containing gens",
+     [(("--kind",), True, _, ("ld", "pl"), _, _), ("gens", False, _, _, "?", "A1,A2,..."),
+      INSIDE, (("--vsystem",), False, _, _, _, "SG"), TEXT]),
+    ("restrict", "intersect every member with --by",
+     [*FAMILY, (("--by",), True, _, _, _, "U"), BOUND, TEXT]),
+    ("verify", "cross-check fast paths against brute force",
+     [(("--seed",), False, 0, _, _, _), (("--count",), False, 20, _, _, _),
+      (("--genus-bound",), False, 12, _, _, "N")]),
+]
+
+
+def test_the_command_line_surface_is_pinned():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = []
+    for choice in subparsers._choices_actions:
+        sub = subparsers.choices[choice.dest]
+        args = [(tuple(a.option_strings) or a.dest, a.required, a.default,
+                 a.choices and tuple(a.choices), a.nargs, a.metavar)
+                for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        got.append((choice.dest, choice.help, args))
+        groups = [(tuple(a.option_strings[0] for a in g._group_actions), g.required)
+                  for g in sub._mutually_exclusive_groups]
+        family = FAMILY[0] in args
+        assert groups == ([(("--interval", "--restricted", "--generated"), True)]
+                          if family else []), choice.dest
+    assert list(subparsers.choices) == [name for name, _, _ in SURFACE]
+    assert got == SURFACE
+
+
 def test_every_structured_subcommand_goes_through_the_emitter(capsys):
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions

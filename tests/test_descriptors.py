@@ -87,7 +87,7 @@ class TestDescriptorValues:
 
 class TestMemoSlots:
     # every slot of a family that is not a field memoizes work on it: the
-    # kept walk, the kernel and the member → system map over the walk
+    # kept walk, the kernel and the member → position map over the kept walk
     def test_memo_slots_start_empty_and_are_no_fields(self):
         slots = _Family.__slots__
         assert slots == ("_walked", "_system", "_by_member")

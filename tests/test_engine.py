@@ -14,8 +14,10 @@ from rvar import (
     NotInVariety, Restricted, build_tree, check_rvariety_axioms, children,
     delta_of, descendants, genus, genus_level, is_pseudo_variety, member,
     is_member, members_of, minimal_rsystem, minimal_system_from_members, msg,
-    remove_element, restrict_variety, tree_of, tree_vertices, union_with_tail,
+    from_generators, remove_element, restrict_variety, tree_of, tree_vertices,
+    union_with_tail,
 )
+from rvar.descriptors import _Record
 from rvar.engine import RTreeNode, _last_level, _walk, fdelta, restriction_of
 from support import (
     sg, DELTA_567, FINITE_FIXTURES, GENERATED_FIXTURE, GENERATED_MEMBERS,
@@ -118,6 +120,39 @@ class TestBuildTree:
                     grown = union_with_tail(c.sg, delta, c.restricted_frob)
                     assert grown == node.sg
                     stack.append(c)
+
+    def test_a_deep_tree_has_equality_and_repr(self):
+        # the family from <2,1201> up to N is one path of 600 levels, past
+        # the recursion limit of a node-by-node comparison or repr
+        def deep():
+            return build_tree(Interval(from_generators([2, 1201]), NATURALS), 600)
+        tree, other = deep(), deep()
+        assert len(tree_vertices(tree)) == 601
+        assert tree == other and not tree != other
+        last = tree_vertices(other)[-1]
+        last.min_system += (1201,)
+        assert tree != other
+        last.min_system = last.min_system[:-1]
+        last.children.append(RTreeNode(NATURALS, 0, ()))
+        assert tree != other
+        # the same answers and text as the forms that recurse per level
+        text = repr(tree)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            assert text == _Record.__repr__(tree)
+            assert _Record.__eq__(tree, deep()) and not _Record.__eq__(tree, other)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_trees_compare_and_print_as_records_of_their_fields(self):
+        for desc, _ in FINITE_FIXTURES:
+            tree = build_tree(desc)
+            for other in (build_tree(desc), tree_vertices(build_tree(desc))[-1],
+                          RTreeNode(tree.sg, tree.restricted_frob, tree.min_system)):
+                assert (tree == other) is _Record.__eq__(tree, other)
+            assert repr(tree) == _Record.__repr__(tree)
+            assert tree.__eq__(tree.sg) is NotImplemented
 
 
 def cross_checked_children(desc, node):

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import rvar
 
 SRC = pathlib.Path(rvar.__file__).parent
@@ -308,3 +310,53 @@ def test_the_kind_is_decided_once():
     assert not kinds & {name for node in ast.walk(engine)
                         if isinstance(node, (ast.Import, ast.ImportFrom))
                         for name in _bound_names(node)}
+
+
+def _registrations(tree):
+    """(unregistered, names) over the module-level _cmd_* handlers of tree:
+    the handlers that do not carry exactly one @_command(name, ...), and the
+    subcommand names of those decorators, in order."""
+    unregistered, names = [], []
+    for f in tree.body:
+        if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_"):
+            regs = [d for d in f.decorator_list if isinstance(d, ast.Call)
+                    and ast.unparse(d.func) == "_command"]
+            if len(regs) != 1:
+                unregistered.append(f.name)
+            names += [d.args[0].value for d in regs]
+    return unregistered, names
+
+
+def test_a_subcommand_is_declared_once_beside_its_handler():
+    # each handler registers its own name, help and arguments, and the
+    # parser is one loop over the registry that names no subcommand
+    tree = ast.parse((SRC / "cli.py").read_text())
+    unregistered, names = _registrations(tree)
+    assert unregistered == []
+    assert len(names) == len(set(names)) == 13
+    build = _top_functions("cli.py")["build_parser"]
+    literals = {n.value for n in ast.walk(build) if isinstance(n, ast.Constant)}
+    assert not literals & set(names)
+    from rvar import cli
+    handlers = [f.name for f in tree.body if getattr(f, "name", "").startswith("_cmd_")]
+    assert [(name, h.__name__) for name, _, _, h in cli._COMMANDS] == list(
+        zip(names, handlers))
+    # the guard sees a handler that lost its registration
+    handler = next(f for f in tree.body if getattr(f, "name", None) == "_cmd_tree")
+    handler.decorator_list = []
+    assert _registrations(tree) == (["_cmd_tree"], [n for n in names if n != "tree"])
+
+
+def test_the_sources_keep_to_the_oldest_supported_python():
+    # pyproject admits Python 3.10, and the tests may run on a newer one, so
+    # the grammar of the floor is held here
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 8
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    # the guard sees syntax that 3.10 lacks
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
