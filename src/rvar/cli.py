@@ -28,25 +28,21 @@ one per line: with unbuffered stdout each write is a system call.
 verify has only the text format: its items are its lines, made as its
 checks run, and a failed check ends them with a domain error.
 
-json and random are imported only where they are used, so a text request
-starts without them.
+A request runs only what its command uses.  build_parser builds the one
+subparser that argv names; the library modules run on first use, so the
+code reaches them through their module (engine.tree_of), and json and
+random are imported only where they are used.
 """
 
 import argparse
 import os
 import sys
 
+from . import chains, closures, descriptors, engine
 from .core import (
     NumSG, DomainError, InvariantError, ParseError, format_semigroup,
     from_generators, frobenius, genus, intersect, intersect_all, msg,
     multiplicity, parse_semigroup, restricted_frobenius,
-)
-from .descriptors import Interval, Restricted, Generated, delta_of
-from .chains import _checked, chain_to
-from .closures import KINDS, variety_closure, restricted_closure, minimal_vsystem
-from .engine import (
-    DEFAULT_GENUS_BOUND, _bounded_top, _last_level, descendants, fdelta,
-    restriction_of, tree_of, tree_vertices,
 )
 
 _CHUNK = 1 << 16
@@ -80,11 +76,11 @@ def _variety_from(args):
     left, right = text.rsplit(":", 1)
     outer = parse_semigroup(right)
     if kind == "interval":
-        return Interval(parse_semigroup(left), outer)
+        return descriptors.Interval(parse_semigroup(left), outer)
     if kind == "restricted":
-        return Restricted(frozenset(_parse_ints(left)), outer)
+        return descriptors.Restricted(frozenset(_parse_ints(left)), outer)
     parts = [p for p in left.split(";") if p.strip()]
-    return Generated(tuple(parse_semigroup(p) for p in parts), outer)
+    return descriptors.Generated(tuple(parse_semigroup(p) for p in parts), outer)
 
 
 def _csv(xs):
@@ -126,7 +122,7 @@ def _tree_json(root):
 def _tree_text(root, complete, bound):
     # a child has one gap more than its parent, so depth is a genus difference
     g0 = genus(root.sg)
-    for n in tree_vertices(root):
+    for n in engine.tree_vertices(root):
         yield ("%s%s  [%s]  fdelta=%d"
                % ("  " * (genus(n.sg) - g0), format_semigroup(n.sg),
                   _csv(n.min_system), n.restricted_frob))
@@ -135,7 +131,7 @@ def _tree_text(root, complete, bound):
 
 
 def _tree_dot(root, complete, bound):
-    order = tree_vertices(root)
+    order = engine.tree_vertices(root)
     ids = {id(n): "n%d" % i for i, n in enumerate(order)}
     yield "digraph rvariety {"
     yield "  rankdir=BT;"
@@ -152,7 +148,7 @@ def _tree_dot(root, complete, bound):
 def _any_tree(desc, args):
     bound = args.genus_bound
     render = _tree_dot if args.format == "dot" else _tree_text
-    return ([tree_of(desc, bound)],
+    return ([engine.tree_of(desc, bound)],
             lambda tree: render(*tree, bound),
             lambda tree: '{"complete": %s, "genus_bound": %d, "tree": %s}'
             % ("true" if tree[1] else "false", bound, _tree_json(tree[0])))
@@ -187,9 +183,14 @@ def _variety(p):
 
 _sg = _arg("sg")
 _inside = _arg("--inside", metavar="T")
-_bound = _arg("--genus-bound", type=int, default=DEFAULT_GENUS_BOUND, metavar="N")
 _format = _arg("--format", choices=["text", "structured"])
 _dot = _arg("--format", choices=["text", "dot", "structured"])
+
+
+# adders that read a module run it only when their subparser is built
+def _bound(p):
+    p.add_argument("--genus-bound", type=int, default=engine.DEFAULT_GENUS_BOUND,
+                   metavar="N")
 
 
 @_command("info", "summary of one semigroup", _sg, _format)
@@ -239,7 +240,7 @@ def _cmd_intersect(args):
 @_command("chain", "adjunction chain from SG up to --inside", _sg,
           _arg("--inside", metavar="T", required=True), _format)
 def _cmd_chain(args):
-    rec = chain_to(parse_semigroup(args.sg), parse_semigroup(args.inside))
+    rec = chains.chain_to(parse_semigroup(args.sg), parse_semigroup(args.inside))
 
     def text(link):
         s, fill = link
@@ -254,9 +255,9 @@ def _cmd_chain(args):
 def _cmd_minsys(args):
     desc = _variety_from(args)
     s = parse_semigroup(args.sg)
-    system = _checked(desc, s)
+    system = chains._checked(desc, s)
     return [s], lambda s: _csv(system), lambda s: _record(
-        s, fdelta(s, delta_of(desc)), minsys=system)
+        s, engine.fdelta(s, descriptors.delta_of(desc)), minsys=system)
 
 
 @_command("tree", "family tree rooted at the maximum", _variety, _bound, _dot)
@@ -270,7 +271,7 @@ def _cmd_genus_level(args):
     desc = _variety_from(args)
     # the walk carries each member's fdelta in the family's maximum and its
     # system, so no system is checked or computed again
-    level = sorted(_last_level(desc, args.genus), key=lambda m: m[0].sort_key())
+    level = sorted(engine._last_level(desc, args.genus), key=lambda m: m[0].sort_key())
     return (level, lambda m: format_semigroup(m[0]),
             lambda m: _record(m[0], m[1], minsys=m[2]))
 
@@ -279,11 +280,11 @@ def _cmd_genus_level(args):
           _sg, _variety, _bound, _dot)
 def _cmd_descendants(args):
     desc = _variety_from(args)
-    return _any_tree(descendants(desc, parse_semigroup(args.sg)), args)
+    return _any_tree(engine.descendants(desc, parse_semigroup(args.sg)), args)
 
 
 @_command("closure", "smallest ld/pl semigroup containing gens",
-          _arg("--kind", choices=list(KINDS), required=True),
+          lambda p: p.add_argument("--kind", choices=closures.KINDS, required=True),
           _arg("gens", nargs="?", metavar="A1,A2,..."), _inside,
           _arg("--vsystem", metavar="SG", help="emit the minimal system of SG instead"),
           _format)
@@ -295,16 +296,16 @@ def _cmd_closure(args):
         if args.inside is not None:
             raise ParseError("--inside only applies to a generator list")
         m = parse_semigroup(args.vsystem)
-        system = sorted(minimal_vsystem(args.kind, m))
+        system = sorted(closures.minimal_vsystem(args.kind, m))
         return [m], lambda m: _csv(system), lambda m: {
             "sg": format_semigroup(m), "kind": args.kind, "vsystem": system}
     gens = _parse_ints(args.gens)
     if not gens:
         raise ParseError("empty generator list in %r" % args.gens)
     if args.inside is not None:
-        out = restricted_closure(args.kind, gens, parse_semigroup(args.inside))
+        out = closures.restricted_closure(args.kind, gens, parse_semigroup(args.inside))
     else:
-        out = variety_closure(args.kind, gens)
+        out = closures.variety_closure(args.kind, gens)
     return [out], format_semigroup, lambda s: {
         "sg": format_semigroup(s), "msg": list(msg(s)), "kind": args.kind,
         "frobenius": frobenius(s), "genus": genus(s)}
@@ -315,12 +316,12 @@ def _cmd_closure(args):
 def _cmd_restrict(args):
     desc = _variety_from(args)
     u = parse_semigroup(args.by)
-    image, complete = restriction_of(desc, u, args.genus_bound)
+    image, complete = engine.restriction_of(desc, u, args.genus_bound)
     if not complete:
         print("note: truncated at genus %d" % args.genus_bound, file=sys.stderr)
-    top = intersect(delta_of(desc), u)
+    top = intersect(descriptors.delta_of(desc), u)
     return (sorted(image, key=NumSG.sort_key), format_semigroup,
-            lambda s: _record(s, fdelta(s, top)))
+            lambda s: _record(s, engine.fdelta(s, top)))
 
 
 @_command("verify", "cross-check fast paths against brute force",
@@ -336,18 +337,17 @@ def _cmd_verify(args):
     if args.count < 0:
         raise ParseError("--count must be at least 0, not %d" % args.count)
     rng = random.Random(args.seed)
-    restricted = Restricted(frozenset({4, 6}), from_generators([4, 6, 7]))
-    _bounded_top(restricted, args.genus_bound)  # refused before any check runs
+    restricted = descriptors.Restricted(frozenset({4, 6}), from_generators([4, 6, 7]))
+    engine._bounded_top(restricted, args.genus_bound)  # refused before any check runs
     # the fixtures' node systems are checked too, against the oracle family
     # one genus deeper, which holds m without x for every x in m's system
     checks = [
-        ("interval fixture",
-         Interval(from_generators([5, 6]), from_generators([5, 6, 7])), 20, True),
+        ("interval fixture", descriptors.Interval(
+            from_generators([5, 6]), from_generators([5, 6, 7])), 20, True),
         ("restricted fixture", restricted, args.genus_bound, True),
-        ("generated fixture closure",
-         Generated((from_generators([5, 7, 9, 11, 13]),
-                    from_generators([4, 10, 11, 13])),
-                   from_generators([4, 5, 7])), 20, True),
+        ("generated fixture closure", descriptors.Generated(
+            (from_generators([5, 7, 9, 11, 13]), from_generators([4, 10, 11, 13])),
+            from_generators([4, 5, 7])), 20, True),
     ]
     for i in range(args.count):
         kind, make = (("interval", random_interval) if i % 2 == 0
@@ -359,7 +359,7 @@ def _cmd_verify(args):
     def lines():
         failures = 0
         for label, desc, bound, systems in checks:
-            nodes = tree_vertices(tree_of(desc, bound)[0])
+            nodes = engine.tree_vertices(engine.tree_of(desc, bound)[0])
             slow = oracle_members(desc, bound)
             ok = {n.sg for n in nodes} == slow
             if ok and systems:
@@ -376,12 +376,17 @@ def _cmd_verify(args):
 
 # -------------------------------------------------------------- the parser
 
-def build_parser():
+def build_parser(argv=()):
+    """The parser with the one subparser that argv[0] names, or all if none."""
+    chosen = [c for c in _COMMANDS if argv and c[0] == argv[0]]
     parser = _Parser(prog="rvar",
                      description="Families of numerical semigroups: trees, "
                                  "chains, closures.")
-    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    for name, line, arguments, handler in _COMMANDS:
+    # all names in the usage line; with all built, a metavar would hide "cmd"
+    names = "{%s}" % ",".join(c[0] for c in _COMMANDS) if chosen else None
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser,
+                                metavar=names)
+    for name, line, arguments, handler in chosen or _COMMANDS:
         p = sub.add_parser(name, help=line)
         for add in arguments:
             add(p)
@@ -408,7 +413,7 @@ def _write(items, text):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -593,8 +593,8 @@ SURFACE = [
 ]
 
 
-def test_the_command_line_surface_is_pinned():
-    parser = cli.build_parser()
+def _surface(parser):
+    """The SURFACE records of the subparsers that parser holds."""
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
     got = []
@@ -609,8 +609,45 @@ def test_the_command_line_surface_is_pinned():
         family = FAMILY[0] in args
         assert groups == ([(("--interval", "--restricted", "--generated"), True)]
                           if family else []), choice.dest
-    assert list(subparsers.choices) == [name for name, _, _ in SURFACE]
-    assert got == SURFACE
+    assert list(subparsers.choices) == [name for name, _, _ in got]
+    return got
+
+
+def test_the_command_line_surface_is_pinned():
+    assert _surface(cli.build_parser()) == SURFACE
+    # a request builds only the subparser that it names, and the same one
+    for record in SURFACE:
+        assert _surface(cli.build_parser([record[0]])) == [record]
+    for argv in ([], ["-h"], ["mesg"], ["--", "msg"]):
+        assert _surface(cli.build_parser(argv)) == SURFACE
+
+
+# with one subparser built, the usage line still lists every subcommand
+USAGE = ("usage: rvar [-h]\n"
+         "            {info,msg,frobenius,genus,intersect,chain,minsys,tree,genus-level,"
+         "descendants,closure,restrict,verify}\n"
+         "            ...\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["msg", "<5,6,7>", "--bogus"],
+     USAGE + "rvar: error: unrecognized arguments: --bogus\n"),
+    (["tree"],
+     "usage: rvar tree [-h]\n"
+     "                 (--interval LO:HI | --restricted ELEMS:T | --generated S1;S2:DELTA)\n"
+     "                 [--genus-bound N] [--format {text,dot,structured}]\n"
+     "rvar tree: error: one of the arguments --interval --restricted --generated"
+     " is required\n"),
+    ([], USAGE + "rvar: error: the following arguments are required: cmd\n"),
+    (["mesg"], USAGE.replace("...\n", "...\nrvar: error: argument cmd: invalid choice:"
+                                      " 'mesg' (choose from 'info', 'msg', 'frobenius',"
+                                      " 'genus', 'intersect', 'chain', 'minsys', 'tree',"
+                                      " 'genus-level', 'descendants', 'closure',"
+                                      " 'restrict', 'verify')\n")),
+])
+def test_usage_errors_are_pinned(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    assert run(capsys, *argv) == (1, "", err)
 
 
 def test_every_structured_subcommand_goes_through_the_emitter(capsys):
@@ -705,7 +742,7 @@ class TestErrorPaths:
     def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
         def broken(desc, u, genus_bound):
             raise InvariantError("no maximum element")
-        monkeypatch.setattr(cli, "restriction_of", broken)
+        monkeypatch.setattr(cli.engine, "restriction_of", broken)
         rc, out, err = run(capsys, "restrict", "--interval", INTERVAL, "--by", "<5,6,7>")
         assert rc == 3
         assert out == ""

@@ -117,6 +117,29 @@ class TestIntervalConstructor:
         assert Interval(NATURALS, NATURALS) == Restricted({1}, NATURALS)
 
 
+STAR_NAMES = [
+    "AlreadyMember", "CapacityExceeded", "ChainRec", "DEFAULT_GENUS_BOUND",
+    "DomainError", "EmptyGenerators", "EqualSemigroups", "GcdNotOne", "Generated",
+    "Interval", "InvalidGenerator", "InvariantError", "KINDS", "LD", "NATURALS",
+    "NoContainingElement", "NotClosed", "NotContained", "NotInDelta",
+    "NotInVariety", "NotMember", "NotMinimalGenerator", "NotNumerical", "NumSG",
+    "PL", "ParseError", "RTreeNode", "Restricted", "add_element", "build_tree",
+    "chain_family", "chain_to", "chains", "children", "closures", "contains",
+    "core", "delta_of", "descendants", "descriptors", "elements", "engine",
+    "format_semigroup", "frobenius", "from_generators", "genus", "genus_level",
+    "intersect", "intersect_all", "is_member", "is_pseudo_variety", "is_subset",
+    "member", "members_of", "minimal_rsystem", "minimal_vsystem", "msg",
+    "multiplicity", "parse_semigroup", "remove_element", "restrict_variety",
+    "restricted_closure", "restricted_frobenius", "rmonoid_generated", "rrange",
+    "tree_of", "tree_vertices", "union_with_tail", "variety_closure",
+]
+ORACLE_NAMES = [
+    "check_rvariety_axioms", "enumerate_between", "minimal_system_from_members",
+    "oracle", "oracle_members", "random_interval", "random_restricted",
+    "random_semigroup", "random_subsemigroup", "smallest_containing",
+]
+
+
 class TestLazyOracleNames:
     def test_oracle_names_resolve(self):
         from rvar import oracle_members
@@ -131,8 +154,8 @@ class TestLazyOracleNames:
             assert name in names
 
     def test_every_public_oracle_function_is_named(self):
-        # the lazy names are a hand-kept list: it names every public
-        # function of rvar.oracle, and nothing besides them and the module
+        # the name table is kept by hand: its oracle row names every public
+        # function of rvar.oracle, and nothing besides them
         import rvar.oracle
         body = ast.parse(pathlib.Path(rvar.oracle.__file__).read_text()).body
         public = {n.name for n in body if isinstance(n, ast.FunctionDef)
@@ -142,7 +165,20 @@ class TestLazyOracleNames:
         for name in sorted(public):
             assert getattr(rvar, name) is getattr(rvar.oracle, name)
             assert name in names
-        assert rvar._ORACLE_NAMES == public | {"oracle"}
+        assert set(rvar._NAMES["oracle"]) == public
+        assert "oracle" in names
+
+    def test_star_import_and_dir_keep_their_names(self):
+        # the modules and their names, as an eager package root exported
+        # them; dir adds the oracle's, and the loader's helpers stay private
+        star = {}
+        exec("from rvar import *", star)
+        del star["__builtins__"]
+        assert sorted(star) == STAR_NAMES
+        assert all(star[name] is getattr(rvar, name) for name in star)
+        # importing rvar.cli binds it in the package, as it would any module
+        public = [name for name in dir(rvar) if not name.startswith("_") and name != "cli"]
+        assert public == sorted(STAR_NAMES + ORACLE_NAMES)
 
     def test_an_unknown_name_raises(self):
         with pytest.raises(AttributeError):

@@ -68,20 +68,60 @@ def test_oracle_stays_off_the_hot_paths():
     assert len(allowed) == 1  # the guard sees the one import it permits
 
 
+_RUN_MODULES = """\
+import contextlib, io, sys, types
+import rvar.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rvar.cli.main(sys.argv[1:]) == 0
+heavy = ('dataclasses', 'inspect', 'json', 'random')
+print(' '.join(sorted(n for n, m in sys.modules.items()
+                      if n.startswith('rvar.') and type(m) is types.ModuleType)))
+print(' '.join(m for m in heavy if m in sys.modules))
+"""
+
+
 def test_cli_import_loads_no_heavy_modules():
-    # a CLI request pays for every module that `import rvar.cli` loads;
-    # dataclasses pulls in inspect, and json, random and the oracle serve
-    # only structured output, verify and the tests.  -S keeps site's own
+    # a CLI request pays for every module it runs.  The package's modules
+    # sit in sys.modules unrun until first used, so a request runs only
+    # those its command needs; dataclasses pulls in inspect, and json,
+    # random and the oracle serve only structured output, verify and the
+    # tests.  contextlib and io are the probe's own; -S keeps site's
     # imports out of the list.
+    for argv, run in [
+        ([], "cli core"),
+        (["closure", "--kind", "pl", "15,16"], "cli closures core"),
+        (["tree", "--restricted", ":<1>", "--genus-bound", "5"],
+         "chains cli core descriptors engine"),
+    ]:
+        done = subprocess.run([sys.executable, "-S", "-c", _RUN_MODULES, *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "%s\n\n" % " ".join("rvar." + m for m in run.split()), argv
+
+
+def test_the_tracer_finds_every_layer_after_importing_the_cli():
+    # the benchmark's tracer imports rvar.cli, then reads each layer from
+    # sys.modules and rebinds the functions that its LAYERS names; a layer
+    # that the CLI imported only inside a handler would be missing there.
+    # A name that its layer does not define is skipped by the tracer.
+    tracer = ast.parse((SRC.parents[1] / "bench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(n.value) for n in tracer.body
+                  if isinstance(n, ast.Assign) and n.targets[0].id == "LAYERS")
+    traced = [(layer, fn) for layer, fns in layers.items() for fn in fns
+              if fn in _top_functions(layer + ".py")]
+    assert {layer for layer, _ in traced} == {"core", "chains", "engine", "closures"}
     code = ("import sys\n"
             "import rvar.cli\n"
-            "heavy = ('dataclasses', 'inspect', 'json', 'random', 'rvar.oracle')\n"
-            "print(' '.join(m for m in heavy if m in sys.modules))\n")
+            "for layer, fn in %r:\n"
+            "    f = getattr(sys.modules['rvar.' + layer], fn)\n"
+            "    print(f.__module__, f.__name__)\n" % traced)
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "\n"
+    assert done.stdout.splitlines() == ["rvar.%s %s" % pair for pair in traced]
 
 
 def _called_names(func):
