@@ -120,14 +120,15 @@ def _checked(desc, m: NumSG) -> tuple:
 
 def _position(desc, m: NumSG):
     """m's position in the walk that desc keeps (see engine._walked),
-    None when it holds no m, from a member → position map that the
-    first lookup builds and a new walk drops."""
+    None when it holds no m, from the member → position map that the
+    walk carries: empty at birth, the first lookup fills it."""
     walked = getattr(desc, "_walked", None)
     if walked is None:
         return None
-    if desc._by_member is None:
-        _set(desc, "_by_member", dict(zip(walked[1], range(len(walked[1])))))
-    return desc._by_member.get(m)
+    _, mem, _, _, _, _, by_member = walked
+    if not by_member:
+        by_member.update(zip(mem, range(len(mem))))
+    return by_member.get(m)
 
 
 def _systems(desc):

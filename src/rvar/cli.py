@@ -20,11 +20,12 @@ one item.  For --format text or dot main writes text(item), a string or,
 for a tree, an iterable of lines, so no tree is held as one string.  For
 --format structured it writes json.dumps(record(item), sort_keys=True),
 one line per item; a tree's record is its JSON text already, written
-with an explicit stack (see _tree_json), since json.dumps recurses once
-per level and fails on a tree a few hundred levels deep.  Only the
-function of the chosen format runs, so text output computes no field it
-does not print.  Lines go out in writes of about _CHUNK characters, not
-one per line: with unbuffered stdout each write is a system call.
+by the explicit-stack writer that also gives a node its repr
+(engine._written), since json.dumps recurses once per level and fails
+on a tree a few hundred levels deep.  Only the function of the chosen
+format runs, so text output computes no field it does not print.  Lines
+go out in writes of about _CHUNK characters, not one per line: with
+unbuffered stdout each write is a system call.
 verify has only the text format: its items are its lines, made as its
 checks run, and a failed check ends them with a domain error.
 
@@ -98,25 +99,14 @@ def _record(s, fdelta, **more):
 def _tree_json(root):
     """json.dumps(record, sort_keys=True) of the record of root's subtree,
     a node's _record with its minsys and its children's records, written
-    with an explicit stack, so no depth reaches the recursion limit.  With
+    by engine._written, so no depth reaches the recursion limit.  With
     sorted keys "children" comes first: a node is '{"children": [', its
     children joined by ', ', then '], ' and the rest of its record."""
     import json
-    out, stack = [], [root]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, str):
-            out.append(n)
-            continue
-        out.append('{"children": [')
-        rest = json.dumps(_record(n.sg, n.restricted_frob, minsys=n.min_system),
-                          sort_keys=True)
-        stack.append("], " + rest[1:])
-        for j, c in enumerate(reversed(n.children)):
-            if j:
-                stack.append(", ")
-            stack.append(c)
-    return "".join(out)
+    return engine._written(
+        root, lambda n: '{"children": [',
+        lambda n: "], " + json.dumps(
+            _record(n.sg, n.restricted_frob, minsys=n.min_system), sort_keys=True)[1:])
 
 
 def _tree_text(root, complete, bound):

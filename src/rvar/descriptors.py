@@ -60,10 +60,10 @@ class _Frozen(_Record):
 class _Family(_Frozen):
     """A family descriptor.  Its slots that are not fields memoize work on
     it, start as None and are ignored by equality, hash and pickling: its
-    kept walk (engine._walked), its kernel (chains._systems) and the
-    member → position map over that walk (chains._position)."""
+    kept walk (engine._walked), which carries its own member → position
+    map (chains._position), and its kernel (chains._systems)."""
 
-    __slots__ = ("_walked", "_system", "_by_member")
+    __slots__ = ("_walked", "_system")
 
     def _forget(self):
         for slot in _Family.__slots__:

@@ -37,28 +37,18 @@ class RTreeNode(_Record):
         self.min_system = min_system
         self.children = [] if children is None else children
 
-    # equality and repr hold pending nodes in a list, not on the call stack,
-    # so a tree of any depth has them
+    # equality and repr hold pending nodes in a list, not on the call stack
+    # (see tree_vertices and _written), so a tree of any depth has them
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self is other or _shape(self) == _shape(other)
 
     def __repr__(self):
-        out, stack = [], [self]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, str):
-                out.append(n)
-                continue
-            out.append("%s(sg=%r, restricted_frob=%r, min_system=%r, children=["
-                       % (type(n).__qualname__, n.sg, n.restricted_frob, n.min_system))
-            stack.append("])")
-            for j, c in enumerate(reversed(n.children)):
-                if j:
-                    stack.append(", ")
-                stack.append(c)
-        return "".join(out)
+        return _written(self, lambda n: (
+            "%s(sg=%r, restricted_frob=%r, min_system=%r, children=["
+            % (type(n).__qualname__, n.sg, n.restricted_frob, n.min_system)),
+            lambda n: "])")
 
 
 # A descendants view is a Restricted or Generated descriptor (see
@@ -153,11 +143,12 @@ def _walked(desc, genus_bound):
     in its order as three parallel tuples, each member's child count (the
     number of its system's elements above its fd) as a fourth, and
     whether the walk is complete, that is whether no member of its last
-    level has children.  desc keeps its last walk with its bound, and a
-    walk at that bound reuses it; a new walk drops the map over the old
-    (see chains._position), and a refused walk keeps nothing.  A
-    descendants view may be born with a walk cut from its family's (see
-    _cut).
+    level has children.  desc keeps its last walk with its bound before
+    these fields and an empty member → position map after them, which
+    chains._position fills; a walk at that bound reuses it, a walk at
+    another bound replaces it, map and all, and a refused walk replaces
+    nothing.  A descendants view may be born with a walk cut from its
+    family's (see _cut).
     """
     walked = getattr(desc, "_walked", None)
     if walked is None or walked[0] != genus_bound:
@@ -169,39 +160,37 @@ def _walked(desc, genus_bound):
                 kept += part
             counts += below
         walked = (genus_bound, tuple(mem), tuple(fds), tuple(systems),
-                  tuple(counts), not any(below))
+                  tuple(counts), not any(below), {})
         _set(desc, "_walked", walked)
-        _set(desc, "_by_member", None)
-    return walked[1:]
+    return walked[1:6]
 
 
 def _cut(walked, i):
     """The walk kept by the view of the member at position i > 0 of
-    walked, its family's kept walk: that member's subtree.
+    walked, its family's kept walk: that member's subtree, with a new
+    empty member map.
 
-    A node's children follow those of the nodes before it, so s, the sum
-    of the counts before a node, places them at s + 1.  Each level of
-    the subtree is then one range of the walk: the children of the range
-    above.  Below its root the fds and counts stay, and the systems keep
-    their elements above the root's fd, which becomes -1 (the README
-    gives the proofs).  The subtree is complete when its last range has
-    no children.
+    A node's children follow those of the nodes before it, so they start
+    one past the sum of the counts before it.  Each level of the subtree
+    is then one range a:b of the walk, and the children of that range
+    are the next, which starts at lo.  Below its root the fds and counts
+    stay, and the systems keep their elements above the root's fd, which
+    becomes -1 (the README gives the proofs).  The loop runs while its
+    range lies in the walk; the subtree is complete when it ends on an
+    empty range, a range with no children.
     """
-    bound, mem, fds, systems, counts, _ = walked
+    bound, mem, fds, systems, counts, _, _ = walked
     cut = ([], [], [], [])
-    a, b, s = i, i + 1, sum(counts[:i])  # a level; s sums the counts before a
-    while True:
+    a, b, lo = i, i + 1, 1 + sum(counts[:i])
+    while a < b <= len(mem):
         for kept, part in zip(cut, (mem, fds, systems, counts)):
             kept += part[a:b]
-        c, lo = sum(counts[a:b]), s + 1
-        if not c or lo >= len(mem):
-            break
-        s += c + sum(counts[b:lo])
-        a, b = lo, lo + c
+        hi = lo + sum(counts[a:b])
+        a, b, lo = lo, hi, hi + sum(counts[b:lo])
     sub, sub_fds, sub_systems, sub_counts = cut
     f, sub_fds[0] = sub_fds[0], -1
     return (bound, tuple(sub), tuple(sub_fds),
-            tuple([_above(xs, f) for xs in sub_systems]), tuple(sub_counts), not c)
+            tuple([_above(xs, f) for xs in sub_systems]), tuple(sub_counts), a == b, {})
 
 
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
@@ -234,6 +223,26 @@ def tree_vertices(root: RTreeNode) -> list:
         out.append(n)
         stack.extend(reversed(n.children))
     return out
+
+
+def _written(root, head, tail) -> str:
+    """root's tree as one string: for each node n, head(n), then its
+    children written so and joined by ", ", then tail(n).  Pending parts
+    wait in a list, not on the call stack, so a tree of any depth is
+    written; tail(n) is taken when n is popped, before its children."""
+    out, stack = [], [root]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            out.append(n)
+            continue
+        out.append(head(n))
+        stack.append(tail(n))
+        for j, c in enumerate(reversed(n.children)):
+            if j:
+                stack.append(", ")
+            stack.append(c)
+    return "".join(out)
 
 
 def genus_level(desc, g: int) -> set:

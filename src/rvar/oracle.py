@@ -104,10 +104,7 @@ def minimal_system_from_members(members, m: NumSG) -> frozenset:
 
 def random_semigroup(rng, genus_max=10) -> NumSG:
     """Random semigroup grown by removing random generators from N."""
-    s = NATURALS
-    for _ in range(rng.randint(0, genus_max)):
-        s = _without(s, rng.choice(msg(s)))
-    return s
+    return random_subsemigroup(rng, NATURALS, rng.randint(0, genus_max))
 
 
 def random_subsemigroup(rng, t: NumSG, steps) -> NumSG:

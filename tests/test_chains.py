@@ -219,7 +219,7 @@ class TestMembershipKernel:
             view = descendants(desc, mem[1])
             for d in (desc, view):
                 calls.clear()
-                _, walked, _, systems, _, _ = d._walked
+                _, walked, _, systems, _, _, _ = d._walked
                 for m, system in zip(walked, systems):
                     assert is_member(d, m)
                     assert minimal_rsystem(d, m) == frozenset(system)
@@ -231,26 +231,29 @@ class TestMembershipKernel:
 
     def test_the_member_map_follows_the_kept_walk(self, monkeypatch):
         desc = Restricted({4, 6}, sg(4, 6, 7))
-        # no walk, no map; a walk builds none, the first lookup does
-        assert is_member(desc, sg(4, 6, 7)) and desc._by_member is None
+        # no walk, no map; a walk builds none, the first lookup fills the
+        # one that the walk carries
+        assert is_member(desc, sg(4, 6, 7)) and desc._walked is None
         members_of(desc, 8)
-        assert desc._by_member is None
+        held = desc._walked[6]
+        assert held == {}
         assert minimal_rsystem(desc, sg(4, 6, 7)) == frozenset({7})
-        held = desc._by_member
+        assert desc._walked[6] is held
         assert held == {m: i for i, m in enumerate(desc._walked[1])}
         # a walk at the same bound keeps it, and a refused walk too
         members_of(desc, 8)
         monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 10)
         with pytest.raises(CapacityExceeded):
             members_of(desc, 12)
-        assert desc._by_member is held
+        assert desc._walked[6] is held
         monkeypatch.undo()
-        # a walk at another bound drops it, and the next lookup maps that walk
+        # a walk at another bound brings a new empty map, and the next
+        # lookup fills it from that walk
         members_of(desc, 7)
-        assert desc._by_member is None
+        assert desc._walked[6] == {}
         assert is_member(desc, sg(4, 6, 7))
-        assert desc._by_member == {m: i for i, m in enumerate(desc._walked[1])}
-        assert len(desc._by_member) < len(held)
+        assert desc._walked[6] == {m: i for i, m in enumerate(desc._walked[1])}
+        assert len(desc._walked[6]) < len(held)
 
 
 class TestRMonoidGenerated:

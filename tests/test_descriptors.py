@@ -87,10 +87,11 @@ class TestDescriptorValues:
 
 class TestMemoSlots:
     # every slot of a family that is not a field memoizes work on it: the
-    # kept walk, the kernel and the member → position map over the kept walk
+    # kept walk, which carries the member → position map over it, and the
+    # kernel
     def test_memo_slots_start_empty_and_are_no_fields(self):
         slots = _Family.__slots__
-        assert slots == ("_walked", "_system", "_by_member")
+        assert slots == ("_walked", "_system")
         lo, hi = sg(5, 6), sg(5, 6, 7)
         for make in (lambda: Restricted({5}, hi), lambda: Generated((lo,), hi),
                      lambda: Interval(lo, hi)):

@@ -632,8 +632,9 @@ def _fresh_walk(desc, bound):
 class TestViewCutLaws:
     # a view of a member of a kept walk is born with its subtree cut from
     # that walk; an equal view rebuilt by pickle keeps none, so its own walk
-    # is the reference for members, fds, systems, child counts and the
-    # complete flag
+    # is the reference for the bound, members, fds, systems, child counts
+    # and the complete flag.  The member map, which lookups fill, is left
+    # out, and a cut is born with an empty one of its own
     @given(cut_cases())
     @settings(max_examples=80)
     def test_a_cut_walk_is_the_fresh_walk_of_the_view(self, case):
@@ -644,10 +645,12 @@ class TestViewCutLaws:
             mem = desc._walked[1]
             for t in mem:
                 view = descendants(desc, t)
-                assert view._walked == _fresh_walk(view, bound)
+                assert view is desc or view._walked[6] == {}
+                assert view._walked[:6] == _fresh_walk(view, bound)[:6]
                 inner = rng.choice(view._walked[1])
                 nested = descendants(view, inner)
-                assert nested._walked == _fresh_walk(nested, bound)
+                assert nested is view or nested._walked[6] == {}
+                assert nested._walked[:6] == _fresh_walk(nested, bound)[:6]
                 assert members_of(nested, bound) == members_of(
                     descendants(desc, inner), bound)
             # a member past the bound is not in the walk, so its view keeps none
@@ -677,7 +680,7 @@ class TestKeptSystemLaws:
                     assert is_member(d, m) and is_member(fresh, m)
                     assert minimal_rsystem(d, m) == minimal_rsystem(fresh, m)
                 # the map holds the current walk, not one before it
-                assert d._by_member == {m: i for i, m in enumerate(walked)}
+                assert d._walked[6] == {m: i for i, m in enumerate(walked)}
                 for s in POOL:
                     if is_member(fresh, s):
                         assert is_member(d, s)

@@ -269,16 +269,61 @@ def test_kept_walks_are_read_not_remade():
     cuts = [n for n in ast.walk(body) if isinstance(n, ast.Call)
             and ast.unparse(n.func) == "_cut"]
     assert len(cuts) == 1 and ast.unparse(cuts[0].args[1]) in positions
-    # and the map is read in one place, the lookup that is_member and
-    # _checked make too
+    # and the map that the walk carries is read in one place, the lookup
+    # that is_member and _checked make too
     readers = sorted(name for module in ("chains.py", "engine.py", "cli.py")
-                     for name, f in _top_functions(module).items()
-                     if any(isinstance(n, ast.Attribute) and n.attr == "_by_member"
-                            for n in ast.walk(f)))
+                     for name, f in _top_functions(module).items() if _reads_the_map(f))
     assert readers == ["_position"]
     chains_funcs = _top_functions("chains.py")
     for name in ("is_member", "_checked"):
         assert "_position" in set(_called_names(chains_funcs[name]))
+    # the guard sees the map taken out of a walk by index or by name
+    for line in ("walked[6].get(m)", "desc._walked[-1]", "*_, by = walked",
+                 "_, mem, _, _, _, _, by = walked"):
+        assert _reads_the_map(ast.parse(line)), line
+    assert not _reads_the_map(ast.parse("bound, mem, fds, xs, counts, _, _ = walked"))
+
+
+def _reads_the_map(node):
+    """Whether the code under node takes the member map out of a kept walk:
+    the last of seven fields, by index or by an unpacking that names it."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Subscript) and "walk" in ast.unparse(n.value) and (
+                ast.unparse(n.slice) in ("6", "-1")):
+            return True
+        # a call such as _walked(desc, bound) gives the fields, not the walk
+        if (isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Tuple)
+                and not isinstance(n.value, ast.Call) and "walk" in ast.unparse(n.value)
+                and ast.unparse(n.targets[0].elts[-1]) != "_"):
+            return True
+    return False
+
+
+def _stack_poppers(tree):
+    """The functions and methods of tree that pop a list, by name."""
+    return sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                          and n.func.attr == "pop" for n in ast.walk(f)))
+
+
+def _named(body, name):
+    return next(n for n in body if getattr(n, "name", None) == name)
+
+
+def test_one_tree_writer():
+    # a node's repr and a tree's JSON are one explicit-stack writer with two
+    # pairs of head and tail; besides it only tree_vertices keeps a stack
+    engine, cli = (ast.parse((SRC / name).read_text()) for name in ("engine.py", "cli.py"))
+    assert _stack_poppers(engine) == ["_written", "tree_vertices"]
+    assert _stack_poppers(cli) == []
+    for f in (_named(_named(engine.body, "RTreeNode").body, "__repr__"),
+              _named(cli.body, "_tree_json")):
+        assert "_written" in set(_called_names(f)), f.name
+    # the guard sees a second copy of the writer
+    written = _named(engine.body, "_written")
+    written.name = "_tree_json"
+    cli.body.append(written)
+    assert _stack_poppers(cli) == ["_tree_json"]
 
 
 def _bound_names(node):
