@@ -8,8 +8,9 @@ its Apéry set.  A minimal system of the kind is read off msg.
 """
 
 from .core import (
-    NumSG, DomainError, NotClosed, NotContained, _below, _capped, _sieve,
-    _valid_generators, contains, elements, format_semigroup, intersect, msg,
+    NumSG, DomainError, NotClosed, NotContained, _below, _capped, _listed,
+    _sieve, _valid_generators, contains, elements, format_semigroup,
+    intersect, msg,
 )
 
 LD = "ld"
@@ -42,7 +43,7 @@ def variety_closure(kind, gens) -> NumSG:
     gens = _valid_generators(gens)
     g = gens[0]
     bound = (g - 1) * (2 * g + off - 1)
-    _capped(bound, "the %s closure of %s" % (kind, ",".join(map(str, gens))))
+    _capped(bound, "the %s closure of %s" % (kind, _listed(gens)))
     # best: the least value found so far in each unsettled class; least: the
     # same in every class, bound + g (above every Apéry element) when none is.
     # g settles first, standing in for 0 in its class

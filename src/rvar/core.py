@@ -138,10 +138,25 @@ def _below(s: NumSG, top) -> int:
 def _canon(mask, top) -> NumSG:
     """Build a NumSG from mask = S ∩ [0, top) of a semigroup S ⊇ [top, ∞).
 
-    The least conductor is the bit length of the gaps below top.
+    The least conductor is the bit length of the gaps below top;
+    _intersect_each applies the same rule inline, once per image.
     """
     c = (~mask & ((1 << top) - 1)).bit_length()
     return NumSG(mask & ((1 << c) - 1), c)
+
+
+def _intersect_each(sgs, u, top) -> set:
+    """{S ∩ u | S in sgs} for semigroups with conductors at most top.
+
+    Each S's mask with its tail of ones, cut by u's members below
+    w = max(top, conductor(u)), is S ∩ u below w; every distinct mask is
+    trimmed by _canon's rule, written inline to spare a call per image.
+    """
+    w = max(top, u.conductor)
+    um, full = _below(u, w), (1 << w) - 1
+    return {NumSG(m & ~(-1 << c), c)
+            for m in {(s.mask | -(1 << s.conductor)) & um for s in sgs}
+            for c in [(full ^ m).bit_length()]}
 
 
 def _valid_generators(gens) -> list:
@@ -153,6 +168,13 @@ def _valid_generators(gens) -> list:
         if not isinstance(g, int) or g < 1:
             raise InvalidGenerator("generator %r is not a positive integer" % (g,))
     return sorted(set(gens))
+
+
+def _listed(gens) -> str:
+    """gens joined by commas; past 8 of them, the first, the last and the count."""
+    if len(gens) <= 8:
+        return ",".join(map(str, gens))
+    return "%d,...,%d (%d generators)" % (gens[0], gens[-1], len(gens))
 
 
 def _capped(top, what):
@@ -175,8 +197,8 @@ def from_generators(gens) -> NumSG:
         top += a * (d // e - 1)
         d = e
     if d != 1:
-        raise GcdNotOne("gcd(%s) = %d, not 1" % (",".join(map(str, gens)), d))
-    _capped(top, "<%s>" % ",".join(map(str, gens)))
+        raise GcdNotOne("gcd(%s) = %d, not 1" % (_listed(gens), d))
+    _capped(top, "<%s>" % _listed(gens))
     return _sieve(1, gens, top)
 
 

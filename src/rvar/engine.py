@@ -11,8 +11,8 @@ from bisect import bisect_right
 
 from . import chains
 from .core import (
-    NumSG, CapacityExceeded, DomainError, _below, _canon, _drop,
-    frobenius, genus, restricted_frobenius,
+    NumSG, CapacityExceeded, DomainError, _drop, _intersect_each, frobenius,
+    genus, restricted_frobenius,
 )
 from .descriptors import _Record, _set, delta_of
 
@@ -301,14 +301,14 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     """(image, complete): {S ∩ u | S a member with genus(S) <= bound},
     deduplicated, and whether the member walk was complete.  A complete
     image is a family again (the README gives the proof), so it is not
-    re-checked.  S's mask with its tail of ones, cut by u's mask below the
-    largest conductor w, is S ∩ u below w.
+    re-checked.  core._intersect_each makes the image; its width, the
+    largest member conductor, is read off the walk's fds.  A member S is
+    its maximum Δ without values that are all at most fd(S), itself a gap
+    of S, so c(S) = max(c(Δ), fd(S) + 1); in a view of t, the fds below t
+    are those in Δ, and c(Δ) <= c(t) <= c(S).
     """
-    mem, _, _, _, complete = _walked(desc, genus_bound)
-    w = max(u.conductor, *(s.conductor for s in mem))
-    um = _below(u, w)
-    return {_canon(m, w) for m in {(s.mask | -(1 << s.conductor)) & um
-                                   for s in mem}}, complete
+    mem, fds, _, _, complete = _walked(desc, genus_bound)
+    return _intersect_each(mem, u, max(mem[0].conductor, max(fds) + 1)), complete
 
 
 def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:

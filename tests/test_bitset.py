@@ -23,7 +23,7 @@ from rvar import (
     from_generators, genus, genus_level, intersect, is_subset, msg,
     multiplicity, remove_element, restricted_frobenius, union_with_tail,
 )
-from rvar.core import NumSG, _drop
+from rvar.core import NumSG, _drop, _intersect_each
 
 W = 400
 MAX_GEN = 12
@@ -87,6 +87,8 @@ def coprime(gens):
 
 
 GENS = st.lists(st.integers(2, MAX_GEN), min_size=1, max_size=4).map(coprime)
+# N itself is generated by 1
+SOME_OR_N = st.one_of(st.just([1]), GENS)
 
 
 @st.composite
@@ -120,6 +122,14 @@ class TestAgainstSets:
         assert agrees(intersect(sa, sb), a & b)
         assert is_subset(sa, sb) == (a <= b)
         assert is_subset(sb, sa) == (b <= a)
+
+    @given(st.lists(SOME_OR_N, max_size=6), SOME_OR_N, st.integers(0, 40))
+    def test_intersect_each_is_intersect_per_semigroup(self, gens_list, ugens, extra):
+        # top starts at the largest conductor, so it is often below u's
+        sgs = [from_generators(g) for g in gens_list]
+        u = from_generators(ugens)
+        top = max([s.conductor for s in sgs], default=0) + extra
+        assert _intersect_each(sgs, u, top) == {intersect(s, u) for s in sgs}
 
     @given(nested(), st.integers(0, W // 2))
     def test_union_with_tail(self, pair, n):

@@ -429,6 +429,16 @@ class TestClosure:
         assert err == ("rvar: error: sieve for the pl closure of 1415 "
                        "exceeds 4000000 entries\n")
 
+    def test_a_long_generator_list_is_refused_in_one_short_line(self, capsys):
+        # Brauer's bound for 3,000 generators passes the sieve limit; the
+        # message names the list by its ends and count, not each generator
+        text = "<%s>" % ",".join(map(str, range(3000, 6000)))
+        rc, out, err = run(capsys, "msg", text)
+        assert (rc, out) == (2, "")
+        assert err == ("rvar: error: sieve for <3000,...,5999 (3000 generators)> "
+                       "exceeds 4000000 entries\n")
+        assert len(err.encode()) < 200
+
     def test_pl_300(self, capsys):
         # msg of the pl closure of {g}: g and k(g + 1) - 1 for 2 <= k <= g
         gens = [300] + [k * 301 - 1 for k in range(2, 301)]

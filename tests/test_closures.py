@@ -66,6 +66,11 @@ class TestVarietyClosure:
                                      "exceeds 4000000 entries$" % (kind, g)):
                 variety_closure(kind, [5000, g])
         assert sieved == []  # refused before the search
+        # a long list is named by its ends and its count
+        with pytest.raises(CapacityExceeded,
+                           match=r"^sieve for the pl closure of 1415,\.\.\.,5008 "
+                                 r"\(10 generators\) exceeds 4000000 entries$"):
+            variety_closure(PL, [1415, *range(5000, 5009)])
         monkeypatch.undo()
         # within the bound: the closed forms below, at the largest g allowed
         assert variety_closure(PL, [1414]).conductor == 1414 ** 2

@@ -46,6 +46,18 @@ class TestConstruction:
         with pytest.raises(GcdNotOne):
             from_generators([4, 6])
 
+    def test_refusals_name_a_long_list_by_its_ends_and_count(self):
+        # up to 8 generators are listed in full, past that the first, the
+        # last and the count
+        with pytest.raises(GcdNotOne, match=r"^gcd\(2,4,6,8,10,12,14,16\) = 2, not 1$"):
+            from_generators(range(2, 18, 2))
+        with pytest.raises(GcdNotOne,
+                           match=r"^gcd\(2,\.\.\.,18 \(9 generators\)\) = 2, not 1$"):
+            from_generators(range(2, 20, 2))
+        with pytest.raises(CapacityExceeded, match=r"^sieve for <3000,\.\.\.,5999 "
+                           r"\(3000 generators\)> exceeds 4000000 entries$"):
+            from_generators(range(3000, 6000))
+
     def test_one_large_redundant_generator_needs_no_large_sieve(self):
         # the first window is set by the two least generators
         assert from_generators([2, 3, 4000001]) == sg(2, 3)

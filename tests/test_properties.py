@@ -629,12 +629,21 @@ def _fresh_walk(desc, bound):
     return copy._walked
 
 
+def _width_rule_holds(walked):
+    """Whether each member's conductor in a kept walk is that of its first
+    member or its fd plus one, whichever is larger (see restriction_of)."""
+    _, mem, fds = walked[:3]
+    return all(s.conductor == max(mem[0].conductor, fd + 1)
+               for s, fd in zip(mem, fds))
+
+
 class TestViewCutLaws:
     # a view of a member of a kept walk is born with its subtree cut from
     # that walk; an equal view rebuilt by pickle keeps none, so its own walk
     # is the reference for the bound, members, fds, systems, child counts
     # and the complete flag.  The member map, which lookups fill, is left
-    # out, and a cut is born with an empty one of its own
+    # out, and a cut is born with an empty one of its own.  Fresh and cut
+    # walks alike give restriction_of its width
     @given(cut_cases())
     @settings(max_examples=80)
     def test_a_cut_walk_is_the_fresh_walk_of_the_view(self, case):
@@ -643,14 +652,17 @@ class TestViewCutLaws:
         for bound in bounds:
             members_of(desc, bound)
             mem = desc._walked[1]
+            assert _width_rule_holds(desc._walked)
             for t in mem:
                 view = descendants(desc, t)
                 assert view is desc or view._walked[6] == {}
                 assert view._walked[:6] == _fresh_walk(view, bound)[:6]
+                assert _width_rule_holds(view._walked)
                 inner = rng.choice(view._walked[1])
                 nested = descendants(view, inner)
                 assert nested is view or nested._walked[6] == {}
                 assert nested._walked[:6] == _fresh_walk(nested, bound)[:6]
+                assert _width_rule_holds(nested._walked)
                 assert members_of(nested, bound) == members_of(
                     descendants(desc, inner), bound)
             # a member past the bound is not in the walk, so its view keeps none
