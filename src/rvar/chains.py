@@ -8,7 +8,7 @@ for both descriptor families, Restricted and Generated.
 
 from .core import (
     NumSG, CapacityExceeded, DomainError, EmptyGenerators, GcdNotOne, _below,
-    _bits, _canon, _require_subset, contains, format_semigroup,
+    _bits, _canon, _key, _require_subset, contains, format_semigroup,
     from_generators, is_subset, msg, union_with_tail,
 )
 from .descriptors import Restricted, Generated, _Frozen, _set, delta_of
@@ -120,15 +120,22 @@ def _checked(desc, m: NumSG) -> tuple:
 
 def _position(desc, m: NumSG):
     """m's position in the walk that desc keeps (see engine._walked),
-    None when it holds no m, from the member → position map that the
-    walk carries: empty at birth, the first lookup fills it."""
+    None when it holds no m, looked up by m's key in the walk's member
+    map (see _keyed)."""
     walked = getattr(desc, "_walked", None)
     if walked is None:
         return None
-    _, mem, _, _, _, _, by_member = walked
-    if not by_member:
-        by_member.update(zip(mem, range(len(mem))))
-    return by_member.get(m)
+    # m's key, core._key written inline to spare a call per lookup
+    return _keyed(walked).get(m.mask - (1 << m.conductor))
+
+
+def _keyed(walked):
+    """The member map that a kept walk carries, {key(S): position} (see
+    core._key), filled on first use; its int keys hash in C."""
+    mem, by_key = walked[1], walked[6]
+    if not by_key:
+        by_key.update(zip(map(_key, mem), range(len(mem))))
+    return by_key
 
 
 def _systems(desc):

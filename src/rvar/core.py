@@ -136,27 +136,31 @@ def _below(s: NumSG, top) -> int:
 
 
 def _canon(mask, top) -> NumSG:
-    """Build a NumSG from mask = S ∩ [0, top) of a semigroup S ⊇ [top, ∞).
-
-    The least conductor is the bit length of the gaps below top;
-    _intersect_each applies the same rule inline, once per image.
-    """
-    c = (~mask & ((1 << top) - 1)).bit_length()
-    return NumSG(mask & ((1 << c) - 1), c)
+    """Build a NumSG from mask = S ∩ [0, top) of a semigroup S ⊇ [top, ∞),
+    whose key (see _key) is mask with every bit from top on set."""
+    return _from_key(mask | -(1 << top))
 
 
-def _intersect_each(sgs, u, top) -> set:
-    """{S ∩ u | S in sgs} for semigroups with conductors at most top.
+def _key(s: NumSG) -> int:
+    """s's key, mask - 2**conductor: in two's complement its set bits are
+    the members of s, tail included, so key(S ∩ T) = key(S) & key(T).
+    _from_key and _intersect_each share this rule."""
+    return s.mask - (1 << s.conductor)
 
-    Each S's mask with its tail of ones, cut by u's members below
-    w = max(top, conductor(u)), is S ∩ u below w; every distinct mask is
-    trimmed by _canon's rule, written inline to spare a call per image.
-    """
-    w = max(top, u.conductor)
-    um, full = _below(u, w), (1 << w) - 1
-    return {NumSG(m & ~(-1 << c), c)
-            for m in {(s.mask | -(1 << s.conductor)) & um for s in sgs}
-            for c in [(full ^ m).bit_length()]}
+
+def _from_key(x: int) -> NumSG:
+    """The semigroup whose key is x (see _key): its highest gap, the
+    highest clear bit of x, is one below the bit length of ~x."""
+    c = (~x).bit_length()
+    return NumSG(x + (1 << c), c)
+
+
+def _intersect_each(keys, u) -> set:
+    """{S ∩ u | key(S) in keys}: one & with u's key each (see _key), and
+    _from_key's rule inline on each distinct image, without a call."""
+    uk = _key(u)
+    return {NumSG(x + (1 << c), c) for x in {k & uk for k in keys}
+            for c in [(~x).bit_length()]}
 
 
 def _valid_generators(gens) -> list:
@@ -189,8 +193,9 @@ def from_generators(gens) -> NumSG:
     if gens[0] == 1:
         return NATURALS
     # Brauer (1942): with d_i = gcd(a_1, ..., a_i) for the increasing
-    # generators, F(S) <= sum of a_(i+1) (d_i / d_(i+1) - 1), less a_1,
-    # so every integer from top on is a member
+    # generators, F(S) <= sum of a_(i+1) (d_i / d_(i+1) - 1), less a_1;
+    # Erdős and Graham (1972): F(S) <= 2 a_(n-1) floor(a_n / n) - a_n;
+    # so every integer from top, one past the smaller bound, is a member
     d, top = gens[0], 1 - gens[0]
     for a in gens[1:]:
         e = gcd(d, a)
@@ -198,6 +203,7 @@ def from_generators(gens) -> NumSG:
         d = e
     if d != 1:
         raise GcdNotOne("gcd(%s) = %d, not 1" % (_listed(gens), d))
+    top = min(top, 2 * gens[-2] * (gens[-1] // len(gens)) - gens[-1] + 1)
     _capped(top, "<%s>" % _listed(gens))
     return _sieve(1, gens, top)
 
@@ -265,16 +271,12 @@ def msg(s: NumSG) -> tuple:
 
 def intersect(s: NumSG, t: NumSG) -> NumSG:
     """Set intersection; always a numerical semigroup."""
-    if s.conductor < t.conductor:
-        s, t = t, s
-    return _canon(s.mask & _below(t, s.conductor), s.conductor)
+    return _from_key(_key(s) & _key(t))
 
 
 def intersect_all(sgs) -> NumSG:
     """Intersection of a nonempty collection of semigroups."""
-    sgs = list(sgs)
-    top = max(s.conductor for s in sgs)
-    return _canon(reduce(int.__and__, (_below(s, top) for s in sgs)), top)
+    return _from_key(reduce(int.__and__, map(_key, sgs)))
 
 
 def is_subset(s: NumSG, t: NumSG) -> bool:

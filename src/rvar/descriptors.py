@@ -60,8 +60,9 @@ class _Frozen(_Record):
 class _Family(_Frozen):
     """A family descriptor.  Its slots that are not fields memoize work on
     it, start as None and are ignored by equality, hash and pickling: its
-    kept walk (engine._walked), which carries its own member → position
-    map (chains._position), and its kernel (chains._systems)."""
+    kept walk (engine._walked), which carries its own map from each
+    member's key to its position (chains._keyed), and its kernel
+    (chains._systems)."""
 
     __slots__ = ("_walked", "_system")
 

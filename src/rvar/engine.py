@@ -144,8 +144,9 @@ def _walked(desc, genus_bound):
     number of its system's elements above its fd) as a fourth, and
     whether the walk is complete, that is whether no member of its last
     level has children.  desc keeps its last walk with its bound before
-    these fields and an empty member → position map after them, which
-    chains._position fills; a walk at that bound reuses it, a walk at
+    these fields and an empty member map after them, which chains._keyed
+    fills with each member's key (see core._key) and position, for
+    lookups and restrictions; a walk at that bound reuses it, a walk at
     another bound replaces it, map and all, and a refused walk replaces
     nothing.  A descendants view may be born with a walk cut from its
     family's (see _cut).
@@ -301,14 +302,12 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     """(image, complete): {S ∩ u | S a member with genus(S) <= bound},
     deduplicated, and whether the member walk was complete.  A complete
     image is a family again (the README gives the proof), so it is not
-    re-checked.  core._intersect_each makes the image; its width, the
-    largest member conductor, is read off the walk's fds.  A member S is
-    its maximum Δ without values that are all at most fd(S), itself a gap
-    of S, so c(S) = max(c(Δ), fd(S) + 1); in a view of t, the fds below t
-    are those in Δ, and c(Δ) <= c(t) <= c(S).
+    re-checked.  core._intersect_each makes the image from the keys of
+    the walk's member map (see chains._keyed), as key(S ∩ u) is
+    key(S) & key(u).
     """
-    mem, fds, _, _, complete = _walked(desc, genus_bound)
-    return _intersect_each(mem, u, max(mem[0].conductor, max(fds) + 1)), complete
+    complete = _walked(desc, genus_bound)[4]
+    return _intersect_each(chains._keyed(desc._walked), u), complete
 
 
 def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:

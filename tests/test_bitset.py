@@ -7,6 +7,7 @@ conductor lies below 13 * 13 and every minimal generator below W / 2.
 """
 
 from functools import reduce
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 
@@ -23,7 +24,7 @@ from rvar import (
     from_generators, genus, genus_level, intersect, is_subset, msg,
     multiplicity, remove_element, restricted_frobenius, union_with_tail,
 )
-from rvar.core import NumSG, _drop, _intersect_each
+from rvar.core import NumSG, _drop, _from_key, _intersect_each, _key
 
 W = 400
 MAX_GEN = 12
@@ -68,6 +69,41 @@ def is_closed(s):
     return all(a + b in s for a in below for b in below if a + b < c)
 
 
+def apery_frobenius(gens):
+    """The Frobenius number of <gens>, gcd 1, from its Apéry set for the
+    least generator a: the least member in each residue class mod a, by
+    shortest paths over the classes; the largest, less a."""
+    a = min(gens)
+    least = [0] + [None] * (a - 1)
+    heap = [0]
+    while heap:
+        v = heappop(heap)
+        if v > least[v % a]:
+            continue
+        for g in gens:
+            w = v + g
+            if least[w % a] is None or w < least[w % a]:
+                least[w % a] = w
+                heappush(heap, w)
+    return max(least) - a
+
+
+def brauer_bound(gens):
+    """Brauer's (1942) bound on the Frobenius number of the increasing gens."""
+    d, bound = gens[0], -gens[0]
+    for a in gens[1:]:
+        e = gcd(d, a)
+        bound += a * (d // e - 1)
+        d = e
+    return bound
+
+
+def erdos_graham_bound(gens):
+    """Erdős and Graham's (1972) bound on the Frobenius number of the
+    increasing gens: 2 a_(n-1) floor(a_n / n) - a_n."""
+    return 2 * gens[-2] * (gens[-1] // len(gens)) - gens[-1]
+
+
 def brute_key(s):
     return (len(gaps(s)), small(s))
 
@@ -87,6 +123,9 @@ def coprime(gens):
 
 
 GENS = st.lists(st.integers(2, MAX_GEN), min_size=1, max_size=4).map(coprime)
+# longer lists of larger generators, increasing, for the sieve's bounds
+WIDE_GENS = st.lists(st.integers(2, 150), min_size=2, max_size=9, unique=True).map(
+    lambda g: sorted(coprime(sorted(g))))
 # N itself is generated by 1
 SOME_OR_N = st.one_of(st.just([1]), GENS)
 
@@ -123,13 +162,37 @@ class TestAgainstSets:
         assert is_subset(sa, sb) == (a <= b)
         assert is_subset(sb, sa) == (b <= a)
 
-    @given(st.lists(SOME_OR_N, max_size=6), SOME_OR_N, st.integers(0, 40))
-    def test_intersect_each_is_intersect_per_semigroup(self, gens_list, ugens, extra):
-        # top starts at the largest conductor, so it is often below u's
+    @given(st.lists(SOME_OR_N, max_size=6), SOME_OR_N)
+    def test_intersect_each_is_intersect_per_semigroup(self, gens_list, ugens):
+        # the lists often hold N, and u is often N
         sgs = [from_generators(g) for g in gens_list]
         u = from_generators(ugens)
-        top = max([s.conductor for s in sgs], default=0) + extra
-        assert _intersect_each(sgs, u, top) == {intersect(s, u) for s in sgs}
+        keys = [_key(s) for s in sgs]
+        assert _intersect_each(keys, u) == {intersect(s, u) for s in sgs}
+
+    @given(SOME_OR_N)
+    def test_the_key_holds_the_members(self, gens):
+        s, sg = closure(gens), from_generators(gens)
+        k = _key(sg)
+        assert k < 0
+        assert [x for x in range(sg.conductor + 4) if k >> x & 1] == [
+            x for x in range(sg.conductor + 4) if x in s]
+        back = _from_key(k)
+        assert back == sg and (back.mask, back.conductor) == (sg.mask, sg.conductor)
+
+    @given(SOME_OR_N, SOME_OR_N)
+    def test_the_key_of_an_intersection_is_the_and_of_keys(self, ga, gb):
+        sa, sb = from_generators(ga), from_generators(gb)
+        assert _key(intersect(sa, sb)) == _key(sa) & _key(sb)
+
+    @given(WIDE_GENS)
+    def test_the_sieve_stays_within_both_bounds(self, gens):
+        # the conductor, one past the Frobenius number from the Apéry set,
+        # is at most each bound plus one, and the sieve sized by the
+        # smaller finds it
+        f = apery_frobenius(gens)
+        assert f <= brauer_bound(gens) and f <= erdos_graham_bound(gens)
+        assert from_generators(gens).conductor == f + 1
 
     @given(nested(), st.integers(0, W // 2))
     def test_union_with_tail(self, pair, n):

@@ -430,14 +430,22 @@ class TestClosure:
                        "exceeds 4000000 entries\n")
 
     def test_a_long_generator_list_is_refused_in_one_short_line(self, capsys):
-        # Brauer's bound for 3,000 generators passes the sieve limit; the
-        # message names the list by its ends and count, not each generator
-        text = "<%s>" % ",".join(map(str, range(3000, 6000)))
+        # both sieve bounds for these 3,000 generators pass the sieve limit
+        # (the conductor is about 3 * 10**8); the message names the list by
+        # its ends and count, not each generator
+        text = "<%s>" % ",".join(map(str, range(1_000_000, 1_003_000)))
         rc, out, err = run(capsys, "msg", text)
         assert (rc, out) == (2, "")
-        assert err == ("rvar: error: sieve for <3000,...,5999 (3000 generators)> "
+        assert err == ("rvar: error: sieve for <1000000,...,1002999 (3000 generators)> "
                        "exceeds 4000000 entries\n")
         assert len(err.encode()) < 200
+
+    def test_a_long_generator_list_within_erdos_grahams_bound_is_answered(self, capsys):
+        # Brauer's bound for 3000..5999 passes the sieve limit, Erdős and
+        # Graham's, 5997, does not; every generator is minimal
+        listed = ",".join(map(str, range(3000, 6000)))
+        rc, out, err = run(capsys, "msg", "<%s>" % listed)
+        assert (rc, out, err) == (0, listed + "\n", "")
 
     def test_pl_300(self, capsys):
         # msg of the pl closure of {g}: g and k(g + 1) - 1 for 2 <= k <= g

@@ -54,9 +54,9 @@ class TestConstruction:
         with pytest.raises(GcdNotOne,
                            match=r"^gcd\(2,\.\.\.,18 \(9 generators\)\) = 2, not 1$"):
             from_generators(range(2, 20, 2))
-        with pytest.raises(CapacityExceeded, match=r"^sieve for <3000,\.\.\.,5999 "
+        with pytest.raises(CapacityExceeded, match=r"^sieve for <1000000,\.\.\.,1002999 "
                            r"\(3000 generators\)> exceeds 4000000 entries$"):
-            from_generators(range(3000, 6000))
+            from_generators(range(1_000_000, 1_003_000))
 
     def test_one_large_redundant_generator_needs_no_large_sieve(self):
         # the first window is set by the two least generators

@@ -31,6 +31,7 @@ from rvar import (
     variety_closure,
 )
 from rvar.closures import _kind_defect
+from rvar.core import _key
 from rvar.engine import _last_level, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE, POOL
 
@@ -631,7 +632,8 @@ def _fresh_walk(desc, bound):
 
 def _width_rule_holds(walked):
     """Whether each member's conductor in a kept walk is that of its first
-    member or its fd plus one, whichever is larger (see restriction_of)."""
+    member or its fd plus one, whichever is larger: a member is its
+    maximum without values at most its fd, itself a gap."""
     _, mem, fds = walked[:3]
     return all(s.conductor == max(mem[0].conductor, fd + 1)
                for s, fd in zip(mem, fds))
@@ -643,7 +645,7 @@ class TestViewCutLaws:
     # is the reference for the bound, members, fds, systems, child counts
     # and the complete flag.  The member map, which lookups fill, is left
     # out, and a cut is born with an empty one of its own.  Fresh and cut
-    # walks alike give restriction_of its width
+    # walks alike keep each member's conductor at its maximum's or past its fd
     @given(cut_cases())
     @settings(max_examples=80)
     def test_a_cut_walk_is_the_fresh_walk_of_the_view(self, case):
@@ -692,7 +694,7 @@ class TestKeptSystemLaws:
                     assert is_member(d, m) and is_member(fresh, m)
                     assert minimal_rsystem(d, m) == minimal_rsystem(fresh, m)
                 # the map holds the current walk, not one before it
-                assert d._walked[6] == {m: i for i, m in enumerate(walked)}
+                assert d._walked[6] == {_key(m): i for i, m in enumerate(walked)}
                 for s in POOL:
                     if is_member(fresh, s):
                         assert is_member(d, s)

@@ -269,12 +269,13 @@ def test_kept_walks_are_read_not_remade():
     cuts = [n for n in ast.walk(body) if isinstance(n, ast.Call)
             and ast.unparse(n.func) == "_cut"]
     assert len(cuts) == 1 and ast.unparse(cuts[0].args[1]) in positions
-    # and the map that the walk carries is read in one place, the lookup
-    # that is_member and _checked make too
+    # and the map that the walk carries is read in one place, which fills
+    # it; the lookup that is_member and _checked make goes through it
     readers = sorted(name for module in ("chains.py", "engine.py", "cli.py")
                      for name, f in _top_functions(module).items() if _reads_the_map(f))
-    assert readers == ["_position"]
+    assert readers == ["_keyed"]
     chains_funcs = _top_functions("chains.py")
+    assert "_keyed" in set(_called_names(chains_funcs["_position"]))
     for name in ("is_member", "_checked"):
         assert "_position" in set(_called_names(chains_funcs[name]))
     # the guard sees the map taken out of a walk by index or by name
@@ -282,6 +283,26 @@ def test_kept_walks_are_read_not_remade():
                  "_, mem, _, _, _, _, by = walked"):
         assert _reads_the_map(ast.parse(line)), line
     assert not _reads_the_map(ast.parse("bound, mem, fds, xs, counts, _, _ = walked"))
+
+
+def _bit_arithmetic(node):
+    """Each read of a .mask or .conductor and each << under node, by line."""
+    return ["%d: %s" % (n.lineno, ast.unparse(n)) for n in ast.walk(node)
+            if (isinstance(n, ast.Attribute) and n.attr in ("mask", "conductor"))
+            or (isinstance(n, (ast.BinOp, ast.AugAssign))
+                and isinstance(n.op, ast.LShift))]
+
+
+def test_the_engine_does_no_bit_arithmetic_on_members():
+    # a member's bits belong to core: restriction hands core the keys of
+    # the kept walk's member map, and the engine reads no mask, conductor
+    # or shifted bit of its own
+    engine = ast.parse((SRC / "engine.py").read_text())
+    assert _bit_arithmetic(engine) == []
+    # the guard sees the reads and shifts it bans
+    for line in ("w = mem[0].conductor", "s.mask & u", "1 << c", "x <<= 1"):
+        assert _bit_arithmetic(ast.parse(line)) != [], line
+    assert _bit_arithmetic(ast.parse("x = a.masks >> 1")) == []
 
 
 def _reads_the_map(node):
