@@ -7,9 +7,9 @@ for both descriptor families, Restricted and Generated.
 """
 
 from .core import (
-    NumSG, CapacityExceeded, DomainError, EmptyGenerators, GcdNotOne, _below,
-    _bits, _canon, _key, _require_subset, contains, format_semigroup,
-    from_generators, is_subset, msg, union_with_tail,
+    NumSG, CapacityExceeded, DomainError, EmptyGenerators, GcdNotOne, _bits,
+    _require_subset, contains, format_semigroup, from_generators, is_subset, msg,
+    union_with_tail,
 )
 from .descriptors import Restricted, Generated, _Frozen, _set, delta_of
 
@@ -30,7 +30,7 @@ class NoContainingElement(DomainError):
     pass
 
 
-# chain_to refuses a chain whose links may hold more mask bits than this:
+# chain_to refuses a chain whose links may hold more key bits than this:
 # each is at most as wide as the conductor c of s, and c > |t ∖ s|, so
 # links × c bounds the bits and also the links (to 32,768).
 MAX_CHAIN_BITS = 1 << 30
@@ -56,11 +56,11 @@ def chain_to(s: NumSG, t: NumSG) -> ChainRec:
     MAX_CHAIN_BITS it raises CapacityExceeded before it builds a link.
     """
     _require_subset(s, t)
-    new = _below(t, s.conductor) & ~s.mask
-    links = new.bit_count() + 1
-    if links * s.conductor > MAX_CHAIN_BITS:
+    new = t.key & ~s.key
+    links, width = new.bit_count() + 1, s.conductor
+    if links * width > MAX_CHAIN_BITS:
         raise CapacityExceeded("chain of %d links up to %d bits wide exceeds %d bits"
-                               % (links, s.conductor, MAX_CHAIN_BITS))
+                               % (links, width, MAX_CHAIN_BITS))
     fills = tuple(_bits(new)[::-1])
     return ChainRec((s,) + tuple(union_with_tail(s, t, f) for f in fills), fills)
 
@@ -120,21 +120,20 @@ def _checked(desc, m: NumSG) -> tuple:
 
 def _position(desc, m: NumSG):
     """m's position in the walk that desc keeps (see engine._walked),
-    None when it holds no m, looked up by m's key in the walk's member
-    map (see _keyed)."""
+    None when it holds no m, looked up by m.key in the walk's member map
+    (see _keyed)."""
     walked = getattr(desc, "_walked", None)
     if walked is None:
         return None
-    # m's key, core._key written inline to spare a call per lookup
-    return _keyed(walked).get(m.mask - (1 << m.conductor))
+    return _keyed(walked).get(m.key)
 
 
 def _keyed(walked):
-    """The member map that a kept walk carries, {key(S): position} (see
-    core._key), filled on first use; its int keys hash in C."""
+    """The member map that a kept walk carries, {S.key: position}, filled
+    on first use; its int keys hash in C."""
     mem, by_key = walked[1], walked[6]
     if not by_key:
-        by_key.update(zip(map(_key, mem), range(len(mem))))
+        by_key.update(zip([m.key for m in mem], range(len(mem))))
     return by_key
 
 
@@ -144,7 +143,7 @@ def _systems(desc):
     a strictly increasing tuple, unchecked; monoid(a) is rmonoid_generated
     unchecked; view(t, F) writes descendants(desc, t) for a member t below
     the maximum, with F = fdelta(t, maximum).  Built once per descriptor
-    and kept on it, so each call is a few mask operations."""
+    and kept on it, so each call is a few int operations on keys."""
     kernel = getattr(desc, "_system", None)
     if kernel is None:
         if isinstance(desc, Restricted):
@@ -159,8 +158,8 @@ def _systems(desc):
 
 def _restricted_kernel(desc):
     """The kernel of Restricted(a, t).  s is a member iff s ⊆ t and every
-    forced element is in s.  The forced elements are tested one by one: a
-    mask of them would be as long as the largest, which nothing bounds.
+    forced element is in s.  The forced elements are tested one by one: an
+    int with their bits would be as long as the largest, which nothing bounds.
     A member's system is its minimal generators outside a, read off the
     increasing msg: the forced elements are in every member, so they
     generate nothing new.  The view of t also forces P = t ∩ [0, F]:
@@ -186,51 +185,47 @@ def _restricted_kernel(desc):
 
 
 def _generated_kernel(desc):
-    """The kernel of Generated(f, Δ), with top the largest conductor of
-    a chain link: the largest in f, or that of Δ, the one link, for f = ().
+    """The kernel of Generated(f, Δ), on keys.
 
     One form serves membership, monoids and views (the README proves
     it): the least link of c's chain that contains X ⊆ Δ is c ∪ (Δ ∩
-    [x, ∞)) with x = min(X ∖ c), or c when X ⊆ c.  Every link contains
-    [top, ∞), and below top X ∖ c lies in the gaps of c, so x is the
-    lowest bit b of X & gaps(c), and the link is c | (Δ & -b).  close(X)
-    is the intersection of Δ and these links over c in f below top, one
-    pass over masks made once; for f = () it is Δ.  The monoid of a is
-    close(a), whose elements at or past top are in every link.  s is a
-    member iff close(s) = s, which also puts s in Δ: iff conductor(s) <=
-    top, as close(s) ⊇ [top, ∞), and the masks below top agree.  The view of t is Generated(f′, t), where c′ in f′ is
-    the least link of c's chain that contains P = t ∩ [0, F], cut by t.
+    [x, ∞)) with x = min(X ∖ c), or c when X ⊆ c.  X ∖ c lies in the
+    gaps of c, so x is the lowest bit b of X & gaps(c), and the link is
+    c | (Δ & -b).  close(X) is the intersection of Δ and these links over
+    c in f, one pass over keys made once; for f = () it is Δ.  The
+    monoid of a is close(a); elements of a at or past top, the largest
+    conductor in f, are in every link, so they are left out of its int,
+    which would be as long as the largest.  s is a member iff close(s)
+    = s, which also puts s in Δ.  The view of t is Generated(f′, t),
+    where c′ in f′ is the least link of c's chain that contains
+    P = t ∩ [0, F], cut by t.
 
     Systems: each family member c not containing m contributes x_c, the
     least element of m missing from c: the part that c gives to an
     intersection generated by B ⊆ m contains m only if its adjoined tail
     starts at x_c, so every system of m holds x_c, and these elements
-    alone already generate m.  x_c is the same lowest bit, of m below top
-    cut by the gaps of c.
+    alone already generate m.  x_c is the same lowest bit, of m cut by
+    the gaps of c.
     """
-    delta = desc.delta
-    top = max([c.conductor for c in desc.f], default=delta.conductor)
-    dc, dm = delta.conductor, _below(delta, top)
-    links = [(c.gaps, _below(c, top)) for c in desc.f]
+    dk = desc.delta.key
+    top = max([c.conductor for c in desc.f], default=0)
+    links = [(~c.key, c.key) for c in desc.f]
 
-    def close(xm, links=links):
-        acc = dm
-        for g, cm in links:
-            out = xm & g
-            acc &= cm | (dm & -(out & -out))
+    def close(x, links=links):
+        acc = dk
+        for g, ck in links:
+            out = x & g
+            acc &= ck | (dk & -(out & -out))
         return acc
 
     def member(s):
-        if not dc <= s.conductor <= top:
-            return False
-        sm = _below(s, top)
-        return close(sm) == sm
+        return close(s.key) == s.key
 
     def system(m):
-        mm = _below(m, top)
+        mk = m.key
         low = 0
         for g, _ in links:
-            out = mm & g
+            out = mk & g
             low |= out & -out
         xs = []
         while low:
@@ -240,11 +235,12 @@ def _generated_kernel(desc):
         return tuple(xs)
 
     def monoid(a):
-        return _canon(close(sum([1 << x for x in a if x < top])), top)
+        return NumSG(close(sum([1 << x for x in a if x < top])))
 
     def view(t, f):
-        tm, pm = _below(t, top), _below(t, f + 1)
-        return Generated([_canon(tm & close(pm, [link]), top) for link in links], t)
+        tk = t.key
+        pk = tk & ((2 << f) - 1)
+        return Generated([NumSG(tk & close(pk, [link])) for link in links], t)
     return member, system, monoid, view
 
 

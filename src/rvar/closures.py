@@ -8,9 +8,8 @@ its Apéry set.  A minimal system of the kind is read off msg.
 """
 
 from .core import (
-    NumSG, DomainError, NotClosed, NotContained, _below, _capped, _listed,
-    _sieve, _valid_generators, contains, elements, format_semigroup,
-    intersect, msg,
+    NumSG, DomainError, NotClosed, NotContained, _capped, _listed, _sieve,
+    _valid_generators, contains, elements, format_semigroup, intersect, msg,
 )
 
 LD = "ld"
@@ -56,7 +55,7 @@ def variety_closure(kind, gens) -> NumSG:
         for x in [v + s + e for e in (0, off) for s in steps]:
             if x < least[x % g]:
                 least[x % g] = best[x % g] = x
-    # Apéry elements plus multiples of g; _canon drops bits past the conductor
+    # Apéry elements plus multiples of g; bits past the conductor join the tail
     apery = bytearray(v // 8 + 1)
     for w in steps:
         apery[w >> 3] |= 1 << (w & 7)
@@ -71,7 +70,7 @@ def _kind_defect(off, s: NumSG):
     past the conductor.
     """
     gaps = s.gaps
-    nonzero = s.mask & ~1
+    nonzero = s.key & ~1
     for a in elements(s, s.conductor):
         if a:
             # a + b + offset over the members b in (0, a], on the gaps of s
@@ -105,7 +104,7 @@ def minimal_vsystem(kind, m: NumSG) -> frozenset:
     """
     off = _offset(kind)
     gens = msg(m)
-    nonzero = _below(m, gens[-1] + 1) & ~3  # the b above 1
+    nonzero = m.key & ((2 << gens[-1]) - 1) & ~3  # the b above 1
     sums = 0
     for x in gens:
         sums |= nonzero << (x + off)

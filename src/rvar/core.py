@@ -1,11 +1,11 @@
 """Exact arithmetic on numerical semigroups.
 
 A numerical semigroup is a subset of the nonnegative integers that contains 0,
-is closed under addition, and has finite complement.  A value is stored as a
-bitset: its conductor (the point from which every integer is a member) and an
-int whose bit x is set exactly when x is a member below the conductor.  Set
-operations are bit operations on these masks, and every result is trimmed to
-its least conductor, so equal semigroups have equal (mask, conductor) pairs.
+is closed under addition, and has finite complement.  A value is stored as its
+key: the negative int whose set bits, in two's complement, are exactly its
+members, so every bit from the conductor on is set and ~key is the finite set
+of gaps.  S ↦ key is a bijection, so equal semigroups have equal keys, and set
+operations are int operations on keys: key(S ∩ T) = key(S) & key(T).
 All operations are pure; NumSG values are immutable and hashable.
 """
 
@@ -71,39 +71,42 @@ MAX_SIEVE = 4_000_000
 
 
 class NumSG:
-    """A numerical semigroup as a bitset.
+    """A numerical semigroup as its key.
 
-    mask: int whose bit x is set iff x is a member and x < conductor.
-    conductor: frobenius + 1; 0 exactly when the semigroup is all of N.
+    key: the negative int whose set bits are exactly the members, the
+    infinite tail from the conductor on included; ~key is the gaps.
     Construct via from_generators or the module helpers, not directly.
     """
 
-    __slots__ = ("mask", "conductor", "_msg")
+    __slots__ = ("key", "_msg")
 
-    def __init__(self, mask, conductor):
-        self.mask = mask
-        self.conductor = conductor
+    def __init__(self, key):
+        self.key = key
         self._msg = None
 
     def __eq__(self, other):
-        return (isinstance(other, NumSG) and self.mask == other.mask
-                and self.conductor == other.conductor)
+        return isinstance(other, NumSG) and self.key == other.key
 
     def __hash__(self):
-        return hash((self.mask, self.conductor))
+        return hash(self.key)
 
     def __repr__(self):
         return "NumSG(%s)" % format_semigroup(self)
 
     @property
+    def conductor(self):
+        """frobenius + 1, the bit length of the gaps; 0 exactly for N."""
+        return (~self.key).bit_length()
+
+    @property
     def gaps(self):
         """int whose bit x is set iff x is a gap: a nonnegative integer outside."""
-        return ~self.mask & ((1 << self.conductor) - 1)
+        return ~self.key
 
     @property
     def small(self):
         """Strictly increasing tuple of all members <= conductor."""
-        return tuple(_bits(self.mask)) + (self.conductor,) if self.conductor else (0,)
+        return tuple(elements(self, self.conductor))
 
     # total order used only for deterministic output
     def sort_key(self):
@@ -128,39 +131,11 @@ def _bits(m):
     return [i for i, b in enumerate(bin(m)[:1:-1]) if b == "1"]
 
 
-def _below(s: NumSG, top) -> int:
-    """Mask of the members of s below top."""
-    if top <= s.conductor:
-        return s.mask & ((1 << top) - 1)
-    return s.mask | ((1 << top) - (1 << s.conductor))
-
-
-def _canon(mask, top) -> NumSG:
-    """Build a NumSG from mask = S ∩ [0, top) of a semigroup S ⊇ [top, ∞),
-    whose key (see _key) is mask with every bit from top on set."""
-    return _from_key(mask | -(1 << top))
-
-
-def _key(s: NumSG) -> int:
-    """s's key, mask - 2**conductor: in two's complement its set bits are
-    the members of s, tail included, so key(S ∩ T) = key(S) & key(T).
-    _from_key and _intersect_each share this rule."""
-    return s.mask - (1 << s.conductor)
-
-
-def _from_key(x: int) -> NumSG:
-    """The semigroup whose key is x (see _key): its highest gap, the
-    highest clear bit of x, is one below the bit length of ~x."""
-    c = (~x).bit_length()
-    return NumSG(x + (1 << c), c)
-
-
-def _intersect_each(keys, u) -> set:
-    """{S ∩ u | key(S) in keys}: one & with u's key each (see _key), and
-    _from_key's rule inline on each distinct image, without a call."""
-    uk = _key(u)
-    return {NumSG(x + (1 << c), c) for x in {k & uk for k in keys}
-            for c in [(~x).bit_length()]}
+def _intersect_each(sgs, u) -> set:
+    """{S ∩ u | S in sgs}: one & with u's key per S, and one NumSG per
+    distinct image."""
+    uk = u.key
+    return {NumSG(x) for x in {s.key & uk for s in sgs}}
 
 
 def _valid_generators(gens) -> list:
@@ -217,34 +192,32 @@ def _sieve(reachable, gens, top) -> NumSG:
         while step < top:
             reachable |= (reachable << step) & window
             step <<= 1
-    return _canon(reachable, top)
+    return NumSG(reachable | -(1 << top))
 
 
 def contains(s: NumSG, x) -> bool:
-    return x >= s.conductor or (x >= 0 and s.mask >> x & 1 == 1)
+    return x >= 0 and s.key >> x & 1 == 1
 
 
 def frobenius(s: NumSG) -> int:
     """Largest integer not in s; -1 when s is all of N."""
-    return s.conductor - 1
+    return (~s.key).bit_length() - 1
 
 
 def genus(s: NumSG) -> int:
     """Number of gaps (nonnegative integers outside s)."""
-    return s.conductor - s.mask.bit_count()
+    return (~s.key).bit_count()
 
 
 def multiplicity(s: NumSG) -> int:
-    nonzero = s.mask & ~1
-    return (nonzero & -nonzero).bit_length() - 1 if nonzero else s.conductor or 1
+    nonzero = s.key & ~1
+    return (nonzero & -nonzero).bit_length() - 1
 
 
 def elements(s: NumSG, limit):
     """Yield the members of s that are <= limit, in increasing order."""
-    if limit < 0:
-        return
-    yield from _bits(s.mask & ((1 << (limit + 1)) - 1))
-    yield from range(s.conductor, limit + 1)
+    if limit >= 0:
+        yield from _bits(s.key & ((1 << (limit + 1)) - 1))
 
 
 def msg(s: NumSG) -> tuple:
@@ -255,35 +228,33 @@ def msg(s: NumSG) -> tuple:
     (0, conductor + multiplicity], and are taken least first.
     """
     if s._msg is None:
-        if s.conductor == 0:
-            s._msg = (1,)
-        else:
-            nonzero = _below(s, s.conductor + multiplicity(s) + 1) & ~1
-            gens, sums, cand = [], 0, nonzero
-            while cand:
-                g = (cand & -cand).bit_length() - 1
-                gens.append(g)
-                sums |= nonzero << g
-                cand = (cand & ~sums) >> (g + 1) << (g + 1)
-            s._msg = tuple(gens)
+        key = s.key
+        low = key & ~1
+        # conductor + multiplicity + 1: the lowest bit of low is m's
+        top = (~key).bit_length() + (low & -low).bit_length()
+        nonzero = low & ((1 << top) - 1)
+        gens, sums, cand = [], 0, nonzero
+        while cand:
+            g = (cand & -cand).bit_length() - 1
+            gens.append(g)
+            sums |= nonzero << g
+            cand = (cand & ~sums) >> (g + 1) << (g + 1)
+        s._msg = tuple(gens)
     return s._msg
 
 
 def intersect(s: NumSG, t: NumSG) -> NumSG:
     """Set intersection; always a numerical semigroup."""
-    return _from_key(_key(s) & _key(t))
+    return NumSG(s.key & t.key)
 
 
 def intersect_all(sgs) -> NumSG:
     """Intersection of a nonempty collection of semigroups."""
-    return _from_key(reduce(int.__and__, map(_key, sgs)))
+    return NumSG(reduce(int.__and__, [s.key for s in sgs]))
 
 
 def is_subset(s: NumSG, t: NumSG) -> bool:
-    # the tail [conductor(s), inf) fits in t only if it starts past t's
-    if s.conductor < t.conductor:
-        return False
-    return s.mask & ~t.mask & ((1 << t.conductor) - 1) == 0
+    return s.key & ~t.key == 0
 
 
 def _require_subset(s: NumSG, t: NumSG, what=""):
@@ -307,23 +278,22 @@ def _drop(s: NumSG, x: int) -> NumSG:
     """remove_element for a minimal generator x of s, unchecked; for callers
     that walk the tree, where x comes from a minimal system of s.
 
-    For x >= conductor the child C is s below x, with conductor x + 1.  If
-    msg(s) is known and x is not the multiplicity m, msg(C) is msg(s)
+    The child C is s with bit x cleared.  If x is past the Frobenius number
+    of s, msg(s) is known and x is not the multiplicity m, msg(C) is msg(s)
     without x, plus x + m unless x + m - h is in C for a generator
     m < h < x.  Only sums through x were lost, so a new generator is x + b
     with b a nonzero member; past x + m it is m plus a member of C, so b = m.
     """
-    if x < s.conductor:
-        # the Frobenius number stays a gap, so the conductor stays
-        return NumSG(s.mask & ~(1 << x), s.conductor)
-    child = NumSG(s.mask | ((1 << x) - (1 << s.conductor)), x + 1)
+    key = s.key
+    child = NumSG(key & ~(1 << x))
     gens = s._msg
-    if gens is not None and x != gens[0]:
+    # the x + m rule needs x past the Frobenius number: no gap of s above x
+    if gens is not None and x != gens[0] and ~key >> x == 0:
         i = gens.index(x)
         y = x + gens[0]
-        mask = child.mask
+        ck = child.key
         for h in gens[1:i]:
-            if mask >> (y - h) & 1:
+            if ck >> (y - h) & 1:
                 child._msg = gens[:i] + gens[i + 1:]
                 break
         else:
@@ -339,20 +309,18 @@ def add_element(s: NumSG, x: int) -> NumSG:
         raise AlreadyMember("%d is already in %s" % (x, format_semigroup(s)))
     # s is closed, so only sums involving x can fail: report the least a + x
     # with a a nonzero member, else x + x
-    gaps = s.gaps
-    escaped = ((s.mask & ~1) << x) & gaps or (1 << (x + x)) & gaps
+    gaps = ~s.key
+    escaped = ((s.key & ~1) << x) & gaps or (1 << (x + x)) & gaps
     if escaped:
         v = (escaped & -escaped).bit_length() - 1
         raise NotClosed("%d + %d = %d escapes %s ∪ {%d}"
                         % (v - x, x, v, format_semigroup(s), x))
-    top = max(s.conductor, x + 1)
-    return _canon(_below(s, top) | (1 << x), top)
+    return NumSG(s.key | 1 << x)
 
 
 def union_with_tail(s: NumSG, delta: NumSG, n: int) -> NumSG:
     """s ∪ {x in delta | x >= n} for s ⊆ delta; closed by construction."""
-    top = max(s.conductor, delta.conductor, n)
-    return _canon(_below(s, top) | (_below(delta, top) >> n << n), top)
+    return NumSG(s.key | delta.key >> n << n)
 
 
 def restricted_frobenius(s: NumSG, t: NumSG) -> int:
@@ -360,11 +328,10 @@ def restricted_frobenius(s: NumSG, t: NumSG) -> int:
     _require_subset(s, t)
     if s == t:
         raise EqualSemigroups("restricted Frobenius of a semigroup in itself")
-    # every member of t from conductor(s) up is in s, so look below it
-    return (_below(t, s.conductor) & ~s.mask).bit_length() - 1
+    return (t.key & ~s.key).bit_length() - 1
 
 
-NATURALS = NumSG(0, 0)
+NATURALS = NumSG(-1)
 
 
 def parse_semigroup(text: str) -> NumSG:

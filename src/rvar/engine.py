@@ -66,18 +66,20 @@ def _above(xs, v):
     return xs[bisect_right(xs, v):]
 
 
-def _next_level(system, level):
-    """The next level below a level of (member, fd, system) triples: each
-    member without each value of its system above its fd, in increasing
-    order, as the triple (child, value removed, system(child))."""
+def _next_level(system, level, counts):
+    """The next level below a level of (member, fd, system) triples, whose
+    child counts are counts: each member without each of the last k values
+    of its system, k its count, in increasing order, as the triple (child,
+    value removed, system(child))."""
     return [(c := _drop(sg, x), x, system(c))
-            for sg, fd, xs in level for x in _above(xs, fd)]
+            for (sg, _, xs), k in zip(level, counts) for x in xs[len(xs) - k:]]
 
 
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
+    xs, fd = node.min_system, node.restricted_frob
     return [RTreeNode(*c) for c in _next_level(
-        chains._systems(desc)[1], [(node.sg, node.restricted_frob, node.min_system)])]
+        chains._systems(desc)[1], [(node.sg, fd, xs)], [len(_above(xs, fd))])]
 
 
 def _bounded_top(desc, genus_bound) -> NumSG:
@@ -91,25 +93,28 @@ def _bounded_top(desc, genus_bound) -> NumSG:
 
 def _levels(desc, g):
     """Yield the levels of desc's tree from its maximum to genus g, or to
-    the first empty one, as lists of (member, fd, system) triples: fd is the
-    member's restricted Frobenius number in the maximum, -1 for the maximum
-    itself, and system its minimal system from the family's kernel, chosen
-    once per walk.  A member's children are consecutive in the next level
-    (see _next_level), and no child repeats.  Past MAX_MEMBERS members it
-    raises CapacityExceeded.
+    the first empty one, each with its members' child counts: a level is
+    a list of (member, fd, system) triples, where fd is the member's
+    restricted Frobenius number in the maximum, -1 for the maximum itself,
+    and system its minimal system from the family's kernel, chosen once
+    per walk; a child count is the number of the system's values above
+    fd.  A member's children are consecutive in the next level (see
+    _next_level), and no child repeats.  When the next level would take
+    the walk past MAX_MEMBERS members, it raises CapacityExceeded before
+    building that level.
     """
     top = _bounded_top(desc, g)
     system = chains._systems(desc)[1]
     level, made = [(top, -1, system(top))], 1
-    for _ in range(genus(top), g):
-        yield level
-        level = _next_level(system, level)
-        if not level:
-            break
-        made += len(level)
+    for depth in range(genus(top), g + 1):
+        counts = [len(xs) - bisect_right(xs, fd) for _, fd, xs in level]
+        yield level, counts
+        if depth == g or not level:
+            return
+        made += sum(counts)
         if made > MAX_MEMBERS:
             raise CapacityExceeded("walk exceeds %d members" % MAX_MEMBERS)
-    yield level
+        level = _next_level(system, level, counts)
 
 
 def _walk(desc, genus_bound):
@@ -140,22 +145,19 @@ def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
 
 def _walked(desc, genus_bound):
     """(members, fds, systems, counts, complete): the triples of _levels
-    in its order as three parallel tuples, each member's child count (the
-    number of its system's elements above its fd) as a fourth, and
-    whether the walk is complete, that is whether no member of its last
-    level has children.  desc keeps its last walk with its bound before
-    these fields and an empty member map after them, which chains._keyed
-    fills with each member's key (see core._key) and position, for
-    lookups and restrictions; a walk at that bound reuses it, a walk at
-    another bound replaces it, map and all, and a refused walk replaces
-    nothing.  A descendants view may be born with a walk cut from its
-    family's (see _cut).
+    in its order as three parallel tuples, the child counts it gives as a
+    fourth, and whether the walk is complete, that is whether no member
+    of its last level has children.  desc keeps its last walk with its
+    bound before these fields and an empty member map after them, which
+    chains._keyed fills with each member's key and position for lookups;
+    a walk at that bound reuses it, a walk at another bound replaces it,
+    map and all, and a refused walk replaces nothing.  A descendants view
+    may be born with a walk cut from its family's (see _cut).
     """
     walked = getattr(desc, "_walked", None)
     if walked is None or walked[0] != genus_bound:
         mem, fds, systems, counts = [], [], [], []
-        for level in _levels(desc, genus_bound):
-            below = [len(xs) - bisect_right(xs, fd) for _, fd, xs in level]
+        for level, below in _levels(desc, genus_bound):
             # zip(*level) is the level's members, fds and systems
             for kept, part in zip((mem, fds, systems), zip(*level)):
                 kept += part
@@ -255,7 +257,7 @@ def _last_level(desc, g: int) -> list:
     """Level g of _levels, holding one level at a time; [] below the maximum."""
     level = []
     if g >= genus(delta_of(desc)):
-        for level in _levels(desc, g):
+        for level, _ in _levels(desc, g):
             pass
     return level
 
@@ -302,12 +304,10 @@ def restriction_of(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND):
     """(image, complete): {S ∩ u | S a member with genus(S) <= bound},
     deduplicated, and whether the member walk was complete.  A complete
     image is a family again (the README gives the proof), so it is not
-    re-checked.  core._intersect_each makes the image from the keys of
-    the walk's member map (see chains._keyed), as key(S ∩ u) is
-    key(S) & key(u).
+    re-checked.  core._intersect_each makes it from the walk's members.
     """
-    complete = _walked(desc, genus_bound)[4]
-    return _intersect_each(chains._keyed(desc._walked), u), complete
+    mem, _, _, _, complete = _walked(desc, genus_bound)
+    return _intersect_each(mem, u), complete
 
 
 def restrict_variety(desc, u: NumSG, genus_bound=DEFAULT_GENUS_BOUND) -> set:

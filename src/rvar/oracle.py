@@ -9,19 +9,18 @@ No hot path calls into this module.
 from itertools import combinations
 
 from .core import (
-    NumSG, DomainError, InvariantError, NATURALS, NotContained, _below, _canon,
-    _require_subset, contains, format_semigroup, genus, intersect, intersect_all,
-    is_subset, msg, restricted_frobenius, union_with_tail,
+    NumSG, DomainError, InvariantError, NATURALS, NotContained, _require_subset,
+    contains, format_semigroup, genus, intersect, intersect_all, is_subset, msg,
+    restricted_frobenius, union_with_tail,
 )
 from .chains import NoContainingElement, NotInVariety, chain_family
 from .descriptors import Interval, Restricted, Generated
 
 
 def _without(s: NumSG, x) -> NumSG:
-    """s without its minimal generator x, by plain mask arithmetic, so no
+    """s without its minimal generator x, its bit cleared in s's key, so no
     check shares the msg that core's removal may derive for the child."""
-    top = max(s.conductor, x + 1)
-    return _canon(_below(s, top) & ~(1 << x), top)
+    return NumSG(s.key & ~(1 << x))
 
 
 def enumerate_between(lo, hi: NumSG, genus_bound=None):

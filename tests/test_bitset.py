@@ -20,11 +20,12 @@ except ImportError:
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from rvar import (
-    NATURALS, AlreadyMember, NotClosed, Restricted, add_element,
-    from_generators, genus, genus_level, intersect, is_subset, msg,
-    multiplicity, remove_element, restricted_frobenius, union_with_tail,
+    NATURALS, AlreadyMember, NotClosed, Restricted, add_element, contains,
+    elements, frobenius, from_generators, genus, genus_level, intersect,
+    is_subset, msg, multiplicity, remove_element, restricted_frobenius,
+    union_with_tail,
 )
-from rvar.core import NumSG, _drop, _from_key, _intersect_each, _key
+from rvar.core import NumSG, _drop, _intersect_each
 
 W = 400
 MAX_GEN = 12
@@ -146,13 +147,20 @@ def nested(draw):
 
 
 class TestAgainstSets:
-    @given(GENS)
+    @given(SOME_OR_N)
     def test_construction_and_invariants(self, gens):
         s, sg = closure(gens), from_generators(gens)
         assert agrees(sg, s)
         assert genus(sg) == len(gaps(s))
         assert multiplicity(sg) == min(x for x in s if x)
         assert msg(sg) == minimal_generators(s)
+        # the accessors read the key alone, N and negative x included
+        c = conductor(s)
+        assert [contains(sg, x) for x in range(-2, c + 4)] == [
+            x in s for x in range(-2, c + 4)]
+        assert list(elements(sg, c + 3)) == [x for x in range(c + 4) if x in s]
+        assert sg.gaps == sum(1 << x for x in gaps(s))
+        assert frobenius(sg) == c - 1
 
     @given(GENS, GENS)
     def test_intersect_and_is_subset(self, ga, gb):
@@ -167,23 +175,23 @@ class TestAgainstSets:
         # the lists often hold N, and u is often N
         sgs = [from_generators(g) for g in gens_list]
         u = from_generators(ugens)
-        keys = [_key(s) for s in sgs]
-        assert _intersect_each(keys, u) == {intersect(s, u) for s in sgs}
+        assert _intersect_each(sgs, u) == {intersect(s, u) for s in sgs}
 
     @given(SOME_OR_N)
     def test_the_key_holds_the_members(self, gens):
         s, sg = closure(gens), from_generators(gens)
-        k = _key(sg)
+        k = sg.key
         assert k < 0
         assert [x for x in range(sg.conductor + 4) if k >> x & 1] == [
             x for x in range(sg.conductor + 4) if x in s]
-        back = _from_key(k)
-        assert back == sg and (back.mask, back.conductor) == (sg.mask, sg.conductor)
+        back = NumSG(k)
+        assert back == sg and back.key == k and back.conductor == sg.conductor
+        assert agrees(back, s) and msg(back) == msg(sg)
 
     @given(SOME_OR_N, SOME_OR_N)
     def test_the_key_of_an_intersection_is_the_and_of_keys(self, ga, gb):
         sa, sb = from_generators(ga), from_generators(gb)
-        assert _key(intersect(sa, sb)) == _key(sa) & _key(sb)
+        assert intersect(sa, sb).key == sa.key & sb.key
 
     @given(WIDE_GENS)
     def test_the_sieve_stays_within_both_bounds(self, gens):
@@ -305,7 +313,7 @@ def _check_drop(s, gens, x):
     parent; return the case taken."""
     want = minimal_generators(s - {x})
     sg = from_generators(list(gens))
-    fresh = NumSG(sg.mask, sg.conductor)
+    fresh = NumSG(sg.key)
     lazy = _drop(fresh, x)
     assert fresh._msg is None and lazy._msg is None
     assert agrees(lazy, s - {x})
@@ -320,7 +328,7 @@ def _check_drop(s, gens, x):
         case = "x+m new" if x + gens[0] in want else "x+m a sum"
     # msg is derived from the parent's exactly in the two x + m cases
     assert (child._msg is not None) == case.startswith("x+m")
-    assert msg(child) == msg(NumSG(child.mask, child.conductor)) == want
+    assert msg(child) == msg(NumSG(child.key)) == want
     return case
 
 

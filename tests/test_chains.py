@@ -12,7 +12,6 @@ from rvar import (
 import rvar
 from rvar import chains
 from rvar.chains import _systems
-from rvar.core import _key
 from support import (
     sg, DELTA_567, GENERATED_FIXTURE, GENERATED_MEMBERS, INTERVAL_FIXTURE,
     POOL, PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
@@ -233,14 +232,14 @@ class TestMembershipKernel:
     def test_the_member_map_follows_the_kept_walk(self, monkeypatch):
         desc = Restricted({4, 6}, sg(4, 6, 7))
         # no walk, no map; a walk builds none, the first lookup fills the
-        # one that the walk carries, keyed by each member's int (core._key)
+        # one that the walk carries, keyed by each member's key
         assert is_member(desc, sg(4, 6, 7)) and desc._walked is None
         members_of(desc, 8)
         held = desc._walked[6]
         assert held == {}
         assert minimal_rsystem(desc, sg(4, 6, 7)) == frozenset({7})
         assert desc._walked[6] is held
-        assert held == {_key(m): i for i, m in enumerate(desc._walked[1])}
+        assert held == {m.key: i for i, m in enumerate(desc._walked[1])}
         # a walk at the same bound keeps it, and a refused walk too
         members_of(desc, 8)
         monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 10)
@@ -253,7 +252,7 @@ class TestMembershipKernel:
         members_of(desc, 7)
         assert desc._walked[6] == {}
         assert is_member(desc, sg(4, 6, 7))
-        assert desc._walked[6] == {_key(m): i for i, m in enumerate(desc._walked[1])}
+        assert desc._walked[6] == {m.key: i for i, m in enumerate(desc._walked[1])}
         assert len(desc._walked[6]) < len(held)
 
 

@@ -395,6 +395,26 @@ class TestWalkKernel:
             with pytest.raises(CapacityExceeded, match=r"^walk exceeds 26 members$"):
                 walk(pickle.loads(pickle.dumps(n)), 5)
 
+    def test_the_refused_level_is_never_built(self, monkeypatch):
+        # the budget is checked on the child counts of the level before:
+        # levels of genus 1..4 hold 1 + 2 + 4 + 7 = 14 members, and the 12
+        # of genus 5 would make 27 in all, so at 26 no member of genus 5 is
+        # made; at 27 all 26 below the maximum are
+        drops = []
+        drop = rvar.engine._drop
+        monkeypatch.setattr(rvar.engine, "_drop",
+                            lambda sg, x: drops.append(x) or drop(sg, x))
+        for walk in (members_of, tree_of, _last_level):
+            monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 27)
+            drops.clear()
+            walk(Restricted(frozenset(), NATURALS), 5)
+            assert len(drops) == 26, walk
+            monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 26)
+            drops.clear()
+            with pytest.raises(CapacityExceeded, match=r"^walk exceeds 26 members$"):
+                walk(Restricted(frozenset(), NATURALS), 5)
+            assert len(drops) == 14, walk
+
 
 class TestMemberMemo:
     # a descriptor keeps its last member walk, so a family restricted by
@@ -527,6 +547,16 @@ class TestRestrictVariety:
         assert got == {sg(5, 7, 16, 18), sg(5, 12, 14, 16, 18),
                        sg(5, 12, 16, 18, 19), sg(5, 12, 16, 18)}
         check_rvariety_axioms(got)
+
+    def test_a_restriction_fills_no_member_map(self):
+        # a restriction reads the walk's members; the map that the walk
+        # carries is filled only by the first lookup
+        desc = Restricted(frozenset(), NATURALS)
+        image, complete = restriction_of(desc, sg(4, 6, 7), 6)
+        assert complete is False and sg(4, 6, 7) in image
+        assert desc._walked[6] == {}
+        assert is_member(desc, sg(2, 3))
+        assert len(desc._walked[6]) == len(desc._walked[1])
 
     def test_generated_restriction_keeps_the_axioms(self):
         got = restrict_variety(GENERATED_FIXTURE, sg(4, 6, 7))

@@ -31,7 +31,6 @@ from rvar import (
     variety_closure,
 )
 from rvar.closures import _kind_defect
-from rvar.core import _key
 from rvar.engine import _last_level, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE, POOL
 
@@ -694,7 +693,7 @@ class TestKeptSystemLaws:
                     assert is_member(d, m) and is_member(fresh, m)
                     assert minimal_rsystem(d, m) == minimal_rsystem(fresh, m)
                 # the map holds the current walk, not one before it
-                assert d._walked[6] == {_key(m): i for i, m in enumerate(walked)}
+                assert d._walked[6] == {m.key: i for i, m in enumerate(walked)}
                 for s in POOL:
                     if is_member(fresh, s):
                         assert is_member(d, s)

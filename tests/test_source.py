@@ -241,13 +241,15 @@ def test_a_bare_checkout_runs_its_tests():
 
 
 def test_kept_walks_are_read_not_remade():
-    # the kept walk holds each member's child count, so a tree links its
-    # nodes by counts alone, and a view's walk is cut from its family's
+    # the kept walk holds each member's child count, which the level loop
+    # counted once, so a tree links its nodes by counts alone, the walk
+    # stores the counts it is given, and a view's walk is cut from its family's
     # without a level, a child or a kernel of its own; the member map gives
     # the cut its start, so the cut searches for nothing
     funcs = _top_functions("engine.py")
     found = sorted("%s calls %s" % (name, called)
                    for name, banned in (("_walk", {"_above", "bisect_right"}),
+                                        ("_walked", {"_above", "bisect_right"}),
                                         ("_cut", {"_levels", "_next_level",
                                                   "_drop", "_systems",
                                                   "bisect_left", "_bits",
@@ -256,7 +258,7 @@ def test_kept_walks_are_read_not_remade():
     assert found == []
     assert [a.arg for a in funcs["_cut"].args.args] == ["walked", "i"]
     # the guard sees the calls it bans where they are made
-    assert "bisect_right" in set(_called_names(funcs["_walked"]))
+    assert "bisect_right" in set(_called_names(funcs["_levels"]))
     assert "_above" in set(_called_names(funcs["_cut"]))
     assert {"_systems", "_next_level"} <= set(_called_names(funcs["_levels"]))
     assert "genus" in set(_called_names(funcs["_levels"]))
@@ -286,23 +288,47 @@ def test_kept_walks_are_read_not_remade():
 
 
 def _bit_arithmetic(node):
-    """Each read of a .mask or .conductor and each << under node, by line."""
+    """Each read of a .key, .mask or .conductor and each << under node, by line."""
     return ["%d: %s" % (n.lineno, ast.unparse(n)) for n in ast.walk(node)
-            if (isinstance(n, ast.Attribute) and n.attr in ("mask", "conductor"))
+            if (isinstance(n, ast.Attribute) and n.attr in ("key", "mask", "conductor"))
             or (isinstance(n, (ast.BinOp, ast.AugAssign))
                 and isinstance(n.op, ast.LShift))]
 
 
 def test_the_engine_does_no_bit_arithmetic_on_members():
-    # a member's bits belong to core: restriction hands core the keys of
-    # the kept walk's member map, and the engine reads no mask, conductor
-    # or shifted bit of its own
+    # a member's bits belong to core: restriction hands core the kept
+    # walk's members, and the engine reads no key, conductor or shifted
+    # bit of its own
     engine = ast.parse((SRC / "engine.py").read_text())
     assert _bit_arithmetic(engine) == []
     # the guard sees the reads and shifts it bans
-    for line in ("w = mem[0].conductor", "s.mask & u", "1 << c", "x <<= 1"):
+    for line in ("w = mem[0].conductor", "s.key & u", "s.mask & u", "1 << c", "x <<= 1"):
         assert _bit_arithmetic(ast.parse(line)) != [], line
     assert _bit_arithmetic(ast.parse("x = a.masks >> 1")) == []
+    assert _bit_arithmetic(ast.parse("x = a.sort_key()")) == []
+
+
+def _second_representation(tree):
+    """Each read of .mask and each function named for a conversion between
+    a mask and a key, under tree, by line."""
+    return ["%d: %s" % (n.lineno, getattr(n, "name", None) or ast.unparse(n))
+            for n in ast.walk(tree)
+            if (isinstance(n, ast.Attribute) and n.attr == "mask")
+            or (isinstance(n, ast.FunctionDef)
+                and n.name in ("_canon", "_key", "_from_key", "_below"))]
+
+
+def test_a_semigroup_has_one_representation():
+    # a NumSG is its key alone: no module reads a mask or converts one
+    # to a key and back, and the key and the msg memo are its only slots
+    found = ["%s:%s" % (path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where in _second_representation(ast.parse(path.read_text()))]
+    assert found == []
+    assert rvar.NumSG.__slots__ == ("key", "_msg")
+    # the guard sees a mask read and a conversion helper
+    for line in ("m = s.mask", "def _canon(mask, top):\n    pass",
+                 "def _below(s, top):\n    pass"):
+        assert _second_representation(ast.parse(line)) != [], line
 
 
 def _reads_the_map(node):
