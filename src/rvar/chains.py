@@ -7,7 +7,7 @@ for both descriptor families, Restricted and Generated.
 """
 
 from .core import (
-    NumSG, CapacityExceeded, DomainError, EmptyGenerators, GcdNotOne, _bits,
+    NumSG, DomainError, EmptyGenerators, GcdNotOne, _bits, _capped,
     _require_subset, contains, format_semigroup, from_generators, is_subset, msg,
     union_with_tail,
 )
@@ -58,9 +58,8 @@ def chain_to(s: NumSG, t: NumSG) -> ChainRec:
     _require_subset(s, t)
     new = t.key & ~s.key
     links, width = new.bit_count() + 1, s.conductor
-    if links * width > MAX_CHAIN_BITS:
-        raise CapacityExceeded("chain of %d links up to %d bits wide exceeds %d bits"
-                               % (links, width, MAX_CHAIN_BITS))
+    _capped(links * width, MAX_CHAIN_BITS,
+            "chain of %d links up to %d bits wide" % (links, width), "bits")
     fills = tuple(_bits(new)[::-1])
     return ChainRec((s,) + tuple(union_with_tail(s, t, f) for f in fills), fills)
 
@@ -91,7 +90,7 @@ def rmonoid_generated(desc, a) -> NumSG:
     a = frozenset(a)
     delta = delta_of(desc)
     for x in a:
-        if x < 0 or not contains(delta, x):
+        if not contains(delta, x):
             raise NotInDelta("%d is not in %s" % (x, format_semigroup(delta)))
     return _systems(desc)[2](a)
 
@@ -120,21 +119,15 @@ def _checked(desc, m: NumSG) -> tuple:
 
 def _position(desc, m: NumSG):
     """m's position in the walk that desc keeps (see engine._walked),
-    None when it holds no m, looked up by m.key in the walk's member map
-    (see _keyed)."""
+    None when it holds no m: m.key looked up in the walk's member map
+    {S.key: position}, filled here on first use; its int keys hash in C."""
     walked = getattr(desc, "_walked", None)
     if walked is None:
         return None
-    return _keyed(walked).get(m.key)
-
-
-def _keyed(walked):
-    """The member map that a kept walk carries, {S.key: position}, filled
-    on first use; its int keys hash in C."""
     mem, by_key = walked[1], walked[6]
     if not by_key:
-        by_key.update(zip([m.key for m in mem], range(len(mem))))
-    return by_key
+        by_key.update(zip([s.key for s in mem], range(len(mem))))
+    return by_key.get(m.key)
 
 
 def _systems(desc):

@@ -7,6 +7,7 @@ integers has a smallest family member containing it: its closure, read off
 its Apéry set.  A minimal system of the kind is read off msg.
 """
 
+from . import core
 from .core import (
     NumSG, DomainError, NotClosed, NotContained, _capped, _listed, _sieve,
     _valid_generators, contains, elements, format_semigroup, intersect, msg,
@@ -42,7 +43,8 @@ def variety_closure(kind, gens) -> NumSG:
     gens = _valid_generators(gens)
     g = gens[0]
     bound = (g - 1) * (2 * g + off - 1)
-    _capped(bound, "the %s closure of %s" % (kind, _listed(gens)))
+    _capped(bound, core.MAX_SIEVE,
+            "sieve for the %s closure of %s" % (kind, _listed(gens)), "entries")
     # best: the least value found so far in each unsettled class; least: the
     # same in every class, bound + g (above every Apéry element) when none is.
     # g settles first, standing in for 0 in its class

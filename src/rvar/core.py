@@ -156,10 +156,10 @@ def _listed(gens) -> str:
     return "%d,...,%d (%d generators)" % (gens[0], gens[-1], len(gens))
 
 
-def _capped(top, what):
-    """Refuse a sieve of top entries for what past MAX_SIEVE, before any work."""
-    if top > MAX_SIEVE:
-        raise CapacityExceeded("sieve for %s exceeds %d entries" % (what, MAX_SIEVE))
+def _capped(size, limit, what, unit):
+    """Refuse what, of size units, past limit: the one CapacityExceeded."""
+    if size > limit:
+        raise CapacityExceeded("%s exceeds %d %s" % (what, limit, unit))
 
 
 def from_generators(gens) -> NumSG:
@@ -179,7 +179,7 @@ def from_generators(gens) -> NumSG:
     if d != 1:
         raise GcdNotOne("gcd(%s) = %d, not 1" % (_listed(gens), d))
     top = min(top, 2 * gens[-2] * (gens[-1] // len(gens)) - gens[-1] + 1)
-    _capped(top, "<%s>" % _listed(gens))
+    _capped(top, MAX_SIEVE, "sieve for <%s>" % _listed(gens), "entries")
     return _sieve(1, gens, top)
 
 

@@ -61,7 +61,7 @@ class _Family(_Frozen):
     """A family descriptor.  Its slots that are not fields memoize work on
     it, start as None and are ignored by equality, hash and pickling: its
     kept walk (engine._walked), which carries its own map from each
-    member's key (NumSG.key) to its position (chains._keyed), and its kernel
+    member's key (NumSG.key) to its position (chains._position), and its kernel
     (chains._systems)."""
 
     __slots__ = ("_walked", "_system")

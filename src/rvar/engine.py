@@ -11,7 +11,7 @@ from bisect import bisect_right
 
 from . import chains
 from .core import (
-    NumSG, CapacityExceeded, DomainError, _drop, _intersect_each, frobenius,
+    NumSG, DomainError, _capped, _drop, _intersect_each, frobenius,
     genus, restricted_frobenius,
 )
 from .descriptors import _Record, _set, delta_of
@@ -61,11 +61,6 @@ def fdelta(s: NumSG, top: NumSG) -> int:
     return -1 if s == top else restricted_frobenius(s, top)
 
 
-def _above(xs, v):
-    """The elements of the increasing sequence xs that exceed v."""
-    return xs[bisect_right(xs, v):]
-
-
 def _next_level(system, level, counts):
     """The next level below a level of (member, fd, system) triples, whose
     child counts are counts: each member without each of the last k values
@@ -79,7 +74,7 @@ def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
     xs, fd = node.min_system, node.restricted_frob
     return [RTreeNode(*c) for c in _next_level(
-        chains._systems(desc)[1], [(node.sg, fd, xs)], [len(_above(xs, fd))])]
+        chains._systems(desc)[1], [(node.sg, fd, xs)], [len(xs) - bisect_right(xs, fd)])]
 
 
 def _bounded_top(desc, genus_bound) -> NumSG:
@@ -100,8 +95,8 @@ def _levels(desc, g):
     per walk; a child count is the number of the system's values above
     fd.  A member's children are consecutive in the next level (see
     _next_level), and no child repeats.  When the next level would take
-    the walk past MAX_MEMBERS members, it raises CapacityExceeded before
-    building that level.
+    the walk past MAX_MEMBERS members, core._capped refuses it before it
+    is built.
     """
     top = _bounded_top(desc, g)
     system = chains._systems(desc)[1]
@@ -112,8 +107,7 @@ def _levels(desc, g):
         if depth == g or not level:
             return
         made += sum(counts)
-        if made > MAX_MEMBERS:
-            raise CapacityExceeded("walk exceeds %d members" % MAX_MEMBERS)
+        _capped(made, MAX_MEMBERS, "walk", "members")
         level = _next_level(system, level, counts)
 
 
@@ -149,7 +143,7 @@ def _walked(desc, genus_bound):
     fourth, and whether the walk is complete, that is whether no member
     of its last level has children.  desc keeps its last walk with its
     bound before these fields and an empty member map after them, which
-    chains._keyed fills with each member's key and position for lookups;
+    chains._position fills with each member's key and position and reads;
     a walk at that bound reuses it, a walk at another bound replaces it,
     map and all, and a refused walk replaces nothing.  A descendants view
     may be born with a walk cut from its family's (see _cut).
@@ -183,17 +177,16 @@ def _cut(walked, i):
     empty range, a range with no children.
     """
     bound, mem, fds, systems, counts, _, _ = walked
-    cut = ([], [], [], [])
+    cut = _, sub_fds, sub_systems, _ = [], [], [], []
     a, b, lo = i, i + 1, 1 + sum(counts[:i])
     while a < b <= len(mem):
         for kept, part in zip(cut, (mem, fds, systems, counts)):
             kept += part[a:b]
         hi = lo + sum(counts[a:b])
         a, b, lo = lo, hi, hi + sum(counts[b:lo])
-    sub, sub_fds, sub_systems, sub_counts = cut
     f, sub_fds[0] = sub_fds[0], -1
-    return (bound, tuple(sub), tuple(sub_fds),
-            tuple([_above(xs, f) for xs in sub_systems]), tuple(sub_counts), a == b, {})
+    sub_systems[:] = [xs[bisect_right(xs, f):] for xs in sub_systems]
+    return (bound, *map(tuple, cut), a == b, {})
 
 
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):

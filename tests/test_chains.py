@@ -278,6 +278,8 @@ class TestRMonoidGenerated:
     def test_rejects_elements_outside_top(self):
         with pytest.raises(NotInDelta):
             rmonoid_generated(INTERVAL_FIXTURE, {8})
+        with pytest.raises(NotInDelta, match="^-1 is not in <5,6,7>$"):
+            rmonoid_generated(INTERVAL_FIXTURE, {-1})
 
     def test_rejects_non_numerical_result(self):
         # every member of this family keeps gcd 2 unless 4 brings company

@@ -403,6 +403,11 @@ class TestClosure:
         assert (rc, out) == (
             0, '{"kind": "pl", "sg": "<3,5,7>", "vsystem": [3, 5]}\n')
 
+    def test_inside_takes_no_vsystem(self, capsys):
+        assert run(capsys, "closure", "--kind", "pl", "--vsystem", "<2,3>",
+                   "--inside", "<1>") == (
+            1, "", "rvar: error: --inside only applies to a generator list\n")
+
     def test_gens_and_vsystem_conflict(self, capsys):
         rc, _, err = run(capsys, "closure", "--kind", "ld", "5",
                          "--vsystem", "<5,9>")
@@ -740,6 +745,18 @@ class TestErrorPaths:
         rc, out, err = run(capsys, "tree", "--restricted=-1:<4,6,7>")
         assert (rc, out) == (2, "")
         assert err == "rvar: error: forced element -1 is not in <4,6,7>\n"
+
+    def test_unbalanced_brackets_are_a_parse_error(self, capsys):
+        for text in ("<5,6", "5,6>"):
+            assert run(capsys, "msg", text) == (
+                1, "", "rvar: error: unbalanced angle brackets in %r\n" % text)
+
+    @pytest.mark.parametrize("kind, text", [
+        ("restricted", "1<1>"), ("interval", "<2,3>"), ("generated", "<2,3>"),
+    ])
+    def test_a_family_needs_its_outer_semigroup(self, capsys, kind, text):
+        assert run(capsys, "tree", "--" + kind, text, "--genus-bound", "2") == (
+            1, "", "rvar: error: --%s expects a ':' before the outer semigroup\n" % kind)
 
     def test_domain_error_not_contained(self, capsys):
         rc, _, err = run(capsys, "tree", "--interval", "<5,7>:<5,6>")

@@ -4,7 +4,7 @@ import pytest
 
 from rvar import (
     LD, PL, NATURALS, CapacityExceeded, DomainError, EmptyGenerators,
-    InvalidGenerator, NotClosed, NotContained, closures, contains, elements,
+    InvalidGenerator, NotClosed, NotContained, closures, contains, core, elements,
     frobenius, genus, minimal_vsystem, msg, restricted_closure,
     variety_closure,
 )
@@ -51,6 +51,16 @@ class TestVarietyClosure:
         # the closure of {5}, so it needs no window of its own
         assert variety_closure(LD, [5, 2000]) == sg(5, 9, 13, 17, 21)
         assert variety_closure(PL, [4, 10 ** 30]) == variety_closure(PL, [4])
+
+    def test_the_sieve_limit_is_cores_read_at_each_call(self, monkeypatch):
+        # closures and from_generators share core's one sieve limit, read
+        # when the sieve is asked for: pl [5] needs (5 - 1)(2 * 5) = 40 entries
+        monkeypatch.setattr(core, "MAX_SIEVE", 39)
+        with pytest.raises(CapacityExceeded,
+                           match="^sieve for the pl closure of 5 exceeds 39 entries$"):
+            variety_closure(PL, [5])
+        monkeypatch.setattr(core, "MAX_SIEVE", 40)
+        assert variety_closure(PL, [5]) == sg(5, 11, 17, 23, 29)
 
     def test_least_generator_sets_the_sieve_bound(self, monkeypatch):
         # a closure is refused exactly when Sylvester's bound for g = min(gens),

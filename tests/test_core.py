@@ -152,6 +152,8 @@ class TestSetOperations:
         assert add_element(remove_element(s, 7), 7) == s
 
     def test_add_element_errors(self):
+        with pytest.raises(NotMember, match="^-1 is negative$"):
+            add_element(sg(3, 5), -1)
         with pytest.raises(AlreadyMember):
             add_element(sg(5, 6), 5)
         # 7+6=13 lands outside <5,6> below its conductor

@@ -9,7 +9,7 @@ import pytest
 import rvar
 from rvar import (
     NATURALS, Generated, Interval, NotContained, Restricted, RTreeNode,
-    chain_to,
+    chain_to, delta_of,
 )
 from rvar.descriptors import _Family
 from support import sg
@@ -51,6 +51,12 @@ class TestDescriptorValues:
         # a tree node is mutable, so it is not hashable
         with pytest.raises(TypeError):
             hash(RTreeNode(sg(5, 6), -1, ()))
+
+    def test_only_a_family_has_a_maximum(self):
+        with pytest.raises(TypeError, match=r"^not a variety descriptor: \(1, 2\)$"):
+            delta_of((1, 2))
+        with pytest.raises(TypeError, match="^not a variety descriptor: None$"):
+            delta_of(None)
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         for desc in _four_kinds():

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from rvar import (
-    NATURALS, DomainError, Generated, Interval, NoContainingElement, NotContained,
-    Restricted, descendants, enumerate_between, genus, genus_level, members_of,
+    NATURALS, DomainError, Generated, Interval, InvariantError, NoContainingElement,
+    NotContained, NotInVariety, Restricted, check_rvariety_axioms, descendants,
+    enumerate_between, genus, genus_level, members_of, minimal_system_from_members,
     oracle_members, random_interval, random_restricted, random_semigroup,
     random_subsemigroup, smallest_containing,
 )
@@ -63,6 +64,22 @@ class TestSmallestContaining:
     def test_no_member_contains(self):
         with pytest.raises(NoContainingElement):
             smallest_containing(GENERATED_MEMBERS, {6})
+
+
+class TestReferenceRefusals:
+    def test_a_minimal_system_needs_a_member_that_holds_the_generators(self):
+        with pytest.raises(NoContainingElement, match=r"^no member contains \[2, 3\]$"):
+            minimal_system_from_members([sg(5, 6, 7)], sg(2, 3))
+
+    def test_a_minimal_system_needs_an_intersection_of_members(self):
+        # <2,3> holds 2 and 5, the generators of <2,5>, but is not <2,5>
+        with pytest.raises(NotInVariety,
+                           match="^<2,5> is not an intersection of the members$"):
+            minimal_system_from_members([sg(2, 3)], sg(2, 5))
+
+    def test_the_axioms_refuse_an_empty_family(self):
+        with pytest.raises(InvariantError, match="^empty family$"):
+            check_rvariety_axioms([])
 
 
 class TestRandomHelpers:

@@ -149,7 +149,7 @@ def test_walk_path_makes_no_rechecks():
     checked = {"remove_element", "minimal_rsystem", "_checked", "is_member",
                "check_rvariety_axioms"}
     walk = {"engine.py": {"_walk", "_levels", "_last_level", "_next_level",
-                          "_above", "children", "members_of", "_walked",
+                          "children", "members_of", "_walked",
                           "_cut", "restriction_of"},
             "chains.py": {"_systems", "_restricted_kernel", "_generated_kernel"}}
     assert checked - {"check_rvariety_axioms"} <= (
@@ -248,8 +248,8 @@ def test_kept_walks_are_read_not_remade():
     # the cut its start, so the cut searches for nothing
     funcs = _top_functions("engine.py")
     found = sorted("%s calls %s" % (name, called)
-                   for name, banned in (("_walk", {"_above", "bisect_right"}),
-                                        ("_walked", {"_above", "bisect_right"}),
+                   for name, banned in (("_walk", {"bisect_right"}),
+                                        ("_walked", {"bisect_right"}),
                                         ("_cut", {"_levels", "_next_level",
                                                   "_drop", "_systems",
                                                   "bisect_left", "_bits",
@@ -259,7 +259,7 @@ def test_kept_walks_are_read_not_remade():
     assert [a.arg for a in funcs["_cut"].args.args] == ["walked", "i"]
     # the guard sees the calls it bans where they are made
     assert "bisect_right" in set(_called_names(funcs["_levels"]))
-    assert "_above" in set(_called_names(funcs["_cut"]))
+    assert "bisect_right" in set(_called_names(funcs["_cut"]))
     assert {"_systems", "_next_level"} <= set(_called_names(funcs["_levels"]))
     assert "genus" in set(_called_names(funcs["_levels"]))
     # descendants passes _cut the position that the member map gives
@@ -271,13 +271,12 @@ def test_kept_walks_are_read_not_remade():
     cuts = [n for n in ast.walk(body) if isinstance(n, ast.Call)
             and ast.unparse(n.func) == "_cut"]
     assert len(cuts) == 1 and ast.unparse(cuts[0].args[1]) in positions
-    # and the map that the walk carries is read in one place, which fills
-    # it; the lookup that is_member and _checked make goes through it
+    # and the map that the walk carries is read in one place, the lookup,
+    # which fills it; is_member and _checked go through that lookup
     readers = sorted(name for module in ("chains.py", "engine.py", "cli.py")
                      for name, f in _top_functions(module).items() if _reads_the_map(f))
-    assert readers == ["_keyed"]
+    assert readers == ["_position"]
     chains_funcs = _top_functions("chains.py")
-    assert "_keyed" in set(_called_names(chains_funcs["_position"]))
     for name in ("is_member", "_checked"):
         assert "_position" in set(_called_names(chains_funcs[name]))
     # the guard sees the map taken out of a walk by index or by name
@@ -492,3 +491,23 @@ def test_the_sources_keep_to_the_oldest_supported_python():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                   feature_version=(3, 10))
+
+
+def _capacity_refusals(tree):
+    """The functions of tree that construct CapacityExceeded, by name."""
+    return sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and "CapacityExceeded" in set(_called_names(f)))
+
+
+def test_one_budget_refusal():
+    # the sieves, the walk and the chain refuse past their limits through
+    # core._capped, so a refusal is worded and raised in one place
+    found = ["%s:%s" % (path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in _capacity_refusals(ast.parse(path.read_text()))]
+    assert found == ["core.py:_capped"]
+    for module, func in (("core.py", "from_generators"), ("closures.py", "variety_closure"),
+                         ("engine.py", "_levels"), ("chains.py", "chain_to")):
+        assert "_capped" in set(_called_names(_top_functions(module)[func])), func
+    # the guard sees a refusal raised in another function
+    line = "def f(n):\n    if n > 1:\n        raise CapacityExceeded('x')"
+    assert _capacity_refusals(ast.parse(line)) == ["f"]
