@@ -7,7 +7,7 @@ for both descriptor families, Restricted and Generated.
 """
 
 from .core import (
-    NumSG, DomainError, EmptyGenerators, GcdNotOne, _bits, _capped,
+    NumSG, DomainError, EmptyGenerators, GcdNotOne, _bits, _capped, _require_in,
     _require_subset, contains, format_semigroup, from_generators, is_subset, msg,
     union_with_tail,
 )
@@ -88,10 +88,7 @@ def rmonoid_generated(desc, a) -> NumSG:
     infinite complement and NotNumerical is raised.
     """
     a = frozenset(a)
-    delta = delta_of(desc)
-    for x in a:
-        if not contains(delta, x):
-            raise NotInDelta("%d is not in %s" % (x, format_semigroup(delta)))
+    _require_in(a, delta_of(desc), NotInDelta)
     return _systems(desc)[2](a)
 
 
@@ -131,20 +128,17 @@ def _position(desc, m: NumSG):
 
 
 def _systems(desc):
-    """(member, system, monoid, view): the kernel of a descriptor, the one
-    place that knows its kind.  system(m) is a member's minimal system as
-    a strictly increasing tuple, unchecked; monoid(a) is rmonoid_generated
-    unchecked; view(t, F) writes descendants(desc, t) for a member t below
-    the maximum, with F = fdelta(t, maximum).  Built once per descriptor
-    and kept on it, so each call is a few int operations on keys."""
+    """(member, system, monoid, view): the kernel of a descriptor, the one place
+    that knows its kind, chosen once delta_of has refused a non-descriptor.
+    system(m) is a member's minimal system as a strictly increasing tuple,
+    unchecked; monoid(a) is rmonoid_generated unchecked; view(t, F) writes
+    descendants(desc, t) for a member t below the maximum, with F = fdelta(t,
+    maximum).  Kept on desc once built, so a call is a few int operations."""
     kernel = getattr(desc, "_system", None)
     if kernel is None:
-        if isinstance(desc, Restricted):
-            kernel = _restricted_kernel(desc)
-        elif isinstance(desc, Generated):
-            kernel = _generated_kernel(desc)
-        else:
-            raise TypeError("not a variety descriptor: %r" % (desc,))
+        delta_of(desc)
+        kernel = (_restricted_kernel if isinstance(desc, Restricted)
+                  else _generated_kernel)(desc)
         _set(desc, "_system", kernel)
     return kernel
 

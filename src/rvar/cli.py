@@ -329,26 +329,27 @@ def _cmd_verify(args):
     rng = random.Random(args.seed)
     restricted = descriptors.Restricted(frozenset({4, 6}), from_generators([4, 6, 7]))
     engine._bounded_top(restricted, args.genus_bound)  # refused before any check runs
-    # the fixtures' node systems are checked too, against the oracle family
-    # one genus deeper, which holds m without x for every x in m's system
-    checks = [
-        ("interval fixture", descriptors.Interval(
-            from_generators([5, 6]), from_generators([5, 6, 7])), 20, True),
-        ("restricted fixture", restricted, args.genus_bound, True),
-        ("generated fixture closure", descriptors.Generated(
+
+    def checks():
+        # the fixtures' node systems are checked too, against the oracle family
+        # one genus deeper, which holds m without x for every x in m's system
+        yield ("interval fixture", descriptors.Interval(
+            from_generators([5, 6]), from_generators([5, 6, 7])), 20, True)
+        yield "restricted fixture", restricted, args.genus_bound, True
+        yield ("generated fixture closure", descriptors.Generated(
             (from_generators([5, 7, 9, 11, 13]), from_generators([4, 10, 11, 13])),
-            from_generators([4, 5, 7])), 20, True),
-    ]
-    for i in range(args.count):
-        kind, make = (("interval", random_interval) if i % 2 == 0
-                      else ("restricted", random_restricted))
-        # random maxima fit the bound, so no walk is refused
-        checks.append(("random %s #%d" % (kind, i),
-                       make(rng, min(8, args.genus_bound)), args.genus_bound, False))
+            from_generators([4, 5, 7])), 20, True)
+        # each random family is drawn as its check comes up, and its
+        # maximum fits the bound, so no walk is refused
+        for i in range(args.count):
+            kind, make = (("interval", random_interval) if i % 2 == 0
+                          else ("restricted", random_restricted))
+            yield ("random %s #%d" % (kind, i),
+                   make(rng, min(8, args.genus_bound)), args.genus_bound, False)
 
     def lines():
         failures = 0
-        for label, desc, bound, systems in checks:
+        for label, desc, bound, systems in checks():
             nodes = engine.tree_vertices(engine.tree_of(desc, bound)[0])
             slow = oracle_members(desc, bound)
             ok = {n.sg for n in nodes} == slow
@@ -422,12 +423,9 @@ def main(argv=None) -> int:
         # interpreter's own flush at exit finds no broken pipe to report
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ParseError as e:
+    except (ParseError, DomainError) as e:
         print("rvar: error: %s" % e, file=sys.stderr)
-        return 1
-    except DomainError as e:
-        print("rvar: error: %s" % e, file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, DomainError) else 1
     except InvariantError as e:
         print("rvar: internal error: %s" % e, file=sys.stderr)
         return 3

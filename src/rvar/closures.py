@@ -9,8 +9,8 @@ its Apéry set.  A minimal system of the kind is read off msg.
 
 from . import core
 from .core import (
-    NumSG, DomainError, NotClosed, NotContained, _capped, _listed, _sieve,
-    _valid_generators, contains, elements, format_semigroup, intersect, msg,
+    NumSG, DomainError, NotClosed, _capped, _listed, _require_in, _sieve,
+    _valid_generators, elements, format_semigroup, intersect, msg,
 )
 
 LD = "ld"
@@ -87,9 +87,7 @@ def restricted_closure(kind, a, t: NumSG) -> NumSG:
     Equals the unrestricted closure intersected with t, which requires
     a ⊆ t to begin with.
     """
-    for x in a:
-        if not contains(t, x):
-            raise NotContained("%d is not in %s" % (x, format_semigroup(t)))
+    _require_in(a, t)
     return intersect(variety_closure(kind, a), t)
 
 

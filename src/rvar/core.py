@@ -264,6 +264,13 @@ def _require_subset(s: NumSG, t: NumSG, what=""):
                            % (what, format_semigroup(s), format_semigroup(t)))
 
 
+def _require_in(xs, t: NumSG, error=NotContained, what=""):
+    """Raise error for the first x of xs not in t; what goes before x."""
+    for x in xs:
+        if not contains(t, x):
+            raise error("%s%d is not in %s" % (what, x, format_semigroup(t)))
+
+
 def remove_element(s: NumSG, x: int) -> NumSG:
     """s without the minimal generator x; genus grows by exactly 1."""
     if not contains(s, x) or x <= 0:

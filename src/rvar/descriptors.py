@@ -14,7 +14,7 @@ dataclasses module pulls inspect, ast and dis into every process that
 imports the package, which costs more than most requests compute.
 """
 
-from .core import NumSG, NotContained, _require_subset, format_semigroup, contains, msg
+from .core import NumSG, _require_in, _require_subset, msg
 
 _set = object.__setattr__
 
@@ -78,10 +78,7 @@ class Restricted(_Family):
 
     def __init__(self, a, t: NumSG):
         a = frozenset(a)
-        for x in a:
-            if not contains(t, x):
-                raise NotContained("forced element %d is not in %s"
-                                   % (x, format_semigroup(t)))
+        _require_in(a, t, what="forced element ")
         _set(self, "a", a)
         _set(self, "t", t)
         self._forget()

@@ -30,12 +30,11 @@ class RTreeNode(_Record):
 
     __slots__ = ("sg", "restricted_frob", "min_system", "children")
 
-    def __init__(self, sg: NumSG, restricted_frob: int, min_system: tuple,
-                 children=None):
+    def __init__(self, sg: NumSG, restricted_frob: int, min_system: tuple):
         self.sg = sg
         self.restricted_frob = restricted_frob
         self.min_system = min_system
-        self.children = [] if children is None else children
+        self.children = []
 
     # equality and repr hold pending nodes in a list, not on the call stack
     # (see tree_vertices and _written), so a tree of any depth has them

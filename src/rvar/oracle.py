@@ -9,7 +9,7 @@ No hot path calls into this module.
 from itertools import combinations
 
 from .core import (
-    NumSG, DomainError, InvariantError, NATURALS, NotContained, _require_subset,
+    NumSG, DomainError, InvariantError, NATURALS, _require_in, _require_subset,
     contains, format_semigroup, genus, intersect, intersect_all, is_subset, msg,
     restricted_frobenius, union_with_tail,
 )
@@ -37,9 +37,7 @@ def enumerate_between(lo, hi: NumSG, genus_bound=None):
         required = lambda x: contains(lo, x)
     else:
         req = frozenset(lo)
-        for x in req:
-            if not contains(hi, x):
-                raise NotContained("%d is not in %s" % (x, format_semigroup(hi)))
+        _require_in(req, hi)
         required = req.__contains__
         if genus_bound is None:
             raise DomainError("unbounded descent from a bare element set")
@@ -114,16 +112,16 @@ def random_subsemigroup(rng, t: NumSG, steps) -> NumSG:
     return s
 
 
-def random_interval(rng, genus_max=8, depth_max=5) -> Restricted:
+def random_interval(rng, genus_max=8) -> Restricted:
     hi = random_semigroup(rng, genus_max)
-    lo = random_subsemigroup(rng, hi, rng.randint(0, depth_max))
+    lo = random_subsemigroup(rng, hi, rng.randint(0, 5))
     return Interval(lo, hi)
 
 
-def random_restricted(rng, genus_max=8, picks_max=3) -> Restricted:
+def random_restricted(rng, genus_max=8) -> Restricted:
     t = random_semigroup(rng, genus_max)
     pool = [x for x in msg(t) if x > 0]
-    k = rng.randint(0, min(picks_max, len(pool)))
+    k = rng.randint(0, min(3, len(pool)))
     return Restricted(frozenset(rng.sample(pool, k)), t)
 
 

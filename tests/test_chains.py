@@ -185,6 +185,9 @@ class TestMembershipKernel:
                 is_member(desc, sg(4, 5, 7))
             with pytest.raises(TypeError, match=r"^not a variety descriptor"):
                 minimal_rsystem(desc, sg(4, 5, 7))
+        # the kernel's refusal is delta_of's, word for word
+        with pytest.raises(TypeError, match=r"^not a variety descriptor: NumSG\(<1>\)$"):
+            _systems(NATURALS)
 
     def test_membership_and_systems_build_one_kernel(self, monkeypatch):
         builds = []

@@ -408,6 +408,11 @@ class TestClosure:
                    "--inside", "<1>") == (
             1, "", "rvar: error: --inside only applies to a generator list\n")
 
+    def test_an_element_outside_inside_is_a_domain_error(self, capsys):
+        # 7 is in <4,6,7> and 5 is not: the first element outside is named
+        assert run(capsys, "closure", "--kind", "ld", "5,7", "--inside", "<4,6,7>") == (
+            2, "", "rvar: error: 5 is not in <4,6,7>\n")
+
     def test_gens_and_vsystem_conflict(self, capsys):
         rc, _, err = run(capsys, "closure", "--kind", "ld", "5",
                          "--vsystem", "<5,9>")
@@ -531,6 +536,29 @@ class TestVerify:
         assert out.splitlines()[0] == "FAIL interval fixture (0 members)"
         assert len(out.splitlines()) == 3
         assert err == "rvar: error: 3 check(s) failed\n"
+
+    def test_random_families_are_drawn_as_their_checks_come_up(self, monkeypatch):
+        # the first five lines are the three fixtures and two random checks,
+        # so no more than two families have been drawn when they are read
+        import itertools
+
+        import rvar.oracle
+        draws = []
+
+        def counted(make):
+            def draw(*args):
+                draws.append(make.__name__)
+                return make(*args)
+            return draw
+        for name in ("random_interval", "random_restricted"):
+            monkeypatch.setattr(rvar.oracle, name, counted(getattr(rvar.oracle, name)))
+        args = cli.build_parser(["verify"]).parse_args(["verify", "--count", "1000"])
+        lines, _, _ = args.handler(args)
+        assert [line.split(" (")[0] for line in itertools.islice(lines, 5)] == [
+            "ok interval fixture", "ok restricted fixture",
+            "ok generated fixture closure", "ok random interval #0",
+            "ok random restricted #1"]
+        assert draws == ["random_interval", "random_restricted"]
 
     def test_a_low_bound_draws_maxima_that_fit_it(self, capsys):
         # random maxima have genus at most the bound, so no walk is refused

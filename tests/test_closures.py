@@ -142,6 +142,9 @@ class TestRestrictedClosure:
     def test_requires_containment(self):
         with pytest.raises(NotContained):
             restricted_closure(LD, [5], sg(4, 6, 7))
+        # the one element outside t is named, and 7, which is in t, is not
+        with pytest.raises(NotContained, match=r"^5 is not in <4,6,7>$"):
+            restricted_closure(LD, [5, 7], sg(4, 6, 7))
 
 
 class TestMinimalVSystem:

@@ -42,7 +42,7 @@ class TestEnumerateBetween:
     def test_requires_containment(self):
         with pytest.raises(NotContained):
             enumerate_between(sg(5, 7), sg(5, 6))
-        with pytest.raises(NotContained):
+        with pytest.raises(NotContained, match=r"^5 is not in <4,6,7>$"):
             enumerate_between({5}, sg(4, 6, 7), 8)
 
     def test_bare_element_set_needs_a_bound(self):

@@ -434,8 +434,7 @@ def test_the_kind_is_decided_once():
                         and kinds & {n.id for n in ast.walk(node.args[1])
                                      if isinstance(n, ast.Name)}):
                     found.append((path.name, getattr(top, "name", None)))
-    assert sorted(found) == [("chains.py", "_systems"), ("chains.py", "_systems"),
-                             ("descriptors.py", "delta_of"),
+    assert sorted(found) == [("chains.py", "_systems"), ("descriptors.py", "delta_of"),
                              ("descriptors.py", "delta_of")]
     engine = ast.parse((SRC / "engine.py").read_text())
     assert not kinds & {name for node in ast.walk(engine)
@@ -493,21 +492,55 @@ def test_the_sources_keep_to_the_oldest_supported_python():
                   feature_version=(3, 10))
 
 
-def _capacity_refusals(tree):
-    """The functions of tree that construct CapacityExceeded, by name."""
+def _refusals(tree, errors):
+    """The functions of tree that construct one of errors, by name."""
     return sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-                  and "CapacityExceeded" in set(_called_names(f)))
+                  and set(errors) & set(_called_names(f)))
+
+
+def _package_refusals(errors):
+    """_refusals over every module of the package, as "module:function"."""
+    return ["%s:%s" % (path.name, name) for path in sorted(SRC.glob("*.py"))
+            for name in _refusals(ast.parse(path.read_text()), errors)]
 
 
 def test_one_budget_refusal():
     # the sieves, the walk and the chain refuse past their limits through
     # core._capped, so a refusal is worded and raised in one place
-    found = ["%s:%s" % (path.name, name) for path in sorted(SRC.glob("*.py"))
-             for name in _capacity_refusals(ast.parse(path.read_text()))]
-    assert found == ["core.py:_capped"]
+    assert _package_refusals(("CapacityExceeded",)) == ["core.py:_capped"]
     for module, func in (("core.py", "from_generators"), ("closures.py", "variety_closure"),
                          ("engine.py", "_levels"), ("chains.py", "chain_to")):
         assert "_capped" in set(_called_names(_top_functions(module)[func])), func
     # the guard sees a refusal raised in another function
     line = "def f(n):\n    if n > 1:\n        raise CapacityExceeded('x')"
-    assert _capacity_refusals(ast.parse(line)) == ["f"]
+    assert _refusals(ast.parse(line), ("CapacityExceeded",)) == ["f"]
+
+
+def _literals(tree, prefix):
+    """The functions of tree, by name, holding a string literal that starts
+    with prefix, once per literal."""
+    return sorted(f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  for n in ast.walk(f) if isinstance(n, ast.Constant)
+                  and isinstance(n.value, str) and n.value.startswith(prefix))
+
+
+def test_one_wording_per_refusal():
+    # an element or a semigroup outside the maximum is refused by core's two
+    # checks, which word the message; the other modules pass them the error
+    assert _package_refusals(("NotContained", "NotInDelta")) == ["core.py:_require_subset"]
+    core = _top_functions("core.py")
+    assert "error" in set(_called_names(core["_require_in"]))
+    for module, func in (("descriptors.py", "Restricted"), ("closures.py", "restricted_closure"),
+                         ("chains.py", "rmonoid_generated"), ("oracle.py", "enumerate_between")):
+        tree = ast.parse((SRC / module).read_text())
+        scope = next(n for n in tree.body if getattr(n, "name", None) == func)
+        assert "_require_in" in set(_called_names(scope)), func
+    # a non-descriptor is refused by delta_of alone, and main writes the one
+    # error line for usage and domain errors alike
+    found = ["%s:%s" % (path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in _literals(ast.parse(path.read_text()), "not a variety descriptor")]
+    assert found == ["descriptors.py:delta_of"]
+    assert _literals(ast.parse((SRC / "cli.py").read_text()), "rvar: error: %s") == ["main"]
+    # the guard sees an element refusal worded in another function
+    line = "def f(x):\n    if x:\n        raise NotContained('x')"
+    assert _refusals(ast.parse(line), ("NotContained", "NotInDelta")) == ["f"]
