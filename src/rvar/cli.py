@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage or parse problem, 2 domain error (invalid
 semigroup arithmetic, non-member arguments, undecidable-within-bound),
-3 internal error (a failed invariant check: a fault of the program),
+3 internal error (any other exception: a fault of the program),
 141 stdout closed by its reader (128 + SIGPIPE, as a shell reports a
 pipe's writer killed by that signal).
 Output is deterministic: members sort by (genus, small elements), JSON keys
@@ -41,7 +41,7 @@ import sys
 
 from . import chains, closures, descriptors, engine
 from .core import (
-    NumSG, DomainError, InvariantError, ParseError, format_semigroup,
+    NumSG, DomainError, ParseError, format_semigroup,
     from_generators, frobenius, genus, intersect, intersect_all, msg,
     multiplicity, parse_semigroup, restricted_frobenius,
 )
@@ -426,8 +426,8 @@ def main(argv=None) -> int:
     except (ParseError, DomainError) as e:
         print("rvar: error: %s" % e, file=sys.stderr)
         return 2 if isinstance(e, DomainError) else 1
-    except InvariantError as e:
-        print("rvar: internal error: %s" % e, file=sys.stderr)
+    except Exception as e:  # a fault of the program: one line, no traceback
+        print("rvar: internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 3
 
 

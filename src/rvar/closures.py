@@ -10,7 +10,7 @@ its Apéry set.  A minimal system of the kind is read off msg.
 from . import core
 from .core import (
     NumSG, DomainError, NotClosed, _capped, _listed, _require_in, _sieve,
-    _valid_generators, elements, format_semigroup, intersect, msg,
+    _valid_generators, format_semigroup, intersect, msg,
 )
 
 LD = "ld"
@@ -64,29 +64,13 @@ def variety_closure(kind, gens) -> NumSG:
     return _sieve(int.from_bytes(apery, "little") | 1, [g], v - g + 1)
 
 
-def _kind_defect(off, s: NumSG):
-    """A nonzero pair (a, b) of members with a + b + off outside s, for an
-    s that is not closed under the kind; it words the NotClosed error.
-
-    Pairs of small elements suffice: any sum involving the tail lands at or
-    past the conductor.
-    """
-    gaps = s.gaps
-    nonzero = s.key & ~1
-    for a in elements(s, s.conductor):
-        if a:
-            # a + b + offset over the members b in (0, a], on the gaps of s
-            hit = ((nonzero & ((2 << a) - 1)) << (a + off)) & gaps
-            if hit:
-                return (a, (hit & -hit).bit_length() - 1 - a - off)
-
-
 def restricted_closure(kind, a, t: NumSG) -> NumSG:
     """Smallest semigroup of the kind that contains a and sits inside t.
 
     Equals the unrestricted closure intersected with t, which requires
     a ⊆ t to begin with.
     """
+    a = list(a)  # read once: a may be an iterator
     _require_in(a, t)
     return intersect(variety_closure(kind, a), t)
 
@@ -96,11 +80,13 @@ def minimal_vsystem(kind, m: NumSG) -> frozenset:
 
     m is closed exactly when x + y + offset is in m for x, y in msg(m), since
     a + b + offset = (x + y + offset) + a' + b' for a = x + a', b = y + b'.
-    Then a member is needed exactly when it is no a + b or a + b + offset of
-    nonzero members a, b below it: a member of msg(m) that is no x + b +
-    offset, x in msg(m) and b a nonzero member other than 1 (for ld on N,
-    1 + 1 - 1 is 1 itself).  The same sums take every y in msg(m) as b, so
-    they decide closedness; _kind_defect only words the error.
+    So the least escaping sum v is x + y + offset for some x <= y in msg(m),
+    and the error names it as b + x, x the largest generator of m not above
+    its member partner b.  A member is needed exactly when it is no a + b or
+    a + b + offset of nonzero members a, b below it: a member of msg(m) that
+    is no x + b + offset, x in msg(m) and b a nonzero member other than 1
+    (for ld on N, 1 + 1 - 1 is 1 itself).  The same sums take every y in
+    msg(m) as b, so they decide closedness and find v.
     """
     off = _offset(kind)
     gens = msg(m)
@@ -108,8 +94,10 @@ def minimal_vsystem(kind, m: NumSG) -> frozenset:
     sums = 0
     for x in gens:
         sums |= nonzero << (x + off)
-    if sums & m.gaps:
-        a, b = _kind_defect(off, m)
+    bad = sums & m.gaps
+    if bad:
+        v = (bad & -bad).bit_length() - 1
+        x = max(x for x in gens if 2 * x + off <= v and nonzero >> (v - off - x) & 1)
         raise NotClosed("%d + %d %s 1 = %d escapes %s"
-                        % (a, b, "-+"[off > 0], a + b + off, format_semigroup(m)))
+                        % (v - off - x, x, "-+"[off > 0], v, format_semigroup(m)))
     return frozenset(x for x in gens if not sums >> x & 1)

@@ -809,7 +809,30 @@ class TestErrorPaths:
         rc, out, err = run(capsys, "restrict", "--interval", INTERVAL, "--by", "<5,6,7>")
         assert rc == 3
         assert out == ""
-        assert err == "rvar: internal error: no maximum element\n"
+        assert err == "rvar: internal error: InvariantError: no maximum element\n"
+
+    @pytest.mark.parametrize("fault, line", [
+        (KeyError(17), "KeyError: 17"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "RecursionError: maximum recursion depth exceeded"),
+    ])
+    def test_any_fault_is_one_internal_error_line(self, capsys, monkeypatch, fault, line):
+        # a library call fails on the 5th member of the tree: the 4 lines
+        # made before it are still written, then one line and exit 3
+        calls = []
+
+        def failing(s):
+            calls.append(s)
+            if len(calls) == 5:
+                raise fault
+            return format_semigroup(s)
+        monkeypatch.setattr(cli, "format_semigroup", failing)
+        rc, out, err = run(capsys, "tree", "--restricted", ":<1>", "--genus-bound", "4")
+        assert rc == 3
+        assert out.splitlines() == ["<1>  [1]  fdelta=-1", "  <2,3>  [2,3]  fdelta=1",
+                                    "    <3,4,5>  [3,4,5]  fdelta=2",
+                                    "      <4,5,6,7>  [4,5,6,7]  fdelta=3"]
+        assert err == "rvar: internal error: %s\n" % line
 
     @pytest.mark.parametrize("argv", [
         ["tree", "--restricted", ":<1>"],

@@ -5,7 +5,7 @@ import pytest
 from rvar import (
     LD, PL, NATURALS, CapacityExceeded, DomainError, EmptyGenerators,
     InvalidGenerator, NotClosed, NotContained, closures, contains, core, elements,
-    frobenius, genus, minimal_vsystem, msg, restricted_closure,
+    frobenius, genus, minimal_vsystem, msg, remove_element, restricted_closure,
     variety_closure,
 )
 from support import sg
@@ -146,6 +146,12 @@ class TestRestrictedClosure:
         with pytest.raises(NotContained, match=r"^5 is not in <4,6,7>$"):
             restricted_closure(LD, [5, 7], sg(4, 6, 7))
 
+    def test_reads_its_input_once(self):
+        # an iterator is checked against t and closed alike
+        assert restricted_closure(LD, iter([4, 7]), sg(4, 6, 7)) == sg(4, 7, 10, 13)
+        with pytest.raises(NotContained, match=r"^5 is not in <4,6,7>$"):
+            restricted_closure(LD, iter([4, 5]), sg(4, 6, 7))
+
 
 class TestMinimalVSystem:
     def test_ld_anchor(self):
@@ -167,9 +173,28 @@ class TestMinimalVSystem:
         assert minimal_vsystem(PL, NATURALS) == frozenset({1})
 
     def test_rejects_unclosed_monoid(self):
-        # 5 + 9 - 1 = 13 escapes <5,7,9>
-        with pytest.raises(NotClosed):
+        # 11 is the least escaping sum; 5 is the largest generator not
+        # above its partner 7
+        with pytest.raises(NotClosed, match=r"^7 \+ 5 - 1 = 11 escapes <5,7,9>$"):
             minimal_vsystem(LD, sg(5, 7, 9))
+
+    @pytest.mark.parametrize("gens, line", [
+        # 19 = 14 + 6 - 1 escapes below 21 = 11 + 11 - 1
+        ((6, 11, 14, 16), r"^14 \+ 6 - 1 = 19 escapes <6,11,14,16>$"),
+        ((4, 7, 10), r"^7 \+ 7 - 1 = 13 escapes <4,7,10>$"),
+    ])
+    def test_names_the_least_escaping_sum(self, gens, line):
+        with pytest.raises(NotClosed, match=line):
+            minimal_vsystem(LD, sg(*gens))
+
+    def test_large_refusal_names_its_least_sum(self):
+        # the ld closure of [300] without its largest generator, 89701,
+        # which is the only sum of two generators it lacks
+        v = variety_closure(LD, [300])
+        s = remove_element(v, msg(v)[-1])
+        with pytest.raises(NotClosed) as caught:
+            minimal_vsystem(LD, s)
+        assert str(caught.value).startswith("44851 + 44851 - 1 = 89701 escapes ")
 
     def test_system_regenerates(self):
         for kind, gens in ((LD, [6, 7]), (PL, [5, 8]), (LD, [8, 9, 11])):

@@ -30,7 +30,6 @@ from rvar import (
     rmonoid_generated, smallest_containing, tree_of, tree_vertices, union_with_tail,
     variety_closure,
 )
-from rvar.closures import _kind_defect
 from rvar.engine import _last_level, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE, POOL
 
@@ -321,11 +320,20 @@ def naive_vsystem(off, m):
     return {x for x in nonzero if x not in sums}
 
 
-def naive_escape(off, m):
-    """Whether a + b + off leaves m for some nonzero members a, b; past the
-    conductor every sum stays inside."""
+def naive_refusal(off, m):
+    """The NotClosed line for m, or None if m is closed: the least a + b + off
+    outside m over nonzero members a, b, split as b + x at the largest minimal
+    generator x not above its member partner b.  Past the conductor every
+    sum stays inside."""
     nonzero = [x for x in elements(m, m.conductor) if x]
-    return any(not contains(m, a + b + off) for a in nonzero for b in nonzero)
+    escapes = [a + b + off for a in nonzero for b in nonzero
+               if not contains(m, a + b + off)]
+    if not escapes:
+        return None
+    v = min(escapes)
+    x = max(x for x in msg(m) if x <= v - off - x and contains(m, v - off - x))
+    return "%d + %d %s 1 = %d escapes %s" % (
+        v - off - x, x, "-" if off < 0 else "+", v, format_semigroup(m))
 
 
 class TestClosureLaws:
@@ -387,19 +395,27 @@ class TestClosureLaws:
 
     @given(KIND, semigroups(max_gen=16))
     def test_not_closed_exactly_on_an_escape(self, kind, s):
-        # closedness is decided from the pairs of minimal generators alone
-        off = -1 if kind == LD else 1
-        if not naive_escape(off, s):
+        # closedness is decided from the pairs of minimal generators alone,
+        # and a refusal names the least escaping sum
+        line = naive_refusal(-1 if kind == LD else 1, s)
+        if line is None:
             assert variety_closure(kind, msg(s)) == s
             minimal_vsystem(kind, s)
             return
-        a, b = _kind_defect(off, s)
-        assert contains(s, a) and contains(s, b) and a and b
-        assert not contains(s, a + b + off)
         with pytest.raises(NotClosed) as caught:
             minimal_vsystem(kind, s)
-        assert str(caught.value) == "%d + %d %s 1 = %d escapes %s" % (
-            a, b, "-" if off < 0 else "+", a + b + off, format_semigroup(s))
+        assert str(caught.value) == line
+
+    @pytest.mark.parametrize("kind", [LD, PL])
+    def test_every_refusal_in_the_pool_names_the_least_sum(self, kind):
+        off = -1 if kind == LD else 1
+        for s in POOL:
+            try:
+                minimal_vsystem(kind, s)
+                got = None
+            except NotClosed as e:
+                got = str(e)
+            assert got == naive_refusal(off, s), format_semigroup(s)
 
     @given(KIND, framed_generators())
     def test_restricted_closure_is_the_framed_intersection(self, kind, framed):
@@ -528,6 +544,18 @@ class TestRestrictionLaws:
             assert complete
             assert image == {intersect(s, u) for s in mem}
             check_rvariety_axioms(image)
+
+    @given(generated_descriptors(), st.integers(0, 2 ** 32))
+    @settings(max_examples=100)
+    def test_restriction_commutes_with_generation(self, desc, seed):
+        # {S ∩ u : S a member of Generated(f, Δ)} is the member set of
+        # Generated([c ∩ u for c in f], Δ ∩ u); the README gives the proof
+        u = random_semigroup(random.Random(seed), 10)
+        image, complete = restriction_of(desc, u, 40)
+        traced = Generated([intersect(c, u) for c in desc.f], intersect(desc.delta, u))
+        mem, traced_complete = members_of(traced, 40)
+        assume(complete and traced_complete)
+        assert image == set(mem)
 
 
 @st.composite

@@ -544,3 +544,15 @@ def test_one_wording_per_refusal():
     # the guard sees an element refusal worded in another function
     line = "def f(x):\n    if x:\n        raise NotContained('x')"
     assert _refusals(ast.parse(line), ("NotContained", "NotInDelta")) == ["f"]
+
+
+def test_one_closedness_sum():
+    # minimal_vsystem decides closedness and words its refusal from the one
+    # set of sums it builds; no function scans the members to word it
+    # (_refusals lists the functions that call any of the names given)
+    tree = ast.parse((SRC / "closures.py").read_text())
+    assert _refusals(tree, ("NotClosed",)) == ["minimal_vsystem"]
+    assert _refusals(tree, ("elements",)) == []
+    # the guard sees a scan in another function
+    line = "def f(s):\n    for a in elements(s, 9):\n        pass"
+    assert _refusals(ast.parse(line), ("elements",)) == ["f"]
