@@ -135,7 +135,7 @@ def _intersect_each(sgs, u) -> set:
     """{S ∩ u | S in sgs}: one & with u's key per S, and one NumSG per
     distinct image."""
     uk = u.key
-    return {NumSG(x) for x in {s.key & uk for s in sgs}}
+    return set(map(NumSG, {s.key & uk for s in sgs}))
 
 
 def _valid_generators(gens) -> list:

@@ -124,8 +124,9 @@ def _walk(desc, genus_bound):
     for p, k in zip(nodes, counts):
         if i == n:
             break
-        p.children = nodes[i:i + k]
-        i += k
+        if k:
+            p.children = nodes[i:i + k]
+            i += k
     return nodes, complete
 
 
@@ -170,22 +171,30 @@ def _cut(walked, i):
     one past the sum of the counts before it.  Each level of the subtree
     is then one range a:b of the walk, and the children of that range
     are the next, which starts at lo.  Below its root the fds and counts
-    stay, and the systems keep their elements above the root's fd, which
-    becomes -1 (the README gives the proofs).  The loop runs while its
-    range lies in the walk; the subtree is complete when it ends on an
-    empty range, a range with no children.
+    stay, and the systems keep their elements above the root's fd F,
+    which becomes -1.  Every member of the subtree agrees with the root
+    on [0, F], so its system holds the root's elements up to F and no
+    other: one bisection of the root's system gives the k elements that
+    every system loses (the README gives the proofs).  The loop runs
+    while its range lies in the walk; the subtree is complete when it
+    ends on an empty range, a range with no children.
     """
     bound, mem, fds, systems, counts, _, _ = walked
-    cut = _, sub_fds, sub_systems, _ = [], [], [], []
+    sub_mem, sub_fds, sub_systems, sub_counts = [], [], [], []
     a, b, lo = i, i + 1, 1 + sum(counts[:i])
     while a < b <= len(mem):
-        for kept, part in zip(cut, (mem, fds, systems, counts)):
-            kept += part[a:b]
+        sub_mem += mem[a:b]
+        sub_fds += fds[a:b]
+        sub_systems += systems[a:b]
+        sub_counts += counts[a:b]
         hi = lo + sum(counts[a:b])
         a, b, lo = lo, hi, hi + sum(counts[b:lo])
-    f, sub_fds[0] = sub_fds[0], -1
-    sub_systems[:] = [xs[bisect_right(xs, f):] for xs in sub_systems]
-    return (bound, *map(tuple, cut), a == b, {})
+    sub_fds[0] = -1
+    k = bisect_right(systems[i], fds[i])
+    if k:
+        sub_systems = [xs[k:] for xs in sub_systems]
+    return (bound, tuple(sub_mem), tuple(sub_fds), tuple(sub_systems),
+            tuple(sub_counts), a == b, {})
 
 
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
@@ -278,7 +287,9 @@ def descendants(desc, t: NumSG):
     (see chains._systems), desc itself for desc's maximum.  The README
     gives the proofs.  When desc keeps a walk that holds t, the view
     keeps t's subtree of it (see _cut), so its walks at that bound
-    neither walk again nor build its kernel.
+    neither walk again nor build its kernel.  The cut bisects t's system
+    once: every member below t shares t's system elements up to F =
+    fdelta(t, maximum), which the view drops.
     """
     i = chains._position(desc, t)
     if i is None:

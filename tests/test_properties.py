@@ -30,15 +30,21 @@ from rvar import (
     rmonoid_generated, smallest_containing, tree_of, tree_vertices, union_with_tail,
     variety_closure,
 )
-from rvar.engine import _last_level, restriction_of
+from rvar.chains import _systems
+from rvar.engine import _last_level, fdelta, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE, POOL
 
 
 @st.composite
 def semigroups(draw, max_gen=24):
+    """Generators in 2..max_gen with gcd 1: a draw with gcd d > 1 gets the
+    least value coprime to d, so every draw is valid and a draw with gcd 1
+    is kept as it is."""
     gens = draw(st.lists(st.integers(min_value=2, max_value=max_gen),
                          min_size=1, max_size=4))
-    assume(reduce(gcd, gens) == 1)
+    d = reduce(gcd, gens)
+    if d > 1:
+        gens.append(next(x for x in range(2, max_gen + 1) if gcd(x, d) == 1))
     return from_generators(gens)
 
 
@@ -59,9 +65,10 @@ def restricteds(draw):
 
 @st.composite
 def generated_descriptors(draw):
-    delta = draw(semigroups(max_gen=10))
-    assume(genus(delta) <= 6)
+    """Generated(f, Δ) with Δ of genus at most 6, which random_semigroup
+    reaches each of, and one or two members of f inside Δ."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    delta = random_semigroup(rng, 6)
     count = draw(st.integers(1, 2))
     fam = tuple(random_subsemigroup(rng, delta, rng.randint(0, 3))
                 for _ in range(count))
@@ -601,6 +608,23 @@ class TestViewConversionLaws:
             assert n.restricted_frob == (-1 if n.sg == t else restricted_frobenius(n.sg, t))
             assert n.min_system == tuple(sorted(minimal_system_from_members(ref, n.sg)))
 
+    @given(view_cases())
+    @settings(max_examples=100)
+    def test_members_below_a_top_share_its_system_up_to_its_fd(self, case):
+        # every member S below t agrees with t on [0, F], F = fdelta(t, Δ),
+        # so the family's kernel gives S exactly t's system elements up to
+        # F; engine._cut trims every system of a view by one bisection of
+        # t's on this law.  The copy keeps no walk, so the kernel answers
+        desc, t, bound = case
+        fresh = pickle.loads(pickle.dumps(desc))
+        system, delta = _systems(fresh)[1], delta_of(fresh)
+        f = fdelta(t, delta)
+        head = [x for x in system(t) if x <= f]
+        for s in oracle_members(fresh, bound):
+            if _descends(s, t, delta):
+                assert [x for x in system(s) if x <= f] == head
+        assert fresh._walked is None
+
     @given(view_cases(), st.integers(0, 2 ** 32))
     @settings(max_examples=60)
     def test_nested_views_are_direct_views(self, case, seed):
@@ -675,6 +699,9 @@ class TestViewCutLaws:
     # walks alike keep each member's conductor at its maximum's or past its fd
     @given(cut_cases())
     @settings(max_examples=80)
+    # the tree of all semigroups to genus 5 holds tops whose systems have
+    # elements up to their fd, such as <2,5> with fd 3, so the cut trims
+    @example((Restricted(frozenset(), NATURALS), [5], 0))
     def test_a_cut_walk_is_the_fresh_walk_of_the_view(self, case):
         desc, bounds, seed = case
         rng = random.Random(seed)

@@ -135,6 +135,13 @@ def _called_names(func):
                 yield f.attr
 
 
+def _called_in_loops(tree):
+    """Names of the functions called inside a loop or a comprehension under tree."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return {name for n in ast.walk(tree) if isinstance(n, loops)
+            for name in _called_names(n)}
+
+
 def _top_functions(name):
     """The module-level functions of the package module name, by name."""
     tree = ast.parse((SRC / name).read_text())
@@ -257,6 +264,17 @@ def test_kept_walks_are_read_not_remade():
                    for called in set(_called_names(funcs[name])) & banned)
     assert found == []
     assert [a.arg for a in funcs["_cut"].args.args] == ["walked", "i"]
+    # every member below the cut's root shares the root's system elements
+    # up to its fd, so the cut bisects once, the root's system, and in no loop
+    cut_calls = list(_called_names(funcs["_cut"]))
+    assert cut_calls.count("bisect_right") == 1
+    assert "bisect_right" not in _called_in_loops(funcs["_cut"])
+    for line in ("for xs in s: bisect_right(xs, f)", "while a: k = bisect_right(xs, f)",
+                 "[xs[bisect_right(xs, f):] for xs in s]", "{bisect_right(xs, f) for xs in s}",
+                 "list(bisect_right(xs, f) for xs in s)"):
+        assert "bisect_right" in _called_in_loops(ast.parse(line)), line
+    assert "bisect_right" not in _called_in_loops(
+        ast.parse("k = bisect_right(xs, f)\nys = [x[k:] for x in s]"))
     # the guard sees the calls it bans where they are made
     assert "bisect_right" in set(_called_names(funcs["_levels"]))
     assert "bisect_right" in set(_called_names(funcs["_cut"]))
