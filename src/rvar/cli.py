@@ -27,12 +27,14 @@ format runs, so text output computes no field it does not print.  Lines
 go out in writes of about _CHUNK characters, not one per line: with
 unbuffered stdout each write is a system call.
 verify has only the text format: its items are its lines, made as its
-checks run, and a failed check ends them with a domain error.
+checks run by rvar._verify, and a failed check ends them with a domain
+error.
 
 A request runs only what its command uses.  build_parser builds the one
 subparser that argv names; the library modules run on first use, so the
-code reaches them through their module (engine.tree_of), and json and
-random are imported only where they are used.
+code reaches them through their module (engine.tree_of), and json is
+imported only where it is used.  verify's checks, with the oracle and
+random, live in rvar._verify, which only verify imports.
 """
 
 import argparse
@@ -41,9 +43,9 @@ import sys
 
 from . import chains, closures, descriptors, engine
 from .core import (
-    NumSG, DomainError, ParseError, format_semigroup,
-    from_generators, frobenius, genus, intersect, intersect_all, msg,
-    multiplicity, parse_semigroup, restricted_frobenius,
+    NumSG, DomainError, ParseError, format_semigroup, frobenius, genus,
+    intersect, intersect_all, msg, multiplicity, parse_semigroup,
+    restricted_frobenius,
 )
 
 _CHUNK = 1 << 16
@@ -260,8 +262,10 @@ def _cmd_tree(args):
 def _cmd_genus_level(args):
     desc = _variety_from(args)
     # the walk carries each member's fdelta in the family's maximum and its
-    # system, so no system is checked or computed again
-    level = sorted(engine._last_level(desc, args.genus), key=lambda m: m[0].sort_key())
+    # system, so no system is checked or computed again.  The members share
+    # one genus and no two share a msg, so msg alone orders them as
+    # NumSG.sort_key, (genus, msg), does
+    level = sorted(engine._last_level(desc, args.genus), key=lambda m: msg(m[0]))
     return (level, lambda m: format_semigroup(m[0]),
             lambda m: _record(m[0], m[1], minsys=m[2]))
 
@@ -318,51 +322,10 @@ def _cmd_restrict(args):
           _arg("--seed", type=int, default=0), _arg("--count", type=int, default=20),
           _arg("--genus-bound", type=int, default=12, metavar="N"))
 def _cmd_verify(args):
-    import random
-
-    from .oracle import (
-        minimal_system_from_members, oracle_members, random_interval,
-        random_restricted,
-    )
+    from . import _verify
     if args.count < 0:
         raise ParseError("--count must be at least 0, not %d" % args.count)
-    rng = random.Random(args.seed)
-    restricted = descriptors.Restricted(frozenset({4, 6}), from_generators([4, 6, 7]))
-    engine._bounded_top(restricted, args.genus_bound)  # refused before any check runs
-
-    def checks():
-        # the fixtures' node systems are checked too, against the oracle family
-        # one genus deeper, which holds m without x for every x in m's system
-        yield ("interval fixture", descriptors.Interval(
-            from_generators([5, 6]), from_generators([5, 6, 7])), 20, True)
-        yield "restricted fixture", restricted, args.genus_bound, True
-        yield ("generated fixture closure", descriptors.Generated(
-            (from_generators([5, 7, 9, 11, 13]), from_generators([4, 10, 11, 13])),
-            from_generators([4, 5, 7])), 20, True)
-        # each random family is drawn as its check comes up, and its
-        # maximum fits the bound, so no walk is refused
-        for i in range(args.count):
-            kind, make = (("interval", random_interval) if i % 2 == 0
-                          else ("restricted", random_restricted))
-            yield ("random %s #%d" % (kind, i),
-                   make(rng, min(8, args.genus_bound)), args.genus_bound, False)
-
-    def lines():
-        failures = 0
-        for label, desc, bound, systems in checks():
-            nodes = engine.tree_vertices(engine.tree_of(desc, bound)[0])
-            slow = oracle_members(desc, bound)
-            ok = {n.sg for n in nodes} == slow
-            if ok and systems:
-                family = oracle_members(desc, bound + 1)
-                ok = all(n.min_system == tuple(sorted(
-                    minimal_system_from_members(family, n.sg))) for n in nodes)
-            yield "%s %s (%d members)" % ("ok" if ok else "FAIL", label, len(slow))
-            failures += not ok
-        if failures:
-            raise DomainError("%d check(s) failed" % failures)
-        yield "all checks passed (seed=%d, count=%d)" % (args.seed, args.count)
-    return lines(), str, None
+    return _verify.lines(args.seed, args.count, args.genus_bound), str, None
 
 
 # -------------------------------------------------------------- the parser

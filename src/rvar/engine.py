@@ -61,19 +61,25 @@ def fdelta(s: NumSG, top: NumSG) -> int:
 
 
 def _next_level(system, level, counts):
-    """The next level below a level of (member, fd, system) triples, whose
-    child counts are counts: each member without each of the last k values
-    of its system, k its count, in increasing order, as the triple (child,
-    value removed, system(child))."""
-    return [(c := _drop(sg, x), x, system(c))
-            for (sg, _, xs), k in zip(level, counts) for x in xs[len(xs) - k:]]
+    """The level below level, whose child counts are counts, as three
+    parallel lists (members, fds, systems): each member without each of
+    the last k values of its system, k its count, in increasing order, with
+    the value removed as the child's fd and system(child) as its system."""
+    mem, _, systems = level
+    kids, fds = [], []
+    for sg, xs, k in zip(mem, systems, counts):
+        tail = xs[len(xs) - k:]
+        fds += tail
+        kids += [_drop(sg, x) for x in tail]
+    return kids, fds, list(map(system, kids))
 
 
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
     xs, fd = node.min_system, node.restricted_frob
-    return [RTreeNode(*c) for c in _next_level(
-        chains._systems(desc)[1], [(node.sg, fd, xs)], [len(xs) - bisect_right(xs, fd)])]
+    level = _next_level(chains._systems(desc)[1], ([node.sg], [fd], [xs]),
+                        [len(xs) - bisect_right(xs, fd)])
+    return [RTreeNode(*c) for c in zip(*level)]
 
 
 def _bounded_top(desc, genus_bound) -> NumSG:
@@ -88,22 +94,23 @@ def _bounded_top(desc, genus_bound) -> NumSG:
 def _levels(desc, g):
     """Yield the levels of desc's tree from its maximum to genus g, or to
     the first empty one, each with its members' child counts: a level is
-    a list of (member, fd, system) triples, where fd is the member's
-    restricted Frobenius number in the maximum, -1 for the maximum itself,
-    and system its minimal system from the family's kernel, chosen once
-    per walk; a child count is the number of the system's values above
-    fd.  A member's children are consecutive in the next level (see
-    _next_level), and no child repeats.  When the next level would take
-    the walk past MAX_MEMBERS members, core._capped refuses it before it
-    is built.
+    three parallel lists (members, fds, systems), the kept walk's shape
+    (see _walked), where a member's fd is its restricted Frobenius number
+    in the maximum, -1 for the maximum itself, and its system is its
+    minimal system from the family's kernel, chosen once per walk; a
+    child count is the number of the system's values above fd.  A
+    member's children are consecutive in the next level (see _next_level),
+    and no child repeats.  When the next level would take the walk past
+    MAX_MEMBERS members, core._capped refuses it before it is built.
     """
     top = _bounded_top(desc, g)
     system = chains._systems(desc)[1]
-    level, made = [(top, -1, system(top))], 1
+    level, made = ([top], [-1], [system(top)]), 1
     for depth in range(genus(top), g + 1):
-        counts = [len(xs) - bisect_right(xs, fd) for _, fd, xs in level]
+        _, fds, systems = level
+        counts = [len(xs) - bisect_right(xs, fd) for fd, xs in zip(fds, systems)]
         yield level, counts
-        if depth == g or not level:
+        if depth == g or not fds:
             return
         made += sum(counts)
         _capped(made, MAX_MEMBERS, "walk", "members")
@@ -138,22 +145,22 @@ def members_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
 
 
 def _walked(desc, genus_bound):
-    """(members, fds, systems, counts, complete): the triples of _levels
-    in its order as three parallel tuples, the child counts it gives as a
-    fourth, and whether the walk is complete, that is whether no member
-    of its last level has children.  desc keeps its last walk with its
-    bound before these fields and an empty member map after them, which
-    chains._position fills with each member's key and position and reads;
-    a walk at that bound reuses it, a walk at another bound replaces it,
-    map and all, and a refused walk replaces nothing.  A descendants view
-    may be born with a walk cut from its family's (see _cut).
+    """(members, fds, systems, counts, complete): the levels of _levels in
+    its order, each list joined into one tuple, the child counts it gives
+    as a fourth, and whether the walk is complete, that is whether no
+    member of its last level has children.  desc keeps its last walk with
+    its bound before these fields and an empty member map after them,
+    which chains._position fills with each member's key and position and
+    reads; a walk at that bound reuses it, a walk at another bound
+    replaces it, map and all, and a refused walk replaces nothing.  A
+    descendants view may be born with a walk cut from its family's (see
+    _cut).
     """
     walked = getattr(desc, "_walked", None)
     if walked is None or walked[0] != genus_bound:
         mem, fds, systems, counts = [], [], [], []
         for level, below in _levels(desc, genus_bound):
-            # zip(*level) is the level's members, fds and systems
-            for kept, part in zip((mem, fds, systems), zip(*level)):
+            for kept, part in zip((mem, fds, systems), level):
                 kept += part
             counts += below
         walked = (genus_bound, tuple(mem), tuple(fds), tuple(systems),
@@ -255,12 +262,13 @@ def genus_level(desc, g: int) -> set:
 
 
 def _last_level(desc, g: int) -> list:
-    """Level g of _levels, holding one level at a time; [] below the maximum."""
-    level = []
+    """Level g of _levels as a list of (member, fd, system) triples,
+    holding one level at a time; [] below the maximum."""
+    level = ()
     if g >= genus(delta_of(desc)):
         for level, _ in _levels(desc, g):
             pass
-    return level
+    return list(zip(*level))
 
 
 def is_pseudo_variety(desc) -> bool:

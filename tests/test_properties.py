@@ -4,6 +4,9 @@ Each test states an identity that must hold for every input; hypothesis
 hunts for counterexamples.  Anchored values live in the other modules.
 """
 
+import contextlib
+import io
+import json
 import pickle
 import random
 from functools import reduce
@@ -30,6 +33,7 @@ from rvar import (
     rmonoid_generated, smallest_containing, tree_of, tree_vertices, union_with_tail,
     variety_closure,
 )
+from rvar import cli
 from rvar.chains import _systems
 from rvar.engine import _last_level, fdelta, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE, POOL
@@ -796,8 +800,9 @@ def _breadth_first(root):
 
 
 class TestLevelLoopLaws:
-    # members_of and _last_level walk (member, fd, system) levels and build
-    # no tree nodes; the node walk of tree_of is the reference
+    # members_of and _last_level walk levels of three lists (members, fds,
+    # systems) and build no tree nodes; the node walk of tree_of is the
+    # reference
     @given(walk_cases())
     @settings(max_examples=150)
     def test_members_are_the_tree_nodes_in_walk_order(self, case):
@@ -818,6 +823,48 @@ class TestLevelLoopLaws:
     def test_the_examples_repeat_from_run_to_run(self):
         assert settings.default.derandomize
         assert settings.default.deadline is None
+
+
+@st.composite
+def flagged_families(draw):
+    """(desc, argv): an Interval, a Restricted family with one to three
+    forced generators of its maximum, or a Generated family, with the CLI
+    flag and text that name it."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    t = random_semigroup(rng, 7)
+    kind = draw(st.sampled_from(["interval", "restricted", "generated"]))
+    if kind == "interval":
+        lo = random_subsemigroup(rng, t, rng.randint(1, 6))
+        desc, left = Interval(lo, t), format_semigroup(lo)
+    elif kind == "restricted":
+        forced = rng.sample(msg(t), rng.randint(1, min(3, len(msg(t)))))
+        desc, left = Restricted(frozenset(forced), t), ",".join(map(str, forced))
+    else:
+        fam = tuple(random_subsemigroup(rng, t, rng.randint(0, 5))
+                    for _ in range(rng.randint(1, 3)))
+        desc, left = Generated(fam, t), ";".join(map(format_semigroup, fam))
+    return desc, ["--" + kind, "%s:%s" % (left, format_semigroup(t))]
+
+
+class TestGenusLevelOrderLaws:
+    # genus-level sorts a level by msg alone: its members share one genus
+    # and no two share a msg, so that is NumSG.sort_key's order
+    @given(flagged_families())
+    @settings(max_examples=60)
+    def test_msg_orders_a_level_as_sort_key_does(self, case):
+        desc, flag = case
+        top = genus(delta_of(desc))
+        for g in range(top, top + 4):
+            level = sorted(_last_level(desc, g), key=lambda m: msg(m[0]))
+            keys = [s.sort_key() for s, _, _ in level]
+            assert keys == sorted(set(keys))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["genus-level", *flag, "--genus", str(g),
+                                 "--format", "structured"]) == 0
+            assert [(r["sg"], r["fdelta"], tuple(r["minsys"])) for r in map(
+                json.loads, out.getvalue().splitlines())] == [
+                (format_semigroup(s), fd, xs) for s, fd, xs in level]
 
 
 class TestMemberMemoLaws:

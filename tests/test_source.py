@@ -49,8 +49,9 @@ def _reaches_oracle(node, oracle_names):
 
 
 def test_oracle_stays_off_the_hot_paths():
-    # the brute-force references serve the tests and `rvar verify`; the
-    # package root re-exports them, and no other module may reach them
+    # the brute-force references serve the tests and `rvar verify`, whose
+    # checks live in _verify; the package root re-exports them, and no
+    # other module may reach them
     oracle = ast.parse((SRC / "oracle.py").read_text())
     oracle_names = {n.name for n in oracle.body
                     if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
@@ -62,10 +63,21 @@ def test_oracle_stays_off_the_hot_paths():
         for scope, node in _imports(tree):
             if _reaches_oracle(node, oracle_names):
                 where = "%s:%d" % (path.name, node.lineno)
-                ok = (path.name, scope) == ("cli.py", "_cmd_verify")
+                ok = (path.name, scope) == ("_verify.py", None)
                 (allowed if ok else found).append(where)
     assert found == []
     assert len(allowed) == 1  # the guard sees the one import it permits
+    # the verify handler stays thin: it checks --count and hands the rest
+    # to _verify, with no loop of its own and no oracle function named
+    handler = _top_functions("cli.py")["_cmd_verify"]
+    assert _loops(handler) == []
+    named = {n.id for n in ast.walk(handler) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(handler) if isinstance(n, ast.Attribute)}
+    assert named & oracle_names == set()
+    assert "_verify" in named
+    # the guard sees a loop in a handler
+    line = "def f(args):\n    return [oracle_members(d, 3) for d in args]"
+    assert _loops(ast.parse(line)) != []
 
 
 _RUN_MODULES = """\
@@ -85,20 +97,23 @@ def test_cli_import_loads_no_heavy_modules():
     # a CLI request pays for every module it runs.  The package's modules
     # sit in sys.modules unrun until first used, so a request runs only
     # those its command needs; dataclasses pulls in inspect, and json,
-    # random and the oracle serve only structured output, verify and the
-    # tests.  contextlib and io are the probe's own; -S keeps site's
-    # imports out of the list.
-    for argv, run in [
-        ([], "cli core"),
-        (["closure", "--kind", "pl", "15,16"], "cli closures core"),
+    # random, _verify and the oracle serve only structured output, verify
+    # and the tests.  contextlib and io are the probe's own; -S keeps
+    # site's imports out of the list.
+    for argv, run, heavy in [
+        ([], "cli core", ""),
+        (["closure", "--kind", "pl", "15,16"], "cli closures core", ""),
         (["tree", "--restricted", ":<1>", "--genus-bound", "5"],
-         "chains cli core descriptors engine"),
+         "chains cli core descriptors engine", ""),
+        (["verify", "--count", "0"],
+         "_verify chains cli core descriptors engine oracle", "random"),
     ]:
         done = subprocess.run([sys.executable, "-S", "-c", _RUN_MODULES, *argv],
                               env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "%s\n\n" % " ".join("rvar." + m for m in run.split()), argv
+        assert done.stdout == "%s\n%s\n" % (
+            " ".join("rvar." + m for m in run.split()), heavy), argv
 
 
 def test_the_tracer_finds_every_layer_after_importing_the_cli():
@@ -135,11 +150,17 @@ def _called_names(func):
                 yield f.attr
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _loops(tree):
+    """The loops and comprehensions under tree."""
+    return [n for n in ast.walk(tree) if isinstance(n, _LOOPS)]
+
+
 def _called_in_loops(tree):
     """Names of the functions called inside a loop or a comprehension under tree."""
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    return {name for n in ast.walk(tree) if isinstance(n, loops)
-            for name in _called_names(n)}
+    return {name for n in _loops(tree) for name in _called_names(n)}
 
 
 def _top_functions(name):
@@ -200,8 +221,8 @@ def test_closed_forms_make_no_search():
 
 def test_member_walks_build_no_tree_nodes():
     # members_of, restriction_of (both through _walked) and genus-level walk
-    # (member, fd, system) levels through _levels; only the tree walks build
-    # RTreeNodes
+    # levels of three lists (members, fds, systems) through _levels; only
+    # the tree walks build RTreeNodes
     nodes = {"_walk", "children", "RTreeNode"}
     funcs = _top_functions("engine.py")
     found = sorted("%s calls %s" % (name, called)
@@ -233,6 +254,47 @@ def test_one_level_loop():
     assert walkers == ["_last_level", "_walked"]
     walk = set(_called_names(funcs["_walk"]))
     assert "_walked" in walk and "_drop" not in walk
+
+
+def _per_step_tuples(tree):
+    """Each tuple built once per step of a loop or a comprehension under
+    tree, by line: in a comprehension's element or a loop's body."""
+    steps = [part for n in _loops(tree) for part in (
+        [n.elt] if isinstance(n, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+        else [n.key, n.value] if isinstance(n, ast.DictComp) else n.body)]
+    return sorted({"%d: %s" % (t.lineno, ast.unparse(t)) for part in steps
+                   for t in ast.walk(part)
+                   if isinstance(t, ast.Tuple) and isinstance(t.ctx, ast.Load)})
+
+
+def _transposes(tree):
+    """Each zip(*rows) under tree, by line: a transpose of rows."""
+    return ["%d: %s" % (n.lineno, ast.unparse(n)) for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) == "zip"
+            and any(isinstance(a, ast.Starred) for a in n.args)]
+
+
+def test_a_level_is_three_lists():
+    # a level is the kept walk's own shape, three parallel lists (members,
+    # fds, systems): _next_level builds no tuple per child, and _walked
+    # joins each list as it comes, with no transpose.  Only the two that
+    # hand triples out, _last_level and children, zip the one level they
+    # hand out
+    funcs = _top_functions("engine.py")
+    assert _per_step_tuples(funcs["_next_level"]) == []
+    assert sorted(name for name, f in funcs.items() if _transposes(f)) == [
+        "_last_level", "children"]
+    # the guard sees a tuple per child and a transpose
+    for line in ("[(c, x, s) for c, x, s in level]",
+                 "[(c := drop(s, x), x, system(c)) for s in level for x in s]",
+                 "for x in xs:\n    out.append((x, f(x)))",
+                 "{x: (x, f(x)) for x in xs}"):
+        assert _per_step_tuples(ast.parse(line)) != [], line
+    assert _per_step_tuples(ast.parse(
+        "for a, b in zip(xs, ys):\n    out += [a]\nlevel = out, ys")) == []
+    for line in ("zip(*level)", "list(zip(*rows))", "for k, p in zip(kept, zip(*level)): k += p"):
+        assert _transposes(ast.parse(line)) != [], line
+    assert _transposes(ast.parse("zip(fds, systems)")) == []
 
 
 def test_a_bare_checkout_runs_its_tests():
