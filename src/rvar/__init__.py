@@ -26,10 +26,10 @@ _NAMES = {
              "genus", "multiplicity", "elements", "msg", "intersect", "intersect_all",
              "is_subset", "remove_element", "add_element", "union_with_tail",
              "restricted_frobenius", "parse_semigroup", "format_semigroup"),
-    "descriptors": ("Interval", "Restricted", "Generated", "delta_of"),
-    "chains": ("ChainRec", "NotInDelta", "NotInVariety", "NotNumerical",
-               "NoContainingElement", "chain_to", "chain_family", "is_member",
-               "rmonoid_generated", "minimal_rsystem", "rrange"),
+    "descriptors": ("Interval", "Restricted", "Generated", "NotNumerical", "delta_of"),
+    "chains": ("ChainRec", "NotInDelta", "NotInVariety", "NoContainingElement",
+               "chain_to", "chain_family", "is_member", "rmonoid_generated",
+               "minimal_rsystem", "rrange"),
     "closures": ("LD", "PL", "KINDS", "variety_closure", "restricted_closure",
                  "minimal_vsystem"),
     "engine": ("DEFAULT_GENUS_BOUND", "RTreeNode", "member", "build_tree", "tree_of",

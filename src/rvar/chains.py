@@ -3,15 +3,15 @@
 The chain from S to T adjoins max(T \\ current) until T is reached.  Relative
 to a variety descriptor, every monoid expressible as an intersection of
 members admits a unique minimal generating system; this module computes it
-for both descriptor families, Restricted and Generated.
+for every kind of family, from the answers of the family's own class (see
+descriptors._Family), after checking what comes from outside the program.
 """
 
 from .core import (
-    NumSG, DomainError, EmptyGenerators, GcdNotOne, _bits, _capped, _require_in,
-    _require_subset, contains, format_semigroup, from_generators, is_subset, msg,
-    union_with_tail,
+    NumSG, DomainError, _bits, _capped, _require_in, _require_subset,
+    format_semigroup, union_with_tail,
 )
-from .descriptors import Restricted, Generated, _Frozen, _set, delta_of
+from .descriptors import _Frozen, _set, delta_of
 
 
 class NotInDelta(DomainError):
@@ -20,10 +20,6 @@ class NotInDelta(DomainError):
 
 class NotInVariety(DomainError):
     pass
-
-
-class NotNumerical(DomainError):
-    """The generated monoid has infinite complement (gcd of generators != 1)."""
 
 
 class NoContainingElement(DomainError):
@@ -75,13 +71,12 @@ def chain_family(f, delta: NumSG) -> set:
 
 def is_member(desc, s: NumSG) -> bool:
     """Whether s belongs to the family described by desc: True when the
-    walk that desc keeps holds s (see _position), else the membership
-    test of its kernel (see _systems)."""
-    return _position(desc, s) is not None or _systems(desc)[0](s)
+    walk that desc keeps holds s (see _position), else desc.member(s)."""
+    return _position(desc, s) is not None or desc.member(s)
 
 
 def rmonoid_generated(desc, a) -> NumSG:
-    """Smallest member-intersection containing the set a, from desc's kernel.
+    """Smallest member-intersection containing the set a: desc.monoid(a).
 
     For Generated descriptors the result is always a numerical semigroup.
     For Restricted descriptors with gcd(forced ∪ a) != 1 the monoid has
@@ -89,7 +84,7 @@ def rmonoid_generated(desc, a) -> NumSG:
     """
     a = frozenset(a)
     _require_in(a, delta_of(desc), NotInDelta)
-    return _systems(desc)[2](a)
+    return desc.monoid(a)
 
 
 def minimal_rsystem(desc, m: NumSG) -> frozenset:
@@ -104,131 +99,28 @@ def minimal_rsystem(desc, m: NumSG) -> frozenset:
 def _checked(desc, m: NumSG) -> tuple:
     """m's minimal system, after a check that m, which may come from
     outside the program, is a member: the one desc's kept walk holds,
-    as a walk yields only members, else the kernel's."""
+    as a walk yields only members, else desc.system(m)."""
     i = _position(desc, m)
     if i is not None:
         return desc._walked[3][i]
-    kernel = _systems(desc)
-    if not kernel[0](m):
+    if not desc.member(m):
         raise NotInVariety("%s is not a member" % format_semigroup(m))
-    return kernel[1](m)
+    return desc.system(m)
 
 
 def _position(desc, m: NumSG):
     """m's position in the walk that desc keeps (see engine._walked),
     None when it holds no m: m.key looked up in the walk's member map
-    {S.key: position}, filled here on first use; its int keys hash in C."""
+    {S.key: position}, filled here on first use; its int keys hash in C.
+    Without a kept walk, delta_of refuses a non-descriptor first."""
     walked = getattr(desc, "_walked", None)
     if walked is None:
+        delta_of(desc)
         return None
     mem, by_key = walked[1], walked[6]
     if not by_key:
         by_key.update(zip([s.key for s in mem], range(len(mem))))
     return by_key.get(m.key)
-
-
-def _systems(desc):
-    """(member, system, monoid, view): the kernel of a descriptor, the one place
-    that knows its kind, chosen once delta_of has refused a non-descriptor.
-    system(m) is a member's minimal system as a strictly increasing tuple,
-    unchecked; monoid(a) is rmonoid_generated unchecked; view(t, F) writes
-    descendants(desc, t) for a member t below the maximum, with F = fdelta(t,
-    maximum).  Kept on desc once built, so a call is a few int operations."""
-    kernel = getattr(desc, "_system", None)
-    if kernel is None:
-        delta_of(desc)
-        kernel = (_restricted_kernel if isinstance(desc, Restricted)
-                  else _generated_kernel)(desc)
-        _set(desc, "_system", kernel)
-    return kernel
-
-
-def _restricted_kernel(desc):
-    """The kernel of Restricted(a, t).  s is a member iff s ⊆ t and every
-    forced element is in s.  The forced elements are tested one by one: an
-    int with their bits would be as long as the largest, which nothing bounds.
-    A member's system is its minimal generators outside a, read off the
-    increasing msg: the forced elements are in every member, so they
-    generate nothing new.  The view of t also forces P = t ∩ [0, F]:
-    Restricted(a ∪ (msg(t) ∩ [1, F]), t), as msg(t) ∩ [1, F] generates P.
-    """
-    forced, t = desc.a, desc.t
-
-    def member(s):
-        return is_subset(s, t) and all(contains(s, x) for x in forced)
-
-    system = msg if not forced else (
-        lambda m: tuple([x for x in msg(m) if x not in forced]))
-
-    def monoid(a):
-        try:
-            return from_generators([x for x in forced | a if x])
-        except (EmptyGenerators, GcdNotOne) as e:
-            raise NotNumerical(str(e)) from None
-
-    def view(u, f):
-        return Restricted(forced.union([x for x in msg(u) if x <= f]), u)
-    return member, system, monoid, view
-
-
-def _generated_kernel(desc):
-    """The kernel of Generated(f, Δ), on keys.
-
-    One form serves membership, monoids and views (the README proves
-    it): the least link of c's chain that contains X ⊆ Δ is c ∪ (Δ ∩
-    [x, ∞)) with x = min(X ∖ c), or c when X ⊆ c.  X ∖ c lies in the
-    gaps of c, so x is the lowest bit b of X & gaps(c), and the link is
-    c | (Δ & -b).  close(X) is the intersection of Δ and these links over
-    c in f, one pass over keys made once; for f = () it is Δ.  The
-    monoid of a is close(a); elements of a at or past top, the largest
-    conductor in f, are in every link, so they are left out of its int,
-    which would be as long as the largest.  s is a member iff close(s)
-    = s, which also puts s in Δ.  The view of t is Generated(f′, t),
-    where c′ in f′ is the least link of c's chain that contains
-    P = t ∩ [0, F], cut by t.
-
-    Systems: each family member c not containing m contributes x_c, the
-    least element of m missing from c: the part that c gives to an
-    intersection generated by B ⊆ m contains m only if its adjoined tail
-    starts at x_c, so every system of m holds x_c, and these elements
-    alone already generate m.  x_c is the same lowest bit, of m cut by
-    the gaps of c.
-    """
-    dk = desc.delta.key
-    top = max([c.conductor for c in desc.f], default=0)
-    links = [(~c.key, c.key) for c in desc.f]
-
-    def close(x, links=links):
-        acc = dk
-        for g, ck in links:
-            out = x & g
-            acc &= ck | (dk & -(out & -out))
-        return acc
-
-    def member(s):
-        return close(s.key) == s.key
-
-    def system(m):
-        mk = m.key
-        low = 0
-        for g, _ in links:
-            out = mk & g
-            low |= out & -out
-        xs = []
-        while low:
-            b = low & -low
-            xs.append(b.bit_length() - 1)
-            low ^= b
-        return tuple(xs)
-
-    def monoid(a):
-        return NumSG(close(sum([1 << x for x in a if x < top])))
-
-    def view(t, f):
-        tk = t.key
-        pk = tk & ((2 << f) - 1)
-        return Generated([NumSG(tk & close(pk, [link])) for link in links], t)
-    return member, system, monoid, view
 
 
 def rrange(desc, m: NumSG) -> int:

@@ -50,8 +50,8 @@ class RTreeNode(_Record):
             lambda n: "])")
 
 
-# A descendants view is a Restricted or Generated descriptor (see
-# descendants), so membership is chains.is_member itself.
+# A descendants view is a family of its parent's kind (see descendants),
+# so membership is chains.is_member itself.
 member = chains.is_member
 
 
@@ -76,8 +76,9 @@ def _next_level(system, level, counts):
 
 def children(desc, node: RTreeNode) -> list:
     """One child per minimal-system element above node's restricted Frobenius."""
+    delta_of(desc)
     xs, fd = node.min_system, node.restricted_frob
-    level = _next_level(chains._systems(desc)[1], ([node.sg], [fd], [xs]),
+    level = _next_level(desc.system, ([node.sg], [fd], [xs]),
                         [len(xs) - bisect_right(xs, fd)])
     return [RTreeNode(*c) for c in zip(*level)]
 
@@ -97,14 +98,14 @@ def _levels(desc, g):
     three parallel lists (members, fds, systems), the kept walk's shape
     (see _walked), where a member's fd is its restricted Frobenius number
     in the maximum, -1 for the maximum itself, and its system is its
-    minimal system from the family's kernel, chosen once per walk; a
+    minimal system from the family's own system, taken once per walk; a
     child count is the number of the system's values above fd.  A
     member's children are consecutive in the next level (see _next_level),
     and no child repeats.  When the next level would take the walk past
     MAX_MEMBERS members, core._capped refuses it before it is built.
     """
     top = _bounded_top(desc, g)
-    system = chains._systems(desc)[1]
+    system = desc.system
     level, made = ([top], [-1], [system(top)]), 1
     for depth in range(genus(top), g + 1):
         _, fds, systems = level
@@ -285,17 +286,16 @@ def is_pseudo_variety(desc) -> bool:
     number F(Δ), outside Δ.  Δ = N has F(Δ) = -1, so the answer is True.
     """
     top = delta_of(desc)
-    b = chains._systems(desc)[1](top)
+    b = desc.system(top)
     return not b or b[0] > frobenius(top)
 
 
 def descendants(desc, t: NumSG):
     """The family of t and the members below it in desc's tree: a
-    descriptor of desc's kind with maximum t, written by desc's kernel
-    (see chains._systems), desc itself for desc's maximum.  The README
-    gives the proofs.  When desc keeps a walk that holds t, the view
-    keeps t's subtree of it (see _cut), so its walks at that bound
-    neither walk again nor build its kernel.  The cut bisects t's system
+    descriptor of desc's kind with maximum t, written by desc.view,
+    desc itself for desc's maximum.  The README gives the proofs.  When
+    desc keeps a walk that holds t, the view keeps t's subtree of it (see
+    _cut), so its walks at that bound do not walk again.  The cut bisects t's system
     once: every member below t shares t's system elements up to F =
     fdelta(t, maximum), which the view drops.
     """
@@ -305,7 +305,7 @@ def descendants(desc, t: NumSG):
     delta = delta_of(desc)
     if t == delta:
         return desc
-    view = chains._systems(desc)[3](t, restricted_frobenius(t, delta))
+    view = desc.view(t, restricted_frobenius(t, delta))
     if i is not None:
         _set(view, "_walked", _cut(desc._walked, i))
     return view

@@ -58,3 +58,12 @@ FINITE_FIXTURES = (
 
 # every semigroup of genus at most 7, the probes of the kernel tests
 POOL = sorted(enumerate_between((), NATURALS, 7), key=lambda s: s.sort_key())
+
+
+def count_systems(monkeypatch, calls):
+    """Make each kind of family append itself to calls whenever its system
+    function is taken, as a walk takes it once; the function is unchanged."""
+    for kind in (Restricted, Generated):
+        plain = vars(kind)["system"]
+        monkeypatch.setattr(kind, "system", property(
+            lambda desc, plain=plain: calls.append(desc) or plain.__get__(desc, type(desc))))

@@ -1,17 +1,19 @@
 """Chains between nested semigroups and the monoid machinery built on them."""
 
+import re
+
 import pytest
 
 from rvar import (
     NATURALS, CapacityExceeded, Generated, Interval, NotContained, NotInDelta,
-    NotInVariety, NotNumerical, Restricted, chain_family, chain_to, delta_of,
-    descendants, genus, is_member, is_subset, members_of, minimal_rsystem,
-    minimal_system_from_members, msg, oracle_members, restricted_frobenius,
-    rmonoid_generated, rrange, tree_of,
+    NotInVariety, NotNumerical, Restricted, chain_family, chain_to, children,
+    delta_of, descendants, genus, genus_level, is_member, is_pseudo_variety,
+    is_subset, members_of, minimal_rsystem, minimal_system_from_members, msg,
+    oracle_members, restricted_frobenius, rmonoid_generated, rrange, tree_of,
 )
 import rvar
 from rvar import chains
-from rvar.chains import _systems
+from rvar.engine import RTreeNode, restriction_of
 from support import (
     sg, DELTA_567, GENERATED_FIXTURE, GENERATED_MEMBERS, INTERVAL_FIXTURE,
     POOL, PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
@@ -180,42 +182,38 @@ class TestMembershipKernel:
         assert tree_of(big, 5)[0] == tree_of(whole, 5)[0]
 
     def test_a_non_descriptor_is_refused(self):
-        for desc in ((GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta), None, NATURALS):
-            with pytest.raises(TypeError, match=r"^not a variety descriptor"):
-                is_member(desc, sg(4, 5, 7))
-            with pytest.raises(TypeError, match=r"^not a variety descriptor"):
-                minimal_rsystem(desc, sg(4, 5, 7))
-        # the kernel's refusal is delta_of's, word for word
-        with pytest.raises(TypeError, match=r"^not a variety descriptor: NumSG\(<1>\)$"):
-            _systems(NATURALS)
-
-    def test_membership_and_systems_build_one_kernel(self, monkeypatch):
-        builds = []
-        for name in ("_restricted_kernel", "_generated_kernel"):
-            build = getattr(chains, name)
-            monkeypatch.setattr(chains, name,
-                                lambda desc, build=build: builds.append(desc) or build(desc))
-        for desc in (Restricted({4, 6}, sg(4, 6, 7)), Restricted((), sg(3, 4, 5)),
-                     Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)):
-            builds.clear()
-            for m in members_of(desc, 8)[0]:
-                for _ in range(2):
-                    assert is_member(desc, m)
-                    assert minimal_rsystem(desc, m) == frozenset(_systems(desc)[1](m))
-            assert not is_member(desc, NATURALS)
-            assert builds == [desc]
+        # delta_of words the refusal, whichever entry point meets it first
+        node = RTreeNode(NATURALS, -1, (1,))
+        for desc in (None, (GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta), NATURALS):
+            refusal = r"^not a variety descriptor: %s$" % re.escape(repr(desc))
+            for call in (lambda: is_member(desc, NATURALS),
+                         lambda: minimal_rsystem(desc, NATURALS),
+                         lambda: rrange(desc, NATURALS),
+                         lambda: rmonoid_generated(desc, {1}),
+                         lambda: descendants(desc, NATURALS),
+                         lambda: children(desc, node),
+                         lambda: members_of(desc, 3),
+                         lambda: tree_of(desc, 3),
+                         lambda: genus_level(desc, 3),
+                         lambda: restriction_of(desc, NATURALS, 3),
+                         lambda: is_pseudo_variety(desc)):
+                with pytest.raises(TypeError, match=refusal):
+                    call()
 
     def test_walked_members_bypass_the_kernel(self, monkeypatch):
         # once a walk is kept, its members' membership and systems are read
         # off it, for a family and for a view cut from its walk: neither the
-        # kernel's membership test nor its system function runs
+        # kind's membership test nor its system function runs
         calls = []
-        for name in ("_restricted_kernel", "_generated_kernel"):
-            def counted(desc, build=getattr(chains, name)):
-                member, system, monoid, view = build(desc)
-                return (lambda s: calls.append(("member", s)) or member(s),
-                        lambda m: calls.append(("system", m)) or system(m), monoid, view)
-            monkeypatch.setattr(chains, name, counted)
+        for kind in (Restricted, Generated):
+            member, system = vars(kind)["member"], vars(kind)["system"]
+
+            def counted_system(desc, system=system):
+                plain = system.__get__(desc, type(desc))
+                return lambda m: calls.append(("system", m)) or plain(m)
+            monkeypatch.setattr(kind, "member", lambda desc, s, member=member:
+                                calls.append(("member", s)) or member(desc, s))
+            monkeypatch.setattr(kind, "system", property(counted_system))
         for desc in (Restricted({4, 6}, sg(4, 6, 7)), Interval(sg(5, 6), DELTA_567),
                      Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)):
             mem = members_of(desc, 10)[0]
@@ -227,7 +225,6 @@ class TestMembershipKernel:
                     assert is_member(d, m)
                     assert minimal_rsystem(d, m) == frozenset(system)
                 assert calls == []
-            assert view._system is None
             # the guard sees a lookup that misses the walk
             assert not is_member(desc, NATURALS)
             assert calls == [("member", NATURALS)]
@@ -313,11 +310,22 @@ class TestMinimalRSystem:
                  PSEUDO_FIXTURE, Restricted(frozenset(), NATURALS))
         for desc in descs:
             for m in members_of(desc, 10)[0]:
-                system = list(_systems(desc)[1](m))
+                system = list(desc.system(m))
                 assert system == sorted(set(system))
                 public = minimal_rsystem(desc, m)
                 assert type(public) is frozenset
                 assert public == set(system)
+
+    def test_an_unforced_family_takes_msg_as_its_system(self):
+        # a walk of N's tree calls msg itself per member, nothing around it;
+        # with forced elements the system is msg without them
+        for t in (NATURALS, sg(2, 3), DELTA_567, sg(4, 6, 7)):
+            assert Restricted(frozenset(), t).system is msg
+        for desc in (RESTRICTED_FIXTURE, INTERVAL_FIXTURE, Restricted({3}, NATURALS)):
+            members = [m for m in POOL if desc.member(m)]
+            assert len(members) > 1
+            for m in members:
+                assert desc.system(m) == tuple(x for x in msg(m) if x not in desc.a)
 
     def test_generated_fixture_needs_at_most_two(self):
         for m in GENERATED_MEMBERS:

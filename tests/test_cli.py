@@ -14,6 +14,7 @@ from rvar import (
     NATURALS, Interval, InvariantError, cli, descendants, format_semigroup,
     from_generators, genus, msg, tree_of,
 )
+from support import count_systems
 
 INTERVAL = "<5,6>:<5,6,7>"
 GENERATED = "<5,7,9,11,13>;<4,10,11,13>:<4,5,7>"
@@ -265,16 +266,10 @@ class TestGenusLevel:
         ]
 
     def test_structured_systems_come_from_one_kernel(self, capsys, monkeypatch):
-        # the level walk takes the kernel once, not per member, and the
-        # records read the systems that the walk carries
-        from rvar import chains
+        # the level walk takes the family's system once, not per member,
+        # and the records read the systems that the walk carries
         calls = []
-        built = chains._systems
-
-        def counted(desc):
-            calls.append(desc)
-            return built(desc)
-        monkeypatch.setattr(chains, "_systems", counted)
+        count_systems(monkeypatch, calls)
         rc, out, _ = run(capsys, "genus-level", "--restricted", ":<1>",
                          "--genus", "6", "--format", "structured")
         assert rc == 0

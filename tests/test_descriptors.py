@@ -1,6 +1,7 @@
 """Descriptor values and the package root's lazily loaded oracle names."""
 
 import ast
+import inspect
 import pathlib
 import pickle
 
@@ -92,12 +93,11 @@ class TestDescriptorValues:
 
 
 class TestMemoSlots:
-    # every slot of a family that is not a field memoizes work on it: the
-    # kept walk, which carries the member → position map over it, and the
-    # kernel
+    # the one slot of a family that is not a field memoizes work on it:
+    # the kept walk, which carries the member → position map over it
     def test_memo_slots_start_empty_and_are_no_fields(self):
         slots = _Family.__slots__
-        assert slots == ("_walked", "_system")
+        assert slots == ("_walked",)
         lo, hi = sg(5, 6), sg(5, 6, 7)
         for make in (lambda: Restricted({5}, hi), lambda: Generated((lo,), hi),
                      lambda: Interval(lo, hi)):
@@ -147,6 +147,25 @@ ORACLE_NAMES = [
 ]
 
 
+# the one alias in the name table: engine.member is chains.is_member itself
+ALIASES = {("engine", "member"): "rvar.chains"}
+
+
+def _misplaced(table):
+    """(module, name) for each name of table, a name -> module table like
+    rvar._NAMES, that its module lacks, or that is a class or a function
+    defined elsewhere, its documented aliases aside."""
+    found = []
+    for module, names in table.items():
+        for name in names:
+            value = getattr(getattr(rvar, module), name, None)
+            home = getattr(value, "__module__", None)
+            if value is None or (inspect.isclass(value) or inspect.isfunction(value)) and (
+                    home != ALIASES.get((module, name), "rvar." + module)):
+                found.append((module, name))
+    return found
+
+
 class TestLazyOracleNames:
     def test_oracle_names_resolve(self):
         from rvar import oracle_members
@@ -174,6 +193,15 @@ class TestLazyOracleNames:
             assert name in names
         assert set(rvar._NAMES["oracle"]) == public
         assert "oracle" in names
+
+    def test_every_name_is_served_from_the_module_that_defines_it(self):
+        # the name table is kept by hand: each row's names are attributes
+        # of its module, and each class or function is defined there, so a
+        # name that moves to another module takes its row with it
+        assert _misplaced(rvar._NAMES) == []
+        # the guard sees a name its module lacks and one it only imports
+        assert _misplaced({"chains": ("NotNumerical", "format_semigroup")}) == [
+            ("chains", "NotNumerical"), ("chains", "format_semigroup")]
 
     def test_star_import_and_dir_keep_their_names(self):
         # the modules and their names, as an eager package root exported

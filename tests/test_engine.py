@@ -22,6 +22,7 @@ from rvar.engine import RTreeNode, _last_level, _walk, fdelta, restriction_of
 from support import (
     sg, DELTA_567, FINITE_FIXTURES, GENERATED_FIXTURE, GENERATED_MEMBERS,
     INTERVAL_FIXTURE, INTERVAL_MEMBERS, PSEUDO_FIXTURE, RESTRICTED_FIXTURE,
+    count_systems,
 )
 
 
@@ -362,21 +363,16 @@ class TestDescendants:
 
 class TestWalkKernel:
     def test_the_kernel_is_chosen_once_per_walk(self, monkeypatch):
-        # a walk picks its family's system kernel once, not once per node
+        # a walk takes its family's system function once, not once per node
         views = [descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14)),
                  descendants(RESTRICTED_FIXTURE, sg(4, 6, 11, 13))]
         calls = []
-        built = chains._systems
-
-        def counted(desc):
-            calls.append(desc)
-            return built(desc)
-        monkeypatch.setattr(chains, "_systems", counted)
+        count_systems(monkeypatch, calls)
         for desc in [INTERVAL_FIXTURE, RESTRICTED_FIXTURE, GENERATED_FIXTURE,
                      Restricted(frozenset(), NATURALS)] + views:
             g = genus(delta_of(desc)) + 4
             for walk in (members_of, tree_of, _last_level):
-                # an equal copy keeps no walk or kernel from an earlier test
+                # an equal copy keeps no walk from an earlier test
                 fresh = pickle.loads(pickle.dumps(desc))
                 calls.clear()
                 walk(fresh, g)
@@ -470,8 +466,8 @@ class TestMemberMemo:
 
     def test_trees_read_the_kept_walk(self, monkeypatch):
         # after members_of, a tree at the same bound, the view of the
-        # maximum and the view of each member below it make no level and no
-        # kernel of their own, yet share no node or list
+        # maximum and the view of each member below it make no level and
+        # take no system function of their own, yet share no node or list
         for desc, bound in ((Restricted({4, 6}, sg(4, 6, 7)), 10),
                             (Interval(sg(5, 6), DELTA_567), 20),
                             (Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta), 20)):
@@ -481,12 +477,12 @@ class TestMemberMemo:
             step = rvar.engine._next_level
             monkeypatch.setattr(rvar.engine, "_next_level",
                                 lambda *args: calls.append(args) or step(*args))
+            count_systems(monkeypatch, calls)
             trees = [build_tree(desc, bound), build_tree(desc, bound),
                      build_tree(descendants(desc, delta_of(desc)), bound)]
             views = [descendants(desc, t) for t in mem[1:]]
             below = [build_tree(view, bound) for view in views]
             assert calls == []
-            assert all(view._system is None for view in views)
             monkeypatch.undo()
             nodes = [tree_vertices(root) for root in trees]
             assert len({id(n) for ns in nodes for n in ns}) == 3 * len(nodes[0])
@@ -516,24 +512,13 @@ class TestMemberMemo:
         desc = Restricted({4, 6}, sg(4, 6, 7))
         before = (hash(desc), repr(desc), pickle.dumps(desc))
         members_of(desc, 8)
-        chains._systems(desc)
-        assert desc._walked is not None and desc._system is not None
+        assert desc._walked is not None
         assert (hash(desc), repr(desc), pickle.dumps(desc)) == before
         copy = pickle.loads(pickle.dumps(desc))
         assert copy == desc and hash(copy) == hash(desc)
-        assert copy._walked is None and copy._system is None
+        assert copy._walked is None
         with pytest.raises(AttributeError):
             desc._walked = None
-
-    def test_the_kernel_is_built_once_per_descriptor(self):
-        desc = Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta)
-        assert chains._systems(desc) is chains._systems(desc)
-        # a view is a descriptor of its own, with its own kernel
-        view = descendants(desc, sg(4, 7, 9, 10))
-        assert chains._systems(view) is chains._systems(view)
-        assert chains._systems(view) is not chains._systems(desc)
-        with pytest.raises(TypeError, match=r"^not a variety descriptor"):
-            chains._systems((GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta))
 
 
 class TestRestrictVariety:

@@ -34,7 +34,6 @@ from rvar import (
     variety_closure,
 )
 from rvar import cli
-from rvar.chains import _systems
 from rvar.engine import _last_level, fdelta, restriction_of
 from support import sg, FINITE_FIXTURES, GENERATED_FIXTURE, INTERVAL_FIXTURE, POOL
 
@@ -616,12 +615,12 @@ class TestViewConversionLaws:
     @settings(max_examples=100)
     def test_members_below_a_top_share_its_system_up_to_its_fd(self, case):
         # every member S below t agrees with t on [0, F], F = fdelta(t, Δ),
-        # so the family's kernel gives S exactly t's system elements up to
+        # so the family's system gives S exactly t's system elements up to
         # F; engine._cut trims every system of a view by one bisection of
-        # t's on this law.  The copy keeps no walk, so the kernel answers
+        # t's on this law.  The copy keeps no walk, so its kind answers
         desc, t, bound = case
         fresh = pickle.loads(pickle.dumps(desc))
-        system, delta = _systems(fresh)[1], delta_of(fresh)
+        system, delta = fresh.system, delta_of(fresh)
         f = fdelta(t, delta)
         head = [x for x in system(t) if x <= f]
         for s in oracle_members(fresh, bound):

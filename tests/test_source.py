@@ -169,25 +169,38 @@ def _top_functions(name):
     return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
 
+KINDS = ("Restricted", "Generated")
+
+
+def _kind_methods():
+    """The methods of each kind of family in descriptors.py, by
+    "Kind.method", its constructor aside."""
+    tree = ast.parse((SRC / "descriptors.py").read_text())
+    return {"%s.%s" % (c.name, f.name): f for c in tree.body
+            if isinstance(c, ast.ClassDef) and c.name in KINDS
+            for f in c.body if isinstance(f, ast.FunctionDef) and f.name != "__init__"}
+
+
 def test_walk_path_makes_no_rechecks():
     # the walk removes elements of a member's own system from members it
     # built itself, so the checked forms for outside input stay off its path;
     # a complete restriction image is a family by proof, so it is not re-checked;
-    # the system kernel a walk takes from chains is held to the same rule
+    # the answers of a family's kind, which a walk takes, are held to the same rule
     checked = {"remove_element", "minimal_rsystem", "_checked", "is_member",
                "check_rvariety_axioms"}
-    walk = {"engine.py": {"_walk", "_levels", "_last_level", "_next_level",
-                          "children", "members_of", "_walked",
-                          "_cut", "restriction_of"},
-            "chains.py": {"_systems", "_restricted_kernel", "_generated_kernel"}}
+    walk = {"_walk", "_levels", "_last_level", "_next_level", "children",
+            "members_of", "_walked", "_cut", "restriction_of"}
     assert checked - {"check_rvariety_axioms"} <= (
         set(_top_functions("chains.py")) | set(_top_functions("core.py")))
-    found = []
-    for module, names in sorted(walk.items()):
-        funcs = _top_functions(module)
-        assert names <= set(funcs)
-        found += sorted("%s calls %s" % (name, called) for name in names
-                        for called in _called_names(funcs[name]) if called in checked)
+    funcs = _top_functions("engine.py")
+    assert walk <= set(funcs)
+    funcs = {name: funcs[name] for name in walk}
+    kinds = _kind_methods()
+    assert {"%s.%s" % (kind, name) for kind in KINDS
+            for name in ("member", "system", "monoid", "view")} <= set(kinds)
+    funcs.update(kinds)
+    found = sorted("%s calls %s" % (name, called) for name, f in funcs.items()
+                   for called in _called_names(f) if called in checked)
     assert found == []
 
 
@@ -313,14 +326,14 @@ def test_kept_walks_are_read_not_remade():
     # the kept walk holds each member's child count, which the level loop
     # counted once, so a tree links its nodes by counts alone, the walk
     # stores the counts it is given, and a view's walk is cut from its family's
-    # without a level, a child or a kernel of its own; the member map gives
-    # the cut its start, so the cut searches for nothing
+    # without a level, a child or a system function of its own; the member
+    # map gives the cut its start, so the cut searches for nothing
     funcs = _top_functions("engine.py")
     found = sorted("%s calls %s" % (name, called)
                    for name, banned in (("_walk", {"bisect_right"}),
                                         ("_walked", {"bisect_right"}),
                                         ("_cut", {"_levels", "_next_level",
-                                                  "_drop", "_systems",
+                                                  "_drop", "system",
                                                   "bisect_left", "_bits",
                                                   "genus"}))
                    for called in set(_called_names(funcs[name])) & banned)
@@ -340,7 +353,12 @@ def test_kept_walks_are_read_not_remade():
     # the guard sees the calls it bans where they are made
     assert "bisect_right" in set(_called_names(funcs["_levels"]))
     assert "bisect_right" in set(_called_names(funcs["_cut"]))
-    assert {"_systems", "_next_level"} <= set(_called_names(funcs["_levels"]))
+    assert "_next_level" in set(_called_names(funcs["_levels"]))
+    # the level loop, children and the pseudo-variety test take the
+    # family's system function, and the cut and the walks around it do not
+    takers = sorted(name for name, f in funcs.items() if _takes_system(f))
+    assert takers == ["_levels", "children", "is_pseudo_variety"]
+    assert _takes_system(ast.parse("system = desc.system"))
     assert "genus" in set(_called_names(funcs["_levels"]))
     # descendants passes _cut the position that the member map gives
     body = funcs["descendants"]
@@ -408,6 +426,11 @@ def test_a_semigroup_has_one_representation():
     for line in ("m = s.mask", "def _canon(mask, top):\n    pass",
                  "def _below(s, top):\n    pass"):
         assert _second_representation(ast.parse(line)) != [], line
+
+
+def _takes_system(node):
+    """Whether the code under node reads a family's system function."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "system" for n in ast.walk(node))
 
 
 def _reads_the_map(node):
@@ -497,11 +520,24 @@ def test_an_interval_is_no_family_of_its_own():
     assert found == []
 
 
+def _kernel_reads(tree):
+    """Each read of a family's answers as a kernel under tree, by line: the
+    name of a _system slot or a _systems chooser, or an index into a kernel."""
+    names = {"_system", "_systems"}
+    return ["%d: %s" % (n.lineno, ast.unparse(n)) for n in ast.walk(tree)
+            if (isinstance(n, ast.Attribute) and n.attr in names)
+            or (isinstance(n, ast.Name) and n.id in names)
+            or (isinstance(n, ast.Constant) and n.value in names)
+            or (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+                and "kernel" in n.value.id)]
+
+
 def test_the_kind_is_decided_once():
-    # a family's kernel is the one place that knows what its kind does, so
-    # only the maximum and the kernel's choice branch on the kind; the
-    # oracle is the reference, so it keeps its own branches
-    kinds = {"Restricted", "Generated"}
+    # a family's kind is its class, which answers member, system, monoid
+    # and view, so Python's own dispatch picks the answer: only the maximum
+    # branches on the kind, and no module keeps or indexes a kernel of
+    # answers; the oracle is the reference, so it keeps its own branches
+    kinds = set(KINDS)
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "oracle.py":
@@ -514,8 +550,19 @@ def test_the_kind_is_decided_once():
                         and kinds & {n.id for n in ast.walk(node.args[1])
                                      if isinstance(n, ast.Name)}):
                     found.append((path.name, getattr(top, "name", None)))
-    assert sorted(found) == [("chains.py", "_systems"), ("descriptors.py", "delta_of"),
-                             ("descriptors.py", "delta_of")]
+    assert sorted(found) == [("descriptors.py", "delta_of"), ("descriptors.py", "delta_of")]
+    for kind in KINDS:
+        assert {"member", "system", "monoid", "view"} <= set(vars(getattr(rvar, kind)))
+    found = ["%s:%s" % (path.name, where) for path in sorted(SRC.glob("*.py"))
+             for where in _kernel_reads(ast.parse(path.read_text()))]
+    assert found == []
+    assert not {"_systems", "_restricted_kernel", "_generated_kernel"} & set(
+        _top_functions("chains.py"))
+    # the guard sees a kernel kept, chosen and indexed
+    for line in ("k = getattr(desc, '_system', None)", "desc._system", "_systems(desc)",
+                 "chains._systems(desc)[1](m)", "kernel[0](m)"):
+        assert _kernel_reads(ast.parse(line)) != [], line
+    assert _kernel_reads(ast.parse("tree_of(desc, g)[0]; desc.system(m)")) == []
     engine = ast.parse((SRC / "engine.py").read_text())
     assert not kinds & {name for node in ast.walk(engine)
                         if isinstance(node, (ast.Import, ast.ImportFrom))
