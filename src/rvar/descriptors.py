@@ -76,8 +76,9 @@ class _Family(_Frozen):
       F = fdelta(t, maximum), as a family of the same kind.
     Its one slot that is not a field memoizes its kept walk
     (engine._walked), which carries its own map from each member's key
-    (NumSG.key) to its position (chains._position); it starts as None and
-    is ignored by equality, hash and pickling."""
+    (NumSG.key) to its position (chains._position) and the views that
+    engine.descendants cut from it; it starts as None and is ignored by
+    equality, hash and pickling."""
 
     __slots__ = ("_walked",)
 

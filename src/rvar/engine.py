@@ -50,9 +50,13 @@ class RTreeNode(_Record):
             lambda n: "])")
 
 
-# A descendants view is a family of its parent's kind (see descendants),
-# so membership is chains.is_member itself.
-member = chains.is_member
+def __getattr__(name):
+    # A descendants view is a family of its parent's kind (see descendants),
+    # so membership is chains.is_member itself, served on first use (PEP
+    # 562) so that a request which tests no membership does not run chains.
+    if name == "member":
+        return chains.is_member
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def fdelta(s: NumSG, top: NumSG) -> int:
@@ -150,12 +154,13 @@ def _walked(desc, genus_bound):
     its order, each list joined into one tuple, the child counts it gives
     as a fourth, and whether the walk is complete, that is whether no
     member of its last level has children.  desc keeps its last walk with
-    its bound before these fields and an empty member map after them,
-    which chains._position fills with each member's key and position and
-    reads; a walk at that bound reuses it, a walk at another bound
-    replaces it, map and all, and a refused walk replaces nothing.  A
-    descendants view may be born with a walk cut from its family's (see
-    _cut).
+    its bound before these fields and two empty dicts after them: the
+    member map, which chains._position fills with each member's key and
+    position and reads, and the kept views, which descendants fills with
+    the view it made at each position and reads.  A walk at that bound
+    reuses it, a walk at another bound replaces it, map and views and
+    all, and a refused walk replaces nothing.  A descendants view may be
+    born with a walk cut from its family's (see _cut).
     """
     walked = getattr(desc, "_walked", None)
     if walked is None or walked[0] != genus_bound:
@@ -165,7 +170,7 @@ def _walked(desc, genus_bound):
                 kept += part
             counts += below
         walked = (genus_bound, tuple(mem), tuple(fds), tuple(systems),
-                  tuple(counts), not any(below), {})
+                  tuple(counts), not any(below), {}, {})
         _set(desc, "_walked", walked)
     return walked[1:6]
 
@@ -173,7 +178,7 @@ def _walked(desc, genus_bound):
 def _cut(walked, i):
     """The walk kept by the view of the member at position i > 0 of
     walked, its family's kept walk: that member's subtree, with a new
-    empty member map.
+    empty member map and no kept views.
 
     A node's children follow those of the nodes before it, so they start
     one past the sum of the counts before it.  Each level of the subtree
@@ -187,7 +192,7 @@ def _cut(walked, i):
     while its range lies in the walk; the subtree is complete when it
     ends on an empty range, a range with no children.
     """
-    bound, mem, fds, systems, counts, _, _ = walked
+    bound, mem, fds, systems, counts = walked[:5]
     sub_mem, sub_fds, sub_systems, sub_counts = [], [], [], []
     a, b, lo = i, i + 1, 1 + sum(counts[:i])
     while a < b <= len(mem):
@@ -202,7 +207,7 @@ def _cut(walked, i):
     if k:
         sub_systems = [xs[k:] for xs in sub_systems]
     return (bound, tuple(sub_mem), tuple(sub_fds), tuple(sub_systems),
-            tuple(sub_counts), a == b, {})
+            tuple(sub_counts), a == b, {}, {})
 
 
 def tree_of(desc, genus_bound=DEFAULT_GENUS_BOUND):
@@ -295,19 +300,31 @@ def descendants(desc, t: NumSG):
     descriptor of desc's kind with maximum t, written by desc.view,
     desc itself for desc's maximum.  The README gives the proofs.  When
     desc keeps a walk that holds t, the view keeps t's subtree of it (see
-    _cut), so its walks at that bound do not walk again.  The cut bisects t's system
-    once: every member below t shares t's system elements up to F =
-    fdelta(t, maximum), which the view drops.
+    _cut), so its walks at that bound do not walk again.  The cut bisects
+    t's system once: every member below t shares t's system elements up
+    to F = fdelta(t, maximum), which the view drops.  desc's walk keeps
+    the view at t's position, so a repeat call returns it and cuts
+    nothing; it keeps views while they hold at most MAX_MEMBERS members
+    in all, counting each as the whole walk, which no cut exceeds.  A
+    member outside the walk gets a new view with no walk.
     """
     i = chains._position(desc, t)
     if i is None:
         chains._checked(desc, t)
+    else:
+        walked = desc._walked
+        view = walked[7].get(i)
+        if view is not None:
+            return view
     delta = delta_of(desc)
     if t == delta:
         return desc
     view = desc.view(t, restricted_frobenius(t, delta))
     if i is not None:
-        _set(view, "_walked", _cut(desc._walked, i))
+        _set(view, "_walked", _cut(walked, i))
+        views = walked[7]
+        if (len(views) + 1) * len(walked[1]) <= MAX_MEMBERS:
+            views[i] = view
     return view
 
 

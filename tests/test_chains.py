@@ -220,7 +220,7 @@ class TestMembershipKernel:
             view = descendants(desc, mem[1])
             for d in (desc, view):
                 calls.clear()
-                _, walked, _, systems, _, _, _ = d._walked
+                _, walked, _, systems, _, _, _, _ = d._walked
                 for m, system in zip(walked, systems):
                     assert is_member(d, m)
                     assert minimal_rsystem(d, m) == frozenset(system)

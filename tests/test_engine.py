@@ -37,7 +37,9 @@ class TestMember:
         # a descendants view is a Restricted or Generated descriptor, so
         # there is no other kind of family to dispatch on
         assert member is is_member is chains.is_member
-        assert rvar.engine.member is chains.is_member
+        assert rvar.member is rvar.engine.member is chains.is_member
+        with pytest.raises(AttributeError, match="has no attribute 'members'"):
+            rvar.engine.members
 
     def test_descendants_view(self):
         view = descendants(INTERVAL_FIXTURE, sg(5, 6, 13, 14))
@@ -519,6 +521,85 @@ class TestMemberMemo:
         assert copy._walked is None
         with pytest.raises(AttributeError):
             desc._walked = None
+
+
+class TestKeptViews:
+    # the walk that a family keeps also keeps the views that descendants
+    # cut from it, by position, so a repeat query cuts nothing
+    FAMILIES = ((Restricted({4, 6}, sg(4, 6, 7)), 10),
+                (Interval(sg(5, 6), DELTA_567), 20),
+                (Generated(GENERATED_FIXTURE.f, GENERATED_FIXTURE.delta), 20))
+
+    def _counted_cuts(self, monkeypatch):
+        calls = []
+        cut = rvar.engine._cut
+        monkeypatch.setattr(rvar.engine, "_cut",
+                            lambda *args: calls.append(args[1]) or cut(*args))
+        return calls
+
+    def test_a_repeat_view_is_the_kept_one(self, monkeypatch):
+        cuts = self._counted_cuts(monkeypatch)
+        for family, bound in self.FAMILIES:
+            desc = pickle.loads(pickle.dumps(family))
+            mem = members_of(desc, bound)[0]
+            cuts.clear()
+            views = [descendants(desc, t) for t in mem[1:]]
+            assert len(cuts) == len(views) == len(desc._walked[7])
+            copy = pickle.loads(pickle.dumps(desc))
+            for t, view in zip(mem[1:], views):
+                assert descendants(desc, t) is view
+                assert view == descendants(copy, t)
+                fresh = pickle.loads(pickle.dumps(view))
+                members_of(fresh, bound)
+                assert view._walked[:6] == fresh._walked[:6]
+                # trees of a kept view are still new on every call
+                first, again = build_tree(view, bound), build_tree(descendants(desc, t), bound)
+                assert first == again == build_tree(fresh, bound)
+                assert not ({id(n) for n in tree_vertices(first)}
+                            & {id(n) for n in tree_vertices(again)})
+            assert len(cuts) == len(views)
+
+    def test_another_bound_drops_the_views_and_a_refused_walk_keeps_them(
+            self, monkeypatch):
+        n = Restricted(frozenset(), NATURALS)
+        members_of(n, 4)
+        view = descendants(n, sg(2, 3))
+        kept = n._walked[7]
+        assert kept == {1: view}
+        for bound in (5, 6):
+            monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 10)
+            with pytest.raises(CapacityExceeded):
+                members_of(n, bound)
+            monkeypatch.undo()
+            assert n._walked[7] is kept and descendants(n, sg(2, 3)) is view
+        members_of(n, 3)
+        assert n._walked[7] == {}
+        again = descendants(n, sg(2, 3))
+        assert again is not view and again == view
+        assert members_of(again, 3) == members_of(pickle.loads(pickle.dumps(view)), 3)
+        # the view of a member past the bound has no walk and is not kept
+        past = descendants(n, sg(5, 6, 7, 8, 9))
+        assert past._walked is None and descendants(n, sg(5, 6, 7, 8, 9)) is not past
+        assert n._walked[7] == {1: again}
+
+    def test_a_view_past_the_budget_is_not_kept(self, monkeypatch):
+        desc = Interval(sg(5, 6), DELTA_567)
+        mem = members_of(desc, 20)[0]
+        # two views, each counted as the whole walk, fill the budget
+        monkeypatch.setattr(rvar.engine, "MAX_MEMBERS", 2 * len(mem))
+        first, second, third = (descendants(desc, t) for t in mem[1:4])
+        assert desc._walked[7] == {1: first, 2: second}
+        again = descendants(desc, mem[3])
+        assert again is not third and again == third
+        assert again._walked[:6] == third._walked[:6]
+        assert descendants(desc, mem[1]) is first
+
+    def test_the_view_of_the_maximum_is_the_family(self):
+        for family, bound in self.FAMILIES:
+            desc = pickle.loads(pickle.dumps(family))
+            members_of(desc, bound)
+            assert descendants(desc, delta_of(desc)) is desc
+            assert desc._walked[7] == {}
 
 
 class TestRestrictVariety:

@@ -714,12 +714,12 @@ class TestViewCutLaws:
             assert _width_rule_holds(desc._walked)
             for t in mem:
                 view = descendants(desc, t)
-                assert view is desc or view._walked[6] == {}
+                assert view is desc or view._walked[6:] == ({}, {})
                 assert view._walked[:6] == _fresh_walk(view, bound)[:6]
                 assert _width_rule_holds(view._walked)
                 inner = rng.choice(view._walked[1])
                 nested = descendants(view, inner)
-                assert nested is view or nested._walked[6] == {}
+                assert nested is view or nested._walked[6:] == ({}, {})
                 assert nested._walked[:6] == _fresh_walk(nested, bound)[:6]
                 assert _width_rule_holds(nested._walked)
                 assert members_of(nested, bound) == members_of(

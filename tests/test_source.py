@@ -104,6 +104,11 @@ def test_cli_import_loads_no_heavy_modules():
         ([], "cli core", ""),
         (["closure", "--kind", "pl", "15,16"], "cli closures core", ""),
         (["tree", "--restricted", ":<1>", "--genus-bound", "5"],
+         "cli core descriptors engine", ""),
+        (["genus-level", "--generated", "<4,6,7>:<4,5,6,7>", "--genus", "5"],
+         "cli core descriptors engine", ""),
+        # descendants checks its member through chains._position
+        (["descendants", "--interval", "<5,6>:<5,6,7>", "<5,6,13,14>"],
          "chains cli core descriptors engine", ""),
         (["verify", "--count", "0"],
          "_verify chains cli core descriptors engine oracle", "random"),
@@ -251,14 +256,16 @@ def test_member_walks_build_no_tree_nodes():
 def test_one_level_loop():
     # trees and member walks share the one level loop, which alone holds the
     # member budget and makes children; a second loop would have to read
-    # MAX_MEMBERS or call _drop itself.  The walk that a descriptor keeps is
-    # the one route to the loop besides the unkept genus level, and trees
-    # read it
+    # MAX_MEMBERS or call _drop itself.  descendants reads the budget too,
+    # to bound the views that a walk keeps, but loops over nothing.  The
+    # walk that a descriptor keeps is the one route to the loop besides
+    # the unkept genus level, and trees read it
     funcs = _top_functions("engine.py")
     readers = sorted(name for name, f in funcs.items()
                      if any(isinstance(n, ast.Name) and n.id == "MAX_MEMBERS"
                             for n in ast.walk(f)))
-    assert readers == ["_levels"]
+    assert readers == ["_levels", "descendants"]
+    assert _loops(funcs["descendants"]) == []
     droppers = sorted(name for name, f in funcs.items()
                       if "_drop" in set(_called_names(f)))
     assert droppers == ["_next_level"]
@@ -371,17 +378,36 @@ def test_kept_walks_are_read_not_remade():
     assert len(cuts) == 1 and ast.unparse(cuts[0].args[1]) in positions
     # and the map that the walk carries is read in one place, the lookup,
     # which fills it; is_member and _checked go through that lookup
-    readers = sorted(name for module in ("chains.py", "engine.py", "cli.py")
-                     for name, f in _top_functions(module).items() if _reads_the_map(f))
-    assert readers == ["_position"]
+    assert _field_takers(MEMBER_MAP) == ["_position"]
     chains_funcs = _top_functions("chains.py")
     for name in ("is_member", "_checked"):
         assert "_position" in set(_called_names(chains_funcs[name]))
-    # the guard sees the map taken out of a walk by index or by name
-    for line in ("walked[6].get(m)", "desc._walked[-1]", "*_, by = walked",
-                 "_, mem, _, _, _, _, by = walked"):
-        assert _reads_the_map(ast.parse(line)), line
-    assert not _reads_the_map(ast.parse("bound, mem, fds, xs, counts, _, _ = walked"))
+    # the guard sees the map taken out of a walk by index, slice or name
+    for line in ("walked[6].get(m)", "desc._walked[-2]", "*_, by, _ = walked",
+                 "_, mem, _, _, _, _, by, _ = walked", "rest = walked[5:]"):
+        assert _takes_field(ast.parse(line), MEMBER_MAP), line
+    for line in ("bound, mem, fds, xs, counts, _, _, _ = walked", "*_, views = walked",
+                 "bound, mem, fds, xs, counts = walked[:5]", "walked[3][i]",
+                 "mem, _, _, _, done = _walked(desc, bound)"):
+        assert not _takes_field(ast.parse(line), MEMBER_MAP), line
+
+
+def test_descendants_alone_keeps_views():
+    # the views that a walk keeps are read and stored in one place,
+    # descendants, which returns a kept view or cuts a new one from the
+    # walk, once, at the position the member map gives
+    assert _field_takers(KEPT_VIEWS) == ["descendants"]
+    body = _top_functions("engine.py")["descendants"]
+    assert list(_called_names(body)).count("_cut") == 1
+    stores = [ast.unparse(t) for n in ast.walk(body) if isinstance(n, ast.Assign)
+              for t in n.targets if isinstance(t, ast.Subscript)]
+    assert stores == ["views[i]"]
+    # the guard sees the views taken out of a walk by index, slice or name
+    for line in ("walked[7].get(i)", "desc._walked[-1]", "*_, views = walked",
+                 "_, _, _, _, _, _, _, views = walked", "rest = walked[6:]"):
+        assert _takes_field(ast.parse(line), KEPT_VIEWS), line
+    for line in ("walked[6].get(m)", "*_, by, _ = walked", "walked[1:6]"):
+        assert not _takes_field(ast.parse(line), KEPT_VIEWS), line
 
 
 def _bit_arithmetic(node):
@@ -433,19 +459,54 @@ def _takes_system(node):
     return any(isinstance(n, ast.Attribute) and n.attr == "system" for n in ast.walk(node))
 
 
-def _reads_the_map(node):
-    """Whether the code under node takes the member map out of a kept walk:
-    the last of seven fields, by index or by an unpacking that names it."""
+# a kept walk's fields: bound, members, fds, systems, counts, complete,
+# the member map and the kept views
+WALK_FIELDS = 8
+MEMBER_MAP, KEPT_VIEWS = 6, 7
+
+
+def _held(index):
+    """The walk fields that a subscript by index takes; none when index
+    is not constant."""
+    try:
+        if isinstance(index, ast.Slice):
+            return range(WALK_FIELDS)[slice(*[
+                b if b is None else ast.literal_eval(b)
+                for b in (index.lower, index.upper, index.step)])]
+        return [range(WALK_FIELDS)[ast.literal_eval(index)]]
+    except (ValueError, TypeError, IndexError):
+        return []
+
+
+def _takes_field(node, field):
+    """Whether the code under node takes a field out of a kept walk: by an
+    index or a slice that holds it, counted from either end, or by an
+    unpacking of the walk that names it."""
     for n in ast.walk(node):
         if isinstance(n, ast.Subscript) and "walk" in ast.unparse(n.value) and (
-                ast.unparse(n.slice) in ("6", "-1")):
+                field in _held(n.slice)):
             return True
-        # a call such as _walked(desc, bound) gives the fields, not the walk
+        # a call such as _walked(desc, bound) gives the fields, not the
+        # walk, and a subscript is judged above
         if (isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Tuple)
-                and not isinstance(n.value, ast.Call) and "walk" in ast.unparse(n.value)
-                and ast.unparse(n.targets[0].elts[-1]) != "_"):
-            return True
+                and not isinstance(n.value, (ast.Call, ast.Subscript))
+                and "walk" in ast.unparse(n.value)):
+            names = n.targets[0].elts
+            star = next((i for i, e in enumerate(names) if isinstance(e, ast.Starred)),
+                        None)
+            at = (field if star is None or field < star
+                  else max(star, len(names) - (WALK_FIELDS - field)))
+            if at < len(names) and ast.unparse(names[at]) not in ("_", "*_"):
+                return True
     return False
+
+
+def _field_takers(field):
+    """The module-level functions of the package that take field out of
+    a kept walk, by name."""
+    return sorted(name for path in sorted(SRC.glob("*.py"))
+                  for name, f in _top_functions(path.name).items()
+                  if _takes_field(f, field))
 
 
 def _stack_poppers(tree):
